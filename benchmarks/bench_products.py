@@ -2,8 +2,9 @@
 """Benchmark the geometric product across kernel backends.
 
 Builds deterministic random multivectors of increasing term counts and times
-the same product through the numba kernel, the numpy kernel and the per-pair
-Python path.  Run from the repository root:
+the same product through the per-pair Python path and the packed numpy
+kernel, end to end, plus the kernel call alone on pre-encoded arrays.  Run
+from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
@@ -12,8 +13,11 @@ Python path.  Run from the repository root:
 import argparse
 import time
 
+import numpy as np
+
 from cliffcalc import Signature, geometric_product
 from cliffcalc import kernels
+from cliffcalc.products import _encode
 from cliffcalc.rand import RandomSpec, random_multivector
 
 SIG = Signature(6, 4)
@@ -31,18 +35,34 @@ def build(num_terms: int, seed: int):
     )
 
 
+def best_time(call, repeats: int) -> float:
+    call()  # warmup: caches
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def time_backend(backend: str, a, b, repeats: int) -> float:
     previous = kernels.set_backend(backend)
     try:
-        geometric_product(a, b, SIG)  # warmup: JIT compile, caches
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            geometric_product(a, b, SIG)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return best_time(lambda: geometric_product(a, b, SIG), repeats)
     finally:
         kernels.set_backend(previous)
+
+
+def time_kernel(a, b, repeats: int) -> float:
+    keys_a, coeffs_a = _encode(a)
+    keys_b, coeffs_b = _encode(b)
+    pos, neg = (np.uint64(m) for m in kernels.region_masks(SIG))
+    return best_time(
+        lambda: kernels.pair_table(
+            keys_a, coeffs_a, keys_b, coeffs_b, pos, neg, kernels.FILTER_NONE
+        ),
+        repeats,
+    )
 
 
 def main() -> int:
@@ -52,11 +72,9 @@ def main() -> int:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    backends = ["python", "numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
-    if not kernels.HAVE_NUMBA:
-        print("numba not importable; benchmarking numpy and python only")
+    backends = ("python", "numpy")
 
-    header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{b:>14}" for b in backends)
+    header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in (*backends, "kernel"))
     print(header)
     print("-" * len(header))
     for size in sizes:
@@ -64,12 +82,10 @@ def main() -> int:
         b = build(size, seed=2 * size + 1)
         pairs = a.num_terms() * b.num_terms()
         row = f"{a.num_terms():>7} {pairs:>9}"
-        timings = {}
-        for backend in backends:
-            timings[backend] = time_backend(backend, a, b, args.repeats)
-            row += f"{timings[backend] * 1e6:>12.1f}us"
-        if "numba" in timings:
-            row += f"   numba {timings['python'] / timings['numba']:.1f}x vs python"
+        timings = {backend: time_backend(backend, a, b, args.repeats) for backend in backends}
+        timings["kernel"] = time_kernel(a, b, args.repeats)
+        row += "".join(f"{t * 1e6:>12.1f}us" for t in timings.values())
+        row += f"   numpy {timings['python'] / timings['numpy']:.1f}x vs python"
         print(row)
     return 0
 

@@ -1,44 +1,41 @@
-"""Bit-packed product kernels: numba-jitted loops with a numpy fallback.
+"""The bit-packed product kernel, vectorized with numpy.
 
 Blades whose indices all fit in 1..64 pack into a uint64 mask (bit i-1 set
 for index i), and a whole multivector becomes a pair of parallel arrays
 (keys, coeffs).  A product of two such multivectors is then one call into a
-kernel that, for every term pair:
+kernel that, for every term pair (a, b):
 
 * XORs the masks to get the result blade,
-* counts reorder transpositions as ``sum_k popcount((a >> k) & b)``,
+* takes the reorder sign from a prefix-parity mask of ``a``: bit j of
+  ``m(a)`` is set when ``a`` has an odd number of bits above j, so the
+  parity of the transpositions is ``popcount(m(a) & b) & 1`` (the bitmap
+  reordering sign of Dorst, Fontijne & Mann, *Geometric Algebra for
+  Computer Science*, ch. 19),
 * reads the metric off two region masks (``pos_mask``/``neg_mask`` mark the
-  generators squaring to +1/-1; anything else squares to 0),
+  generators squaring to +1/-1; anything else squares to 0), folding the
+  -1 squares of ``a & b & neg_mask`` into the same popcount,
 * optionally drops pairs failing a contraction grade filter (left keeps
   a ⊆ b, right keeps b ⊆ a),
 
-then accumulates coefficients per result key in pair order and prunes exact
-zeros.  Both backends produce identical arrays, keys ascending.
+then accumulates coefficients per result key in pair order from 0.0 and
+prunes exact zeros; keys come out ascending.
 
 Backend selection: the ``CLIFFCALC_BACKEND`` environment variable may be set
-to ``numba`` (default when importable), ``numpy``, or ``python`` (skip the
-packed kernels entirely; :mod:`cliffcalc.products` then uses the per-pair
-blade arithmetic, which is also what any product with indices above 64 uses).
+to ``numpy`` (the default) or ``python`` (skip the packed kernel entirely;
+:mod:`cliffcalc.products` then uses the per-pair blade arithmetic, which is
+also what any product with indices above 64 uses).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
 from .metric import Signature, generator_square
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-#: Largest generator index the packed kernels can represent.
+#: Largest generator index the packed kernel can represent.
 PACK_LIMIT = 64
 
 FILTER_NONE = 0
@@ -46,7 +43,7 @@ FILTER_LEFT = 1
 FILTER_RIGHT = 2
 
 _ENV_VAR = "CLIFFCALC_BACKEND"
-_BACKENDS = ("numba", "numpy", "python")
+_BACKENDS = ("numpy", "python")
 
 
 @lru_cache(maxsize=128)
@@ -62,38 +59,48 @@ def region_masks(sig: Signature) -> tuple[int, int]:
     return pos, neg
 
 
+def dense_bins(keys_a, keys_b) -> int:
+    """Bin count for dense accumulation, or 0 when the sparse path is cheaper.
+
+    Dense pays for ``1 << width`` bins, where ``width`` is the bit length of
+    the largest key; it is used while that stays within twice the pair count
+    (and always up to 1024 bins).
+    """
+    width = int(max(keys_a.max(), keys_b.max())).bit_length()
+    bins = 1 << width
+    return bins if bins <= max(1024, 2 * keys_a.size * keys_b.size) else 0
+
+
 def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode):
-    """Vectorized product table over all term pairs (numpy backend)."""
+    """Product table over all term pairs, summed per result key."""
     ka = keys_a[:, None]
     kb = keys_b[None, :]
 
-    swaps = np.zeros((keys_a.size, keys_b.size), dtype=np.int64)
-    shifted = ka >> np.uint64(1)
-    while shifted.any():
-        swaps += np.bitwise_count(shifted & kb).astype(np.int64)
-        shifted = shifted >> np.uint64(1)
+    # bit j of prefix: parity of the bits of a above j.  Xor-ing in the -1
+    # squares a & neg_mask and masking with b leaves an odd popcount exactly
+    # when the pair's sign is negative.
+    prefix = keys_a >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        prefix ^= prefix >> shift
+    odd = np.bitwise_count((prefix ^ (keys_a & neg_mask))[:, None] & kb) & 1
+    coeffs = (1 - 2 * odd.view(np.int8)) * coeffs_a[:, None] * coeffs_b[None, :]
 
-    elim = ka & kb
-    zero_mask = ~(pos_mask | neg_mask)
-    alive = (elim & zero_mask) == 0
+    keep = ((keys_a & ~(pos_mask | neg_mask))[:, None] & kb) == 0
     if filter_mode == FILTER_LEFT:
-        alive &= (ka & ~kb) == 0
+        keep &= (ka & ~kb) == 0
     elif filter_mode == FILTER_RIGHT:
-        alive &= (kb & ~ka) == 0
-
-    swaps += np.bitwise_count(elim & neg_mask).astype(np.int64)
-    signs = np.where(swaps & 1, -1.0, 1.0)
-    coeffs = coeffs_a[:, None] * coeffs_b[None, :] * signs
-    coeffs[~alive] = 0.0
-
-    flat_keys = (ka ^ kb).ravel()
-    flat_coeffs = coeffs.ravel()
-    nonzero = flat_coeffs != 0.0
-    flat_keys = flat_keys[nonzero]
-    flat_coeffs = flat_coeffs[nonzero]
+        keep &= (kb & ~ka) == 0
+    keep &= coeffs != 0.0
+    flat_keys = (ka ^ kb)[keep]
+    flat_coeffs = coeffs[keep]
     if flat_keys.size == 0:
         return flat_keys, flat_coeffs
 
+    bins = dense_bins(keys_a, keys_b)
+    if bins:
+        sums = np.bincount(flat_keys.astype(np.intp), weights=flat_coeffs, minlength=bins)
+        present = np.flatnonzero(sums)
+        return present.astype(np.uint64), sums[present]
     unique_keys, inverse = np.unique(flat_keys, return_inverse=True)
     sums = np.zeros(unique_keys.size, dtype=np.float64)
     np.add.at(sums, inverse, flat_coeffs)
@@ -101,92 +108,14 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
     return unique_keys[keep], sums[keep]
 
 
-def _pair_table_loops(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode):
-    # Same contract as pair_table_numpy, written as plain loops for numba.
-    u0 = np.uint64(0)
-    u1 = np.uint64(1)
-    zero_mask = ~(pos_mask | neg_mask)
-    na = keys_a.shape[0]
-    nb = keys_b.shape[0]
-    out_keys = np.empty(na * nb, dtype=np.uint64)
-    out_coeffs = np.empty(na * nb, dtype=np.float64)
-    n = 0
-    for i in range(na):
-        a = keys_a[i]
-        for j in range(nb):
-            b = keys_b[j]
-            if filter_mode == FILTER_LEFT and (a & ~b) != u0:
-                continue
-            if filter_mode == FILTER_RIGHT and (b & ~a) != u0:
-                continue
-            elim = a & b
-            if (elim & zero_mask) != u0:
-                continue
-            swaps = _popcount64(elim & neg_mask)
-            shifted = a >> u1
-            while shifted != u0:
-                swaps += _popcount64(shifted & b)
-                shifted = shifted >> u1
-            coeff = coeffs_a[i] * coeffs_b[j]
-            if swaps & np.int64(1):
-                coeff = -coeff
-            if coeff != 0.0:
-                out_keys[n] = a ^ b
-                out_coeffs[n] = coeff
-                n += 1
-    if n == 0:
-        return out_keys[:0], out_coeffs[:0]
-
-    # accumulate runs of equal keys, preserving pair order within each run
-    order = np.argsort(out_keys[:n], kind="mergesort")
-    unique_keys = np.empty(n, dtype=np.uint64)
-    sums = np.empty(n, dtype=np.float64)
-    m = 0
-    current = out_keys[order[0]]
-    acc = 0.0
-    for pos in range(n):
-        k = out_keys[order[pos]]
-        if k != current:
-            if acc != 0.0:
-                unique_keys[m] = current
-                sums[m] = acc
-                m += 1
-            current = k
-            acc = 0.0
-        acc += out_coeffs[order[pos]]
-    if acc != 0.0:
-        unique_keys[m] = current
-        sums[m] = acc
-        m += 1
-    return unique_keys[:m], sums[:m]
-
-
-def _popcount64_py(x):
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return np.int64((x * np.uint64(0x0101010101010101)) >> np.uint64(56))
-
-
-if HAVE_NUMBA:
-    _popcount64 = njit(cache=True)(_popcount64_py)
-    pair_table_numba = njit(cache=True)(_pair_table_loops)
-else:  # pragma: no cover
-    _popcount64 = _popcount64_py
-    pair_table_numba = None
-
-
 def _default_backend() -> str:
     requested = os.environ.get(_ENV_VAR, "").strip().lower()
     if not requested:
-        return "numba" if HAVE_NUMBA else "numpy"
+        return "numpy"
     if requested not in _BACKENDS:
         raise ValueError(
             f"{_ENV_VAR}={requested!r} is not one of {', '.join(_BACKENDS)}"
         )
-    if requested == "numba" and not HAVE_NUMBA:  # pragma: no cover
-        warnings.warn(f"{_ENV_VAR}=numba but numba is not importable; using numpy")
-        return "numpy"
     return requested
 
 
@@ -194,7 +123,7 @@ _active = _default_backend()
 
 
 def active_backend() -> str:
-    """Name of the backend products will use: numba, numpy or python."""
+    """Name of the backend products will use: numpy or python."""
     return _active
 
 
@@ -203,19 +132,10 @@ def set_backend(name: str) -> str:
     global _active
     if name not in _BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {_BACKENDS}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
     previous = _active
     _active = name
     return previous
 
 
-def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode):
-    """Dispatch to the active packed kernel (callers guard indices <= 64)."""
-    if _active == "numba":
-        return pair_table_numba(
-            keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode
-        )
-    return pair_table_numpy(
-        keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode
-    )
+#: The packed kernel (callers guard indices <= 64).
+pair_table = pair_table_numpy
