@@ -3,8 +3,8 @@
 
 Builds deterministic random multivectors of increasing term counts and times
 the same product through the per-pair Python path and the packed numpy
-kernel, end to end, plus the kernel call alone on pre-encoded arrays.  Run
-from the repository root:
+kernel, end to end, plus the kernel call alone on arrays built from the
+multivectors' blade keys.  Run from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
@@ -17,7 +17,6 @@ import numpy as np
 
 from cliffcalc import Signature, geometric_product
 from cliffcalc import kernels
-from cliffcalc.products import _encode
 from cliffcalc.rand import RandomSpec, random_multivector
 
 SIG = Signature(6, 4)
@@ -53,9 +52,14 @@ def time_backend(backend: str, a, b, repeats: int) -> float:
         kernels.set_backend(previous)
 
 
+def arrays(mv):
+    """(keys, coeffs) as the packed path builds them from the blade-key dict."""
+    return np.fromiter(mv._terms, np.uint64), np.fromiter(mv._terms.values(), np.float64)
+
+
 def time_kernel(a, b, repeats: int) -> float:
-    keys_a, coeffs_a = _encode(a)
-    keys_b, coeffs_b = _encode(b)
+    keys_a, coeffs_a = arrays(a)
+    keys_b, coeffs_b = arrays(b)
     pos, neg = (np.uint64(m) for m in kernels.region_masks(SIG))
     return best_time(
         lambda: kernels.pair_table(

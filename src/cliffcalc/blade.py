@@ -1,22 +1,24 @@
-"""Canonical basis blades and the signed product of two blades.
+"""Basis blades, their bitmask keys and the signed product of two blades.
 
-A blade is a product of distinct generators e_i1 ... e_ik kept in canonical
-form: a strictly increasing tuple of 1-based indices.  The empty tuple is the
-unit scalar.  Every product in the library reduces to reordering such index
-sequences, so this module owns the sign arithmetic:
+A blade is a product of distinct generators e_i1 ... e_ik.  At the public
+boundary it is a canonical tuple: strictly increasing 1-based indices, the
+empty tuple being the unit scalar.  Inside the library it is its blade key,
+an int with bit i-1 set per index i (the bitmap representation of Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19).  The
+product of keys a and b is the blade ``a ^ b`` with a sign of two factors:
 
-* sorting a concatenation by adjacent transpositions contributes (-1) per
-  swap (counted here as inversions during a linear merge, which is the same
-  parity as a literal bubble sort);
-* each adjacent equal pair (i, i) is deleted and contributes the metric
-  factor ``generator_square(sig, i)``.
+* (-1) per transposition that sorts the concatenation: the parity of
+  ``prefix_parity(a) & b``;
+* the square of each shared generator: 0 if any squares to 0, else (-1) per
+  shared generator squaring to -1, folded into the same parity as ``a & neg``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .metric import Signature, generator_square
+# generator_square is not used here; perfbench/spans.py patches it by name
+from .metric import Signature, generator_square, signature_masks  # noqa: F401
 
 #: Canonical blade: strictly increasing tuple of generator indices.
 Blade = tuple[int, ...]
@@ -82,42 +84,50 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
     return SignedBlade(-1 if inversions & 1 else 1, tuple(sorted(raw)))
 
 
+def prefix_parity(a: int) -> int:
+    """Mask whose bit j is set when ``a`` has an odd number of bits above j.
+
+    Moving a generator of b at position j left past a takes one
+    transposition per bit of a above j, so ``prefix_parity(a) & b`` has the
+    parity of the whole reordering.
+    """
+    m = a >> 1
+    shift = 1
+    width = m.bit_length()
+    while shift < width:
+        m ^= m >> shift
+        shift <<= 1
+    return m
+
+
+def mask_product(a: int, b: int, pos: int, neg: int) -> tuple[int, int]:
+    """(sign, key) of the geometric product of blade keys ``a`` and ``b``.
+
+    ``pos``/``neg`` mark the generators squaring to +1/-1 (see
+    :func:`~cliffcalc.metric.signature_masks`); any other shared generator
+    squares to 0 and makes the sign 0.
+    """
+    if a & b & ~(pos | neg):
+        return 0, 0
+    return (-1 if ((prefix_parity(a) ^ (a & neg)) & b).bit_count() & 1 else 1), a ^ b
+
+
+def mask_wedge(a: int, b: int) -> tuple[int, int]:
+    """(sign, key) of the wedge product of blade keys: sign 0 if they share a bit."""
+    if a & b:
+        return 0, 0
+    return (-1 if (prefix_parity(a) & b).bit_count() & 1 else 1), a | b
+
+
 def blade_product(a: Blade, b: Blade, sig: Signature) -> SignedBlade:
     """Geometric product of two canonical blades under ``sig``.
 
-    Merges the two sorted sequences, counting one transposition for every
-    pair (i in a, j in b) with i > j; a shared index is deleted from both
-    sides and contributes its metric square.  Returns sign 0 as soon as a
-    deleted pair has a null square.
+    Returns sign 0 when a shared generator squares to 0.
     """
-    sign = 1
-    out: list[int] = []
-    na, nb = len(a), len(b)
-    i = j = 0
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif x > y:
-            # y jumps left past a's remaining elements
-            if (na - i) & 1:
-                sign = -sign
-            out.append(y)
-            j += 1
-        else:
-            # equal pair: y passes the elements after x, then both cancel
-            if (na - i - 1) & 1:
-                sign = -sign
-            square = generator_square(sig, x)
-            if square == 0:
-                return _ZERO
-            sign *= square
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return SignedBlade(sign, tuple(out))
+    ka, kb = blade_key(a), blade_key(b)
+    pos, neg = signature_masks(sig, max(ka, kb).bit_length())
+    sign, key = mask_product(ka, kb, pos, neg)
+    return SignedBlade(sign, key_blade(key)) if sign else _ZERO
 
 
 def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
@@ -126,23 +136,8 @@ def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
     Signature-independent by construction; the sign is the parity of
     interleaving b's indices after a's.
     """
-    inversions = 0
-    out: list[int] = []
-    na, nb = len(a), len(b)
-    i = j = 0
-    while i < na and j < nb:
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif a[i] > b[j]:
-            inversions += na - i
-            out.append(b[j])
-            j += 1
-        else:
-            return _ZERO
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return SignedBlade(-1 if inversions & 1 else 1, tuple(out))
+    sign, key = mask_wedge(blade_key(a), blade_key(b))
+    return SignedBlade(sign, key_blade(key)) if sign else _ZERO
 
 
 def blade_key(a: Blade) -> int:
@@ -156,3 +151,13 @@ def blade_key(a: Blade) -> int:
     for i in a:
         key |= 1 << (i - 1)
     return key
+
+
+def key_blade(key: int) -> Blade:
+    """The canonical index tuple of a blade key (inverse of :func:`blade_key`)."""
+    indices = []
+    while key:
+        low = key & -key
+        indices.append(low.bit_length())
+        key ^= low
+    return tuple(indices)

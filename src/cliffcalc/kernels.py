@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .metric import Signature, generator_square
+# generator_square is not used here; perfbench/spans.py patches it by name
+from .metric import Signature, generator_square, signature_masks  # noqa: F401
 
 #: Largest generator index the packed kernel can represent.
 PACK_LIMIT = 64
@@ -49,14 +50,7 @@ _BACKENDS = ("numpy", "python")
 @lru_cache(maxsize=128)
 def region_masks(sig: Signature) -> tuple[int, int]:
     """(pos_mask, neg_mask) over indices 1..64 for a signature."""
-    pos = neg = 0
-    for i in range(1, PACK_LIMIT + 1):
-        square = generator_square(sig, i)
-        if square > 0:
-            pos |= 1 << (i - 1)
-        elif square < 0:
-            neg |= 1 << (i - 1)
-    return pos, neg
+    return signature_masks(sig, PACK_LIMIT)
 
 
 def dense_bins(keys_a, keys_b) -> int:

@@ -87,3 +87,18 @@ def generator_square(sig: Signature, i: int) -> int:
     if sig.q is UNBOUNDED or i <= sig.p + sig.q:
         return -1
     return 0
+
+
+def signature_masks(sig: Signature, width: int) -> tuple[int, int]:
+    """(pos, neg) bitmasks of the generators 1..width squaring to +1 and -1.
+
+    Bit i-1 stands for generator i, as in a blade key.  The region ends are
+    clamped to ``width`` before shifting, so a huge finite ``p`` or ``q``
+    costs no more than ``width`` bits.
+    """
+    p, q = sig.p, sig.q
+    if p is UNBOUNDED or p > width:
+        p = width
+    end = width if q is UNBOUNDED or p + q > width else p + q
+    pos = (1 << p) - 1
+    return pos, ((1 << end) - 1) ^ pos

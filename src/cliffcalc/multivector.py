@@ -1,9 +1,11 @@
-"""Sparse multivectors: finite maps from canonical blades to coefficients.
+"""Sparse multivectors: finite maps from basis blades to coefficients.
 
-A :class:`Multivector` stores only nonzero terms, keyed by canonical blade
-and kept in canonical (blade key) order.  Everything here is metric-free:
-construction, addition, negation, scalar multiplication and the grade
-machinery.  The metric-dependent products live in :mod:`cliffcalc.products`.
+A :class:`Multivector` stores only nonzero terms, keyed by blade key (see
+:func:`cliffcalc.blade.blade_key`) in ascending order, which is canonical
+order; index tuples appear only at its public methods.  Everything here is
+metric-free: construction, addition, negation, scalar multiplication and the
+grade machinery.  The metric-dependent products live in
+:mod:`cliffcalc.products`.
 
 Coefficients are doubles; zero pruning uses exact comparison with 0.0 so the
 algebraic identities stay exact on integer inputs.  Use
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numbers
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blade import Blade, blade_key, canonicalize, validate_blade
+from .blade import Blade, blade_key, canonicalize, key_blade, validate_blade
 
 
 class Multivector:
@@ -30,33 +32,33 @@ class Multivector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Sequence[int], float] = ()):
-        cleaned: dict[Blade, float] = {}
+        cleaned: dict[int, float] = {}
         for raw_blade, coeff in dict(terms).items():
-            blade = validate_blade(raw_blade)
-            value = cleaned.get(blade, 0.0) + _check_coeff(coeff)
+            key = blade_key(validate_blade(raw_blade))
+            value = cleaned.get(key, 0.0) + _check_coeff(coeff)
             if value == 0.0:
-                cleaned.pop(blade, None)
+                cleaned.pop(key, None)
             else:
-                cleaned[blade] = value
-        self._terms = _in_canonical_order(cleaned)
+                cleaned[key] = value
+        self._terms = dict(sorted(cleaned.items()))
 
     @classmethod
-    def _wrap(cls, terms: dict[Blade, float]) -> "Multivector":
-        """Adopt a dict that is already pruned and in canonical order."""
+    def _wrap(cls, terms: dict[int, float]) -> "Multivector":
+        """Adopt a blade-key dict that is already pruned and in ascending key order."""
         mv = object.__new__(cls)
         mv._terms = terms
         return mv
 
     def terms(self) -> Iterator[tuple[Blade, float]]:
         """Iterate (blade, coefficient) pairs in canonical order."""
-        return iter(self._terms.items())
+        return ((key_blade(key), c) for key, c in self._terms.items())
 
     def blades(self) -> Iterator[Blade]:
-        return iter(self._terms)
+        return map(key_blade, self._terms)
 
     def coefficient(self, blade: Sequence[int]) -> float:
         """Coefficient of a blade, 0.0 when absent."""
-        return self._terms.get(validate_blade(blade), 0.0)
+        return self._terms.get(blade_key(validate_blade(blade)), 0.0)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -65,32 +67,29 @@ class Multivector:
         return not self._terms
 
     def scalar_part(self) -> float:
-        return self._terms.get((), 0.0)
+        return self._terms.get(0, 0.0)
 
     def max_index(self) -> int:
         """Largest generator index used, 0 for the zero multivector."""
-        best = 0
-        for blade in self._terms:
-            if blade and blade[-1] > best:
-                best = blade[-1]
-        return best
+        # the last key is the largest, and its top bit is the largest index
+        return next(reversed(self._terms), 0).bit_length()
 
     def grades(self) -> list[int]:
         """Multiset of term grades, ascending; one entry per stored term."""
-        return sorted(len(blade) for blade in self._terms)
+        return sorted(key.bit_count() for key in self._terms)
 
     def grade_part(self, r: int) -> "Multivector":
         """Sub-multivector of terms with grade exactly ``r``."""
         if r < 0:
             raise ValueError(f"grade must be non-negative, got {r}")
         return Multivector._wrap(
-            {blade: c for blade, c in self._terms.items() if len(blade) == r}
+            {key: c for key, c in self._terms.items() if key.bit_count() == r}
         )
 
     def equals_within(self, other: "Multivector", eps: float) -> bool:
         """True when all coefficients agree to within ``eps`` (absolute)."""
-        for blade in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(blade, 0.0) - other._terms.get(blade, 0.0)) > eps:
+        for key in self._terms.keys() | other._terms.keys():
+            if abs(self._terms.get(key, 0.0) - other._terms.get(key, 0.0)) > eps:
                 return False
         return True
 
@@ -98,13 +97,13 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         out = dict(self._terms)
-        for blade, c in other._terms.items():
-            value = out.get(blade, 0.0) + c
+        for key, c in other._terms.items():
+            value = out.get(key, 0.0) + c
             if value == 0.0:
-                out.pop(blade, None)
+                out.pop(key, None)
             else:
-                out[blade] = value
-        return Multivector._wrap(_in_canonical_order(out))
+                out[key] = value
+        return Multivector._wrap(dict(sorted(out.items())))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -112,7 +111,7 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._wrap({blade: -c for blade, c in self._terms.items()})
+        return Multivector._wrap({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
@@ -125,7 +124,7 @@ class Multivector:
         s = float(scalar)
         if s == 0.0:
             return Multivector._wrap({})
-        return Multivector._wrap({blade: c * s for blade, c in self._terms.items()})
+        return Multivector._wrap({key: c * s for key, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -146,7 +145,7 @@ class Multivector:
         return render(self)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{blade}: {c!r}" for blade, c in self._terms.items())
+        body = ", ".join(f"{blade}: {c!r}" for blade, c in self.terms())
         return f"Multivector({{{body}}})"
 
 
@@ -154,10 +153,6 @@ def _check_coeff(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"coefficient must be a real number, got {value!r}")
     return float(value)
-
-
-def _in_canonical_order(terms: dict[Blade, float]) -> dict[Blade, float]:
-    return {blade: terms[blade] for blade in sorted(terms, key=blade_key)}
 
 
 def zero() -> Multivector:
@@ -169,7 +164,7 @@ def from_scalar(c: float) -> Multivector:
     c = _check_coeff(c)
     if c == 0.0:
         return Multivector._wrap({})
-    return Multivector._wrap({(): c})
+    return Multivector._wrap({0: c})
 
 
 def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Multivector:
@@ -186,27 +181,28 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
         raise ValueError(
             f"got {len(blades)} index-lists but {len(coeffs)} coefficients"
         )
-    out: dict[Blade, float] = {}
+    out: dict[int, float] = {}
     for raw, coeff in zip(blades, coeffs):
         sign, blade = canonicalize(raw)
-        value = out.get(blade, 0.0) + sign * _check_coeff(coeff)
+        key = blade_key(blade)
+        value = out.get(key, 0.0) + sign * _check_coeff(coeff)
         if value == 0.0:
-            out.pop(blade, None)
+            out.pop(key, None)
         else:
-            out[blade] = value
-    return Multivector._wrap(_in_canonical_order(out))
+            out[key] = value
+    return Multivector._wrap(dict(sorted(out.items())))
 
 
 def as_1vector(v: Sequence[float]) -> Multivector:
     """Coerce a list of reals to the 1-vector sum(v[i] * e_{i+1})."""
-    out: dict[Blade, float] = {}
+    out: dict[int, float] = {}
     for i, c in enumerate(v, start=1):
         c = _check_coeff(c)
         if c != 0.0:
-            out[(i,)] = c
+            out[1 << (i - 1)] = c
     return Multivector._wrap(out)
 
 
 def basis(i: int) -> Multivector:
     """The basis 1-vector e_i."""
-    return Multivector._wrap({validate_blade((i,)): 1.0})
+    return Multivector._wrap({blade_key(validate_blade((i,))): 1.0})

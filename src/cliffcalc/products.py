@@ -9,10 +9,12 @@ grade r and b of grade s, the geometric product a b is homogeneous, so
 keeping exactly the pairs whose product has grade s - r (left) or r - s
 (right) equals the definition as a double sum of grade projections.
 
-Dispatch: when every index fits in 1..64 the work goes through the packed
-numpy kernel in :mod:`cliffcalc.kernels`; tiny products, blades with larger
-indices and every product under ``CLIFFCALC_BACKEND=python`` use the
-per-pair merge in :mod:`cliffcalc.blade`.
+Dispatch: both paths work on blade keys (see :mod:`cliffcalc.blade`).
+When every index fits in 1..64 and the product has more than
+``_SMALL_PAIRS`` term pairs, the keys go into uint64 arrays for the packed
+numpy kernel in :mod:`cliffcalc.kernels`; smaller products, blades with
+larger indices and every product under ``CLIFFCALC_BACKEND=python`` loop
+over the pairs on Python ints.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .blade import Blade, blade_product, blade_wedge
-from .metric import Signature
-from .multivector import Multivector, _in_canonical_order, from_scalar
+# perfbench/spans.py times the per-pair calls through these two names
+from .blade import mask_product as blade_product, mask_wedge as blade_wedge
+from .metric import Signature, signature_masks
+from .multivector import Multivector, from_scalar
 
 # Products of at most this many term pairs take the per-pair path.  Timed one
-# product at a time in dimension 6 (2 CPUs, NumPy 2.4), the per-pair path
-# breaks even with the packed kernel at 32-40 pairs (wedge: ~64), yet on the
-# criterion-7 identity workload (perfbench small_identities) a cutoff of 32
-# gave a median 4.7k ops/s over 6 seeds and 36 gave 5.0k over 3, against
-# 5.2k and 5.4k for 16 on the same seeds.
-_SMALL_PAIRS = 16
+# product at a time in dimension 6 (2 CPUs, NumPy 2.4), the per-pair path on
+# blade keys breaks even with the packed kernel at 48-64 pairs for the
+# geometric product and ~81 for the wedge; contractions, whose filter skips
+# most pairs before the sign, stay cheaper per pair beyond 81.  On perfbench
+# calc_script (operands of 2-6 terms, 8 s runs) a cutoff of 48 gave a median
+# 23.4k ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and 23.0k
+# against 18.0k for 16 over 4 other seeds.  small_identities does not tell
+# them apart (6.7k-6.9k for 16-64): 98% of its products have over 64 pairs.
+_SMALL_PAIRS = 48
 
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -80,62 +86,41 @@ def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: 
 
 
 def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
-    acc: dict[Blade, float] = {}
-    for blade_a, ca in a.terms():
-        for blade_b, cb in b.terms():
-            if sig is None:
-                sign, blade = blade_wedge(blade_a, blade_b)
-            else:
-                sign, blade = blade_product(blade_a, blade_b, sig)
-            if sign == 0:
-                continue
+    if sig is not None:
+        pos, neg = signature_masks(sig, max(a.max_index(), b.max_index()))
+    acc: dict[int, float] = {}
+    for ka, ca in a._terms.items():
+        for kb, cb in b._terms.items():
+            # left keeps a ⊆ b and right keeps b ⊆ a: exactly the pairs whose
+            # product has grade |b| - |a| or |a| - |b|
             if filter_mode == kernels.FILTER_LEFT:
-                if len(blade) != len(blade_b) - len(blade_a):
+                if ka & ~kb:
                     continue
             elif filter_mode == kernels.FILTER_RIGHT:
-                if len(blade) != len(blade_a) - len(blade_b):
+                if kb & ~ka:
                     continue
-            value = acc.get(blade, 0.0) + ca * cb * sign
-            if value == 0.0:
-                acc.pop(blade, None)
+            if sig is None:
+                sign, key = blade_wedge(ka, kb)
             else:
-                acc[blade] = value
-    return Multivector._wrap(_in_canonical_order(acc))
+                sign, key = blade_product(ka, kb, pos, neg)
+            if sign == 0:
+                continue
+            value = acc.get(key, 0.0) + ca * cb * sign
+            if value == 0.0:
+                acc.pop(key, None)
+            else:
+                acc[key] = value
+    return Multivector._wrap(dict(sorted(acc.items())))
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
-    keys_a, coeffs_a = _encode(a)
-    keys_b, coeffs_b = _encode(b)
     pos, neg = kernels.region_masks(sig) if sig is not None else (0, 0)
     keys, coeffs = kernels.pair_table(
-        keys_a, coeffs_a, keys_b, coeffs_b, np.uint64(pos), np.uint64(neg), filter_mode
+        np.fromiter(a._terms, np.uint64, a.num_terms()),
+        np.fromiter(a._terms.values(), np.float64, a.num_terms()),
+        np.fromiter(b._terms, np.uint64, b.num_terms()),
+        np.fromiter(b._terms.values(), np.float64, b.num_terms()),
+        np.uint64(pos), np.uint64(neg), filter_mode,
     )
-    return _decode(keys, coeffs)
-
-
-def _encode(mv: Multivector) -> tuple[np.ndarray, np.ndarray]:
-    n = mv.num_terms()
-    keys = np.empty(n, dtype=np.uint64)
-    coeffs = np.empty(n, dtype=np.float64)
-    for pos, (blade, c) in enumerate(mv.terms()):
-        key = 0
-        for i in blade:
-            key |= 1 << (i - 1)
-        keys[pos] = key
-        coeffs[pos] = c
-    return keys, coeffs
-
-
-def _decode(keys: np.ndarray, coeffs: np.ndarray) -> Multivector:
-    out: dict[Blade, float] = {}
-    for key, c in zip(keys.tolist(), coeffs.tolist()):
-        indices = []
-        i = 1
-        while key:
-            if key & 1:
-                indices.append(i)
-            key >>= 1
-            i += 1
-        out[tuple(indices)] = c
     # kernel keys come out ascending, which is canonical order already
-    return Multivector._wrap(out)
+    return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))

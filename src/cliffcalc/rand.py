@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .blade import Blade
-from .multivector import Multivector, _in_canonical_order
+from .multivector import Multivector
 
 _MASK64 = (1 << 64) - 1
 
@@ -95,17 +94,16 @@ def random_multivector(spec: RandomSpec = RandomSpec()) -> Multivector:
     coeff_values = [c for c in range(spec.coeff_min, spec.coeff_max + 1) if c != 0]
     want = min(spec.num_terms, _available_blades(spec))
 
-    terms: dict[Blade, float] = {}
+    terms: dict[int, float] = {}
     while len(terms) < want:
         if spec.include_fewer:
             grade = rng.next_below(spec.max_grade + 1)
         else:
             grade = spec.max_grade
-        picked: set[int] = set()
-        while len(picked) < grade:
-            picked.add(1 + rng.next_below(spec.dimension))
-        blade = tuple(sorted(picked))
-        if blade in terms:
+        key = 0  # draw d picks index d + 1: bit d of the blade key
+        while key.bit_count() < grade:
+            key |= 1 << rng.next_below(spec.dimension)
+        if key in terms:
             continue
-        terms[blade] = float(coeff_values[rng.next_below(len(coeff_values))])
-    return Multivector._wrap(_in_canonical_order(terms))
+        terms[key] = float(coeff_values[rng.next_below(len(coeff_values))])
+    return Multivector._wrap(dict(sorted(terms.items())))

@@ -25,8 +25,8 @@ import os
 import re
 from dataclasses import dataclass
 
-from .blade import Blade, MAX_INDEX
-from .multivector import Multivector, _in_canonical_order
+from .blade import Blade, MAX_INDEX, blade_key
+from .multivector import Multivector
 
 
 class MultivectorParseError(ValueError):
@@ -180,13 +180,13 @@ def parse_multivector(text: str) -> Multivector:
     m = _SCALAR_FORM_RE.fullmatch(stripped)
     if m:
         value = float(m.group(1))
-        return Multivector._wrap({(): value} if value != 0.0 else {})
+        return Multivector._wrap({0: value} if value != 0.0 else {})
 
     s = _Scanner(text)
     s.skip_ws()
     if s.at_end():
         s.error("empty multivector literal")
-    acc: dict[Blade, float] = {}
+    acc: dict[int, float] = {}
     first = True
     while True:
         s.skip_ws()
@@ -210,14 +210,14 @@ def parse_multivector(text: str) -> Multivector:
         if coeff is None and blade is None:
             s.error("expected a coefficient or blade literal")
         value = sign * (1.0 if coeff is None else coeff)
-        key = blade if blade is not None else ()
+        key = blade_key(blade) if blade is not None else 0
         total = acc.get(key, 0.0) + value
         if total == 0.0:
             acc.pop(key, None)
         else:
             acc[key] = total
         first = False
-    return Multivector._wrap(_in_canonical_order(acc))
+    return Multivector._wrap(dict(sorted(acc.items())))
 
 
 def save(mv: Multivector, path: str | os.PathLike) -> None:
@@ -232,7 +232,7 @@ def save(mv: Multivector, path: str | os.PathLike) -> None:
 
 def load(path: str | os.PathLike) -> Multivector:
     """Read a .mv file; an empty file is the zero multivector."""
-    acc: dict[Blade, float] = {}
+    acc: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -247,7 +247,7 @@ def load(path: str | os.PathLike) -> Multivector:
                 raise MultivectorFileError(
                     f"bad coefficient {left.strip()!r}", lineno
                 ) from None
-            indices = []
+            key = 0
             prev = 0
             for token in right.split():
                 try:
@@ -260,12 +260,11 @@ def load(path: str | os.PathLike) -> Multivector:
                     raise MultivectorFileError(
                         "indices must be strictly increasing", lineno
                     )
-                indices.append(index)
+                key |= 1 << (index - 1)
                 prev = index
-            blade = tuple(indices)
-            total = acc.get(blade, 0.0) + coeff
+            total = acc.get(key, 0.0) + coeff
             if total == 0.0:
-                acc.pop(blade, None)
+                acc.pop(key, None)
             else:
-                acc[blade] = total
-    return Multivector._wrap(_in_canonical_order(acc))
+                acc[key] = total
+    return Multivector._wrap(dict(sorted(acc.items())))

@@ -234,3 +234,32 @@ def test_unknown_backend_env_var_is_rejected(monkeypatch):
             kernels._default_backend()
         with pytest.raises(ValueError):
             kernels.set_backend(name)
+
+
+@pytest.mark.parametrize("sig", [Signature(10**18, 3), Signature(2, 10**18), Signature(62, 10**18)])
+def test_backends_agree_on_huge_signature_counts(restore_backend, sig):
+    mvs = big_corpus()
+    for a in mvs[:3]:
+        for b in mvs[3:]:
+            assert_backends_agree_exactly(a, b, sig)
+    rng = np.random.default_rng(13)
+    indices = np.r_[1:4, 59:65]
+    for _ in range(8):
+        a = float_multivector(rng, indices, int(rng.integers(7, 12)))
+        b = float_multivector(rng, indices, int(rng.integers(7, 12)))
+        assert_backends_agree_exactly(a, b, sig)
+
+
+def test_backends_agree_at_the_packing_boundary_above_the_cutoff(restore_backend):
+    # enough pairs that the numpy backend really runs the kernel on bit 63
+    from cliffcalc import products
+
+    rng = np.random.default_rng(14)
+    indices = np.r_[1:3, 5, 62:65]
+    for sig in (euclidean(), Signature(63, 1), Signature(7), grassmann()):
+        for _ in range(4):
+            a = float_multivector(rng, indices, 8)
+            b = float_multivector(rng, indices, 8) + Multivector({(64,): 0.5})
+            assert b.max_index() == 64
+            assert a.num_terms() * b.num_terms() > products._SMALL_PAIRS
+            assert_backends_agree_exactly(a, b, sig)

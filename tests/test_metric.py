@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliffcalc import UNBOUNDED, Signature, euclidean, generator_square, grassmann
+from cliffcalc.metric import signature_masks
 
 
 def test_mixed_signature_regions():
@@ -76,3 +77,31 @@ def test_three_regions_partition_the_index_line(p, q, i):
 def test_generator_square_is_pure(p, q, i):
     sig = Signature(p, q)
     assert generator_square(sig, i) == generator_square(Signature(p, q), i)
+
+
+HUGE = 10**18
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [euclidean(), grassmann(), Signature(3, 1), Signature(7), Signature(0), Signature(60, 6),
+     Signature(HUGE, 3), Signature(2, HUGE), Signature(HUGE, HUGE), Signature(HUGE), Signature(UNBOUNDED, 5)],
+)
+@pytest.mark.parametrize("width", [0, 1, 5, 64, 70])
+def test_signature_masks_match_generator_square(sig, width):
+    pos, neg = signature_masks(sig, width)
+    assert (pos | neg) >> width == 0 and pos & neg == 0
+    for i in range(1, width + 1):
+        square = generator_square(sig, i)
+        assert (pos >> (i - 1)) & 1 == (square == 1)
+        assert (neg >> (i - 1)) & 1 == (square == -1)
+
+
+def test_signature_masks_clamp_huge_counts_to_the_width():
+    # a shift by p itself would need 10**18 bits
+    width = 65535
+    full = (1 << width) - 1
+    assert signature_masks(Signature(HUGE, 3), width) == (full, 0)
+    assert signature_masks(Signature(2, HUGE), width) == (0b11, full ^ 0b11)
+    assert signature_masks(Signature(65530, HUGE), width) == ((1 << 65530) - 1, full >> 65530 << 65530)
+    assert signature_masks(Signature(65530, 3), width) == ((1 << 65530) - 1, 0b111 << 65530)

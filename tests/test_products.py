@@ -270,3 +270,62 @@ def test_large_index_products_use_general_path():
     )
     assert wedge(e100, basis(65)) == Multivector({(65, 100): -1.0})
     assert left_contraction(e100, Multivector({(3, 100): 1.0}), euclidean()) == -basis(3)
+
+
+# --- the per-pair path on wide keys ----------------------------------------
+
+HUGE = 10**18
+
+
+def seeded_multivector(rng, indices, num_terms, floats):
+    """Distinct random blades of grade 0..4 over ``indices``."""
+    terms = {}
+    while len(terms) < num_terms:
+        blade = tuple(sorted(rng.sample(indices, rng.randint(0, 4))))
+        terms[blade] = rng.uniform(-2, 2) if floats else float(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Multivector(terms)
+
+
+@pytest.mark.parametrize(
+    "indices,sig",
+    [
+        # p and p+q boundaries inside the index range, and counts too large
+        # to shift by
+        (range(58, 73), Signature(60, 6)),
+        (range(58, 73), Signature(64, 2)),
+        (range(58, 73), Signature(66)),
+        (range(58, 73), Signature(HUGE, 3)),
+        (range(58, 73), Signature(2, HUGE)),
+        (range(58, 73), grassmann()),
+        (range(65521, 65536), Signature(65525, 5)),
+        (range(65521, 65536), Signature(65530)),
+        (range(65521, 65536), Signature(HUGE, 3)),
+        (range(65521, 65536), Signature(2, HUGE)),
+        ([1, 2, 3, 62, 63, 64, 65, 66, 65534, 65535], Signature(63, 2)),
+    ],
+)
+@pytest.mark.parametrize("floats", [False, True])
+def test_per_pair_products_match_the_oracles(indices, sig, floats):
+    import random
+
+    from cliffcalc import kernels
+
+    rng = random.Random(f"{indices}:{sig}:{floats}")
+    previous = kernels.set_backend("python")
+    try:
+        for _ in range(6):
+            a = seeded_multivector(rng, list(indices), rng.randint(1, 8), floats)
+            b = seeded_multivector(rng, list(indices), rng.randint(1, 8), floats)
+            # same pair order and the same pruning: equal bit for bit
+            assert geometric_product(a, b, sig) == product_by_rewriting(a, b, sig)
+            assert wedge(a, b) == product_by_rewriting(a, b, grassmann())
+            for side, product in (("left", left_contraction), ("right", right_contraction)):
+                expected = contraction_by_definition(a, b, sig, side)
+                got = product(a, b, sig)
+                if floats:
+                    # the definition sums grade parts in another order
+                    assert got.equals_within(expected, 1e-12)
+                else:
+                    assert got == expected
+    finally:
+        kernels.set_backend(previous)
