@@ -46,6 +46,19 @@ def grade(a: Blade) -> int:
     return len(a)
 
 
+def index_error(index: int, prev: int) -> str | None:
+    """Why ``index`` cannot follow ``prev`` in a canonical blade, else None.
+
+    ``prev`` is the index before it in the blade, 0 for the first.  Every
+    front end checks indices with this rule and raises its own error type.
+    """
+    if index < 1 or index > MAX_INDEX:
+        return f"blade index {index} outside 1..{MAX_INDEX}"
+    if index <= prev:
+        return "blade indices must be strictly increasing"
+    return None
+
+
 def validate_blade(a: Iterable[int]) -> Blade:
     """Check canonical form and bounds, returning the blade as a tuple."""
     blade = tuple(a)
@@ -53,10 +66,9 @@ def validate_blade(a: Iterable[int]) -> Blade:
     for i in blade:
         if not isinstance(i, int) or isinstance(i, bool):
             raise TypeError(f"blade index must be int, got {i!r}")
-        if i < 1 or i > MAX_INDEX:
-            raise ValueError(f"blade index {i} outside 1..{MAX_INDEX}")
-        if i <= prev:
-            raise ValueError(f"blade indices must be strictly increasing, got {blade}")
+        error = index_error(i, prev)
+        if error:
+            raise ValueError(f"{error}, got {blade}")
         prev = i
     return blade
 
@@ -72,8 +84,9 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
     for i in raw:
         if not isinstance(i, int) or isinstance(i, bool):
             raise TypeError(f"blade index must be int, got {i!r}")
-        if i < 1 or i > MAX_INDEX:
-            raise ValueError(f"blade index {i} outside 1..{MAX_INDEX}")
+        error = index_error(i, 0)
+        if error:
+            raise ValueError(error)
     inversions = 0
     for k in range(len(raw)):
         for m in range(k + 1, len(raw)):

@@ -13,22 +13,37 @@ All binary operators associate left.  Contractions deliberately bind loosest
 among the products, so ``e(2) _| e(1) * e(2)`` reads as ``e(2) _| (e(1)*e(2))``;
 getting the surprising grouping requires explicit parentheses.
 
-Blade literals: ``e_12`` (a run of single-digit indices), ``e[1,10,12]``
-(bracketed full indices), or the ``e(7)`` builtin call.  The exponent of
-``**`` must be a non-negative integer literal.
+:func:`tokenize` is the one lexer for number and blade literals; the
+multivector parser :func:`cliffcalc.textio.parse_multivector` reads its
+tokens too.  Numbers are decimal with an optional exponent (``2.5``, ``.5``,
+``1e+16``); a literal that overflows a double is an error at its position.
+Blade literals are:
+
+* ``e_12``: a run of single-digit indices, one per digit;
+* ``e_1,10,12``: comma-separated full indices, lexed only outside
+  parentheses, where no expression has a comma (so ``grade(e_12,2)`` is
+  still a two-argument call);
+* ``e[1, 10, 12]``: bracketed full indices, whitespace allowed;
+* the ``e(7)`` builtin call.
+
+Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
+20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
+non-negative integer literal.
 
 A number directly followed by a blade literal multiplies it (``2e_1``,
 ``4e[1,10]``), and a leading ``+`` is a no-op, so rendered one-line output
-like ``+ 1 + 2e_1 + 3e_2`` reads back as an expression.
+like ``+ 1 + 2e_1 + 3e_2`` reads back as an expression, with either
+separator.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .blade import Blade, MAX_INDEX
+from .blade import Blade, index_error
 
 
 class ExpressionSyntaxError(ValueError):
@@ -98,15 +113,30 @@ Expr = Union[Num, BladeLit, Var, Neg, BinOp, Pow, Call]
 PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
 
 _TWO_CHAR_OPS = ("**", "_|", "|_")
-_ONE_CHAR_OPS = "+-*^()[],"
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?|\.\d+")
+_ONE_CHAR_OPS = "+-*^(),"
+
+#: A number literal: digits with an optional fraction and decimal exponent.
+NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+_NUMBER_RE = re.compile(NUMBER)
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_DIGITS_RE = re.compile(r"\d+")
+_COMMA_RUN_RE = re.compile(r"\d+(?:,\d+)*")
+_BRACKET_OPEN_RE = re.compile(r"\s*\[")
+_BRACKET_INDEX_RE = re.compile(r"\s*(\d*)\s*")
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, ending with an ``end`` token.
+
+    A ``number`` token carries its float, a ``blade`` token its canonical
+    index tuple; each index is checked with :func:`cliffcalc.blade.index_error`
+    and a bad one is reported at its own position.
+    """
     tokens: list[Token] = []
     i = 0
     n = len(source)
+    depth = 0  # parenthesis depth: the comma blade form is lexed only at 0
     while i < n:
         ch = source[i]
         if ch.isspace():
@@ -121,25 +151,21 @@ def tokenize(source: str) -> list[Token]:
             m = _NUMBER_RE.match(source, i)
             if not m:
                 raise ExpressionSyntaxError("malformed number", i)
-            tokens.append(Token("number", float(m.group()), i, m.group()))
+            value = float(m.group())
+            if math.isinf(value):
+                raise ExpressionSyntaxError(f"number {m.group()} is out of range", i)
+            tokens.append(Token("number", value, i, m.group()))
             i = m.end()
             continue
-        if ch == "e" and source[i + 1:i + 2] == "_" and source[i + 2:i + 3].isdigit():
-            j = i + 2
-            while j < n and source[j].isdigit():
-                j += 1
-            indices = []
-            for k, digit in enumerate(source[i + 2:j]):
-                index = int(digit)
-                if index == 0:
-                    raise ExpressionSyntaxError("blade index must be >= 1", i + 2 + k)
-                if indices and index <= indices[-1]:
-                    raise ExpressionSyntaxError(
-                        "blade indices must be strictly increasing", i + 2 + k
-                    )
-                indices.append(index)
-            tokens.append(Token("blade", tuple(indices), i, source[i:j]))
-            i = j
+        run = two == "e_" and (_COMMA_RUN_RE if depth == 0 else _DIGITS_RE).match(source, i + 2)
+        if run:
+            if "," in run.group():
+                indices = [(int(g.group()), g.start())
+                           for g in _DIGITS_RE.finditer(source, i + 2, run.end())]
+            else:
+                indices = [(int(d), i + 2 + k) for k, d in enumerate(run.group())]
+            tokens.append(_blade_token(source, i, run.end(), indices))
+            i = run.end()
             continue
         if ch.isalpha():
             m = _IDENT_RE.match(source, i)
@@ -149,16 +175,63 @@ def tokenize(source: str) -> list[Token]:
             if name.endswith("_") and source[end:end + 1] == "|":
                 name = name[:-1]
                 end -= 1
+            opener = name == "e" and _BRACKET_OPEN_RE.match(source, end)
+            if opener:
+                i, token = _bracket_blade(source, i, opener.end())
+                tokens.append(token)
+                continue
             tokens.append(Token("ident", name, i))
             i = end
             continue
         if ch in _ONE_CHAR_OPS:
+            depth += (ch == "(") - (ch == ")")
             tokens.append(Token("op", ch, i))
             i += 1
             continue
         raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(Token("end", None, n))
     return tokens
+
+
+def _bracket_blade(source: str, start: int, j: int) -> tuple[int, Token]:
+    """Lex ``e[i, j, ...]`` from the ``e`` at ``start``; ``j`` is just past ``[``.
+
+    Returns the position after ``]`` and the blade token.
+    """
+    indices: list[tuple[int, int]] = []
+    while True:
+        m = _BRACKET_INDEX_RE.match(source, j)
+        if not m.group(1):
+            raise ExpressionSyntaxError(
+                f"unexpected {_describe_char(source, m.start(1))}",
+                m.start(1),
+                ("an integer index",),
+            )
+        indices.append((int(m.group(1)), m.start(1)))
+        j = m.end()
+        if source[j:j + 1] == ",":
+            j += 1
+        elif source[j:j + 1] == "]":
+            return j + 1, _blade_token(source, start, j + 1, indices)
+        else:
+            raise ExpressionSyntaxError(
+                f"unexpected {_describe_char(source, j)}", j, ("','", "']'")
+            )
+
+
+def _blade_token(source: str, start: int, end: int, indices: list[tuple[int, int]]) -> Token:
+    """The blade token for ``source[start:end]`` from (index, position) pairs."""
+    prev = 0
+    for index, pos in indices:
+        error = index_error(index, prev)
+        if error:
+            raise ExpressionSyntaxError(error, pos)
+        prev = index
+    return Token("blade", tuple(index for index, _ in indices), start, source[start:end])
+
+
+def _describe_char(source: str, pos: int) -> str:
+    return f"'{source[pos]}'" if pos < len(source) else "end of input"
 
 
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")
@@ -231,14 +304,6 @@ class _Parser:
             if nxt.kind == "blade":
                 self.advance()
                 return BinOp("*", num, BladeLit(nxt.value))
-            if (
-                nxt.kind == "ident"
-                and nxt.value == "e"
-                and self.tokens[self.idx + 1].kind == "op"
-                and self.tokens[self.idx + 1].value == "["
-            ):
-                self.advance()
-                return BinOp("*", num, self.bracket_blade())
             return num
         if tok.kind == "blade":
             return BladeLit(tok.value)
@@ -246,8 +311,6 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "op" and nxt.value == "(":
                 return self.call(tok)
-            if nxt.kind == "op" and nxt.value == "[" and tok.value == "e":
-                return self.bracket_blade()
             return Var(tok.value, tok.pos)
         if tok.kind == "op" and tok.value == "(":
             inner = self.expression(0)
@@ -267,37 +330,6 @@ class _Parser:
                 args.append(self.expression(0))
         self.expect_op(")")
         return Call(name_tok.value, tuple(args), name_tok.pos)
-
-    def bracket_blade(self) -> BladeLit:
-        self.advance()  # '['
-        indices: list[int] = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "number" or not tok.text.isdigit():
-                raise ExpressionSyntaxError(
-                    f"unexpected {_describe(tok)}", tok.pos, ("an integer index",)
-                )
-            index = int(tok.text)
-            if index < 1 or index > MAX_INDEX:
-                raise ExpressionSyntaxError(
-                    f"blade index must be in 1..{MAX_INDEX}", tok.pos
-                )
-            if indices and index <= indices[-1]:
-                raise ExpressionSyntaxError(
-                    "blade indices must be strictly increasing", tok.pos
-                )
-            indices.append(index)
-            self.advance()
-            tok = self.peek()
-            if tok.kind == "op" and tok.value == ",":
-                self.advance()
-                continue
-            if tok.kind == "op" and tok.value == "]":
-                self.advance()
-                return BladeLit(tuple(indices))
-            raise ExpressionSyntaxError(
-                f"unexpected {_describe(tok)}", tok.pos, ("','", "']'")
-            )
 
 
 def _describe(tok: Token) -> str:

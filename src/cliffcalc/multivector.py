@@ -7,7 +7,9 @@ metric-free: construction, addition, negation, scalar multiplication and the
 grade machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
 
-Coefficients are doubles; zero pruning uses exact comparison with 0.0 so the
+Coefficients are finite doubles: every constructor and scalar
+multiplication rejects NaN and infinities, though arithmetic on finite values
+can still overflow.  Zero pruning uses exact comparison with 0.0 so the
 algebraic identities stay exact on integer inputs.  Use
 :meth:`Multivector.equals_within` for approximate comparison of floating
 results.
@@ -15,6 +17,7 @@ results.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,15 +35,10 @@ class Multivector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Sequence[int], float] = ()):
-        cleaned: dict[int, float] = {}
-        for raw_blade, coeff in dict(terms).items():
-            key = blade_key(validate_blade(raw_blade))
-            value = cleaned.get(key, 0.0) + _check_coeff(coeff)
-            if value == 0.0:
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = value
-        self._terms = dict(sorted(cleaned.items()))
+        self._terms = sum_terms(
+            (blade_key(validate_blade(blade)), _check_coeff(coeff))
+            for blade, coeff in dict(terms).items()
+        )
 
     @classmethod
     def _wrap(cls, terms: dict[int, float]) -> "Multivector":
@@ -96,14 +94,7 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            value = out.get(key, 0.0) + c
-            if value == 0.0:
-                out.pop(key, None)
-            else:
-                out[key] = value
-        return Multivector._wrap(dict(sorted(out.items())))
+        return Multivector._wrap(sum_terms(other._terms.items(), dict(self._terms)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -122,6 +113,8 @@ class Multivector:
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
         s = float(scalar)
+        if not math.isfinite(s):
+            raise ValueError(f"scalar must be finite, got {s!r}")
         if s == 0.0:
             return Multivector._wrap({})
         return Multivector._wrap({key: c * s for key, c in self._terms.items()})
@@ -152,7 +145,29 @@ class Multivector:
 def _check_coeff(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"coefficient must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient must be finite, got {value!r}")
+    return value
+
+
+def sum_terms(
+    items: Iterable[tuple[int, float]], out: dict[int, float] | None = None
+) -> dict[int, float]:
+    """Add (blade key, coefficient) pairs in order into ``out`` (default empty).
+
+    A key whose sum is exactly 0.0 is dropped, and a later pair for it starts
+    again from 0.0, which gives the same sum as continuing from the dropped
+    0.0.  Returns the terms in ascending key order, ready for ``_wrap``.
+    """
+    acc = {} if out is None else out
+    for key, c in items:
+        value = acc.get(key, 0.0) + c
+        if value == 0.0:
+            acc.pop(key, None)
+        else:
+            acc[key] = value
+    return dict(sorted(acc.items()))
 
 
 def zero() -> Multivector:
@@ -181,16 +196,10 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
         raise ValueError(
             f"got {len(blades)} index-lists but {len(coeffs)} coefficients"
         )
-    out: dict[int, float] = {}
-    for raw, coeff in zip(blades, coeffs):
-        sign, blade = canonicalize(raw)
-        key = blade_key(blade)
-        value = out.get(key, 0.0) + sign * _check_coeff(coeff)
-        if value == 0.0:
-            out.pop(key, None)
-        else:
-            out[key] = value
-    return Multivector._wrap(dict(sorted(out.items())))
+    return Multivector._wrap(sum_terms(
+        (blade_key(blade), sign * _check_coeff(coeff))
+        for (sign, blade), coeff in zip(map(canonicalize, blades), coeffs)
+    ))
 
 
 def as_1vector(v: Sequence[float]) -> Multivector:

@@ -264,9 +264,7 @@ def _command(text: str, session: Session) -> str | None:
             raise CommandError("usage: :basissep [separator]")
         sep = args[0] if args else ""
         try:
-            session.print_options = PrintOptions(
-                basis_sep=sep, prefix=session.print_options.prefix
-            )
+            session.print_options = PrintOptions(basis_sep=sep)
         except ValueError as err:
             raise CommandError(str(err)) from None
         return None

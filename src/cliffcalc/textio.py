@@ -8,14 +8,18 @@ set ``","`` when indices can exceed 9).  Two whole-value special forms exist:
 ``the zero clifford element (0)`` for zero.
 
 :func:`parse_multivector` inverts :func:`render` for both separator settings
-and additionally accepts bracketed blades (``e[1,10]``) and coefficient-less
+and every finite coefficient.  It reads the tokens of
+:func:`cliffcalc.exprparse.tokenize`, so numbers and blade literals follow
+the calculator's grammar: exponents (``1e-05e_1``), digit-run, comma and
+bracketed blades (``e_12``, ``e_1,10``, ``e[1, 10]``) and coefficient-less
 blades (``e_12`` meaning ``1e_12``).  With the default separator a digit run
 is read digit-by-digit, so multi-digit indices require the comma or bracket
 form.
 
 The ``.mv`` file format is one term per line, ``<coefficient> ; <i1> ... <ik>``
 with an empty index list for the scalar term, in canonical order; it
-round-trips exactly (coefficients written with full repr precision).
+round-trips exactly (coefficients written with full repr precision).  NaN
+and infinite coefficients are rejected on load.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import os
 import re
 from dataclasses import dataclass
 
-from .blade import Blade, MAX_INDEX, blade_key
-from .multivector import Multivector
+from .blade import blade_key, index_error
+from .exprparse import NUMBER, ExpressionSyntaxError, tokenize
+from .multivector import Multivector, from_scalar, sum_terms
 
 
 class MultivectorParseError(ValueError):
@@ -48,7 +53,6 @@ class MultivectorFileError(ValueError):
 @dataclass(frozen=True)
 class PrintOptions:
     basis_sep: str = ""
-    prefix: str = "e_"
 
     def __post_init__(self) -> None:
         for ch in self.basis_sep:
@@ -81,143 +85,59 @@ def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
         magnitude = format_coefficient(abs(coeff))
         if blade:
             subscripts = opts.basis_sep.join(str(i) for i in blade)
-            parts.append(f"{sign} {magnitude}{opts.prefix}{subscripts}")
+            parts.append(f"{sign} {magnitude}e_{subscripts}")
         else:
             parts.append(f"{sign} {magnitude}")
     return " ".join(parts)
 
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?|\.\d+")
-_SCALAR_FORM_RE = re.compile(r"scalar \( (-?(?:\d+(?:\.\d*)?|\.\d+)) \)")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while not self.at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def error(self, message: str, position: int | None = None):
-        raise MultivectorParseError(message, self.pos if position is None else position)
-
-    def read_number(self) -> float:
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            self.error("expected a number")
-        self.pos = m.end()
-        return float(m.group())
-
-    def read_index_group(self) -> tuple[str, int]:
-        start = self.pos
-        while not self.at_end() and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a digit")
-        return self.text[start:self.pos], start
-
-    def read_blade(self) -> Blade:
-        self.pos += 1  # 'e'
-        opener = self.text[self.pos]
-        self.pos += 1  # '_' or '['
-        indices: list[tuple[int, int]] = []  # (index, position)
-        if opener == "_":
-            group, group_pos = self.read_index_group()
-            if self.peek() == ",":
-                indices.append((int(group), group_pos))
-                while self.peek() == ",":
-                    self.pos += 1
-                    group, group_pos = self.read_index_group()
-                    indices.append((int(group), group_pos))
-            else:
-                indices = [(int(d), group_pos + k) for k, d in enumerate(group)]
-        else:  # '['
-            while True:
-                self.skip_ws()
-                group, group_pos = self.read_index_group()
-                indices.append((int(group), group_pos))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                if self.peek() == "]":
-                    self.pos += 1
-                    break
-                self.error("expected ',' or ']' in blade literal")
-        prev = 0
-        for index, position in indices:
-            if index < 1:
-                self.error("blade index must be >= 1", position)
-            if index > MAX_INDEX:
-                self.error(f"blade index {index} exceeds {MAX_INDEX}", position)
-            if index <= prev:
-                self.error(
-                    "blade indices must be strictly increasing within a literal",
-                    position,
-                )
-            prev = index
-        return tuple(index for index, _ in indices)
+_SCALAR_FORM_RE = re.compile(rf"scalar \( (-?{NUMBER}) \)")
 
 
 def parse_multivector(text: str) -> Multivector:
     """Parse a rendered multivector back into a value.
 
-    Accepts both special whole-value forms, signed term sequences with the
-    default or comma separators, and bracketed blades.
+    Accepts both special whole-value forms and signed term sequences
+    ``[+|-] [number] [blade]`` with any blade literal form.
     """
+    try:
+        tokens = tokenize(text)
+    except ExpressionSyntaxError as err:
+        raise MultivectorParseError(err.base_message, err.position) from None
     stripped = text.strip()
     if stripped == "the zero clifford element (0)":
         return Multivector._wrap({})
     m = _SCALAR_FORM_RE.fullmatch(stripped)
     if m:
-        value = float(m.group(1))
-        return Multivector._wrap({0: value} if value != 0.0 else {})
+        return from_scalar(float(m.group(1)))
 
-    s = _Scanner(text)
-    s.skip_ws()
-    if s.at_end():
-        s.error("empty multivector literal")
-    acc: dict[int, float] = {}
-    first = True
-    while True:
-        s.skip_ws()
-        if s.at_end():
-            break
+    if tokens[0].kind == "end":
+        raise MultivectorParseError("empty multivector literal", tokens[0].pos)
+    items: list[tuple[int, float]] = []
+    k = 0
+    while tokens[k].kind != "end":
+        tok = tokens[k]
         sign = 1.0
-        ch = s.peek()
-        if ch in "+-":
-            sign = -1.0 if ch == "-" else 1.0
-            s.pos += 1
-            s.skip_ws()
-        elif not first:
-            s.error("expected '+' or '-' between terms")
-        coeff = None
-        if s.peek().isdigit() or s.peek() == ".":
-            coeff = s.read_number()
-            s.skip_ws()
-        blade: Blade | None = None
-        if s.peek() == "e" and s.peek(1) in ("_", "["):
-            blade = s.read_blade()
-        if coeff is None and blade is None:
-            s.error("expected a coefficient or blade literal")
-        value = sign * (1.0 if coeff is None else coeff)
-        key = blade_key(blade) if blade is not None else 0
-        total = acc.get(key, 0.0) + value
-        if total == 0.0:
-            acc.pop(key, None)
-        else:
-            acc[key] = total
-        first = False
-    return Multivector._wrap(dict(sorted(acc.items())))
+        if tok.kind == "op" and tok.value in ("+", "-"):
+            sign = -1.0 if tok.value == "-" else 1.0
+            k += 1
+        elif items:
+            raise MultivectorParseError("expected '+' or '-' between terms", tok.pos)
+        start = k
+        coeff = 1.0
+        if tokens[k].kind == "number":
+            coeff = tokens[k].value
+            k += 1
+        key = 0
+        if tokens[k].kind == "blade":
+            key = blade_key(tokens[k].value)
+            k += 1
+        if k == start:
+            raise MultivectorParseError(
+                "expected a coefficient or blade literal", tokens[k].pos
+            )
+        items.append((key, sign * coeff))
+    return Multivector._wrap(sum_terms(items))
 
 
 def save(mv: Multivector, path: str | os.PathLike) -> None:
@@ -232,7 +152,7 @@ def save(mv: Multivector, path: str | os.PathLike) -> None:
 
 def load(path: str | os.PathLike) -> Multivector:
     """Read a .mv file; an empty file is the zero multivector."""
-    acc: dict[int, float] = {}
+    items: list[tuple[int, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -247,6 +167,10 @@ def load(path: str | os.PathLike) -> Multivector:
                 raise MultivectorFileError(
                     f"bad coefficient {left.strip()!r}", lineno
                 ) from None
+            if not math.isfinite(coeff):
+                raise MultivectorFileError(
+                    f"coefficient must be finite, got {left.strip()!r}", lineno
+                )
             key = 0
             prev = 0
             for token in right.split():
@@ -254,17 +178,10 @@ def load(path: str | os.PathLike) -> Multivector:
                     index = int(token)
                 except ValueError:
                     raise MultivectorFileError(f"bad index {token!r}", lineno) from None
-                if index < 1 or index > MAX_INDEX:
-                    raise MultivectorFileError(f"index {index} outside 1..{MAX_INDEX}", lineno)
-                if index <= prev:
-                    raise MultivectorFileError(
-                        "indices must be strictly increasing", lineno
-                    )
+                error = index_error(index, prev)
+                if error:
+                    raise MultivectorFileError(error, lineno)
                 key |= 1 << (index - 1)
                 prev = index
-            total = acc.get(key, 0.0) + coeff
-            if total == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-    return Multivector._wrap(dict(sorted(acc.items())))
+            items.append((key, coeff))
+    return Multivector._wrap(sum_terms(items))

@@ -16,8 +16,17 @@ def blades(max_index: int = 6, max_grade: int | None = None):
     ).map(lambda ids: tuple(sorted(ids)))
 
 
-def multivectors(max_index: int = 6, max_terms: int = 6, coeff_bound: int = 9):
-    coeffs = st.integers(-coeff_bound, coeff_bound).filter(lambda c: c != 0)
+#: Every nonzero finite double, for properties that must hold beyond integers.
+FINITE_COEFFS = st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: c != 0)
+
+
+def multivectors(max_index: int = 6, max_terms: int = 6, coeff_bound: int = 9, coeffs=None):
+    """Multivectors with nonzero coefficients from ``coeffs``.
+
+    ``coeffs`` defaults to the integers in [-coeff_bound, coeff_bound].
+    """
+    if coeffs is None:
+        coeffs = st.integers(-coeff_bound, coeff_bound).filter(lambda c: c != 0)
     return st.dictionaries(blades(max_index), coeffs, max_size=max_terms).map(
         lambda d: Multivector({blade: float(c) for blade, c in d.items()})
     )

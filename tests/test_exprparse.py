@@ -11,6 +11,7 @@ from cliffcalc.exprparse import (
     Var,
     parse_expr,
 )
+from cliffcalc.textio import MultivectorParseError, parse_multivector
 
 
 def test_multiplication_binds_tighter_than_addition():
@@ -60,7 +61,7 @@ def test_power_chains_left():
 
 
 def test_power_requires_integer_literal():
-    for bad in ("a ** b", "a ** -1", "a ** 2.5", "a ** (2)"):
+    for bad in ("a ** b", "a ** -1", "a ** 2.5", "a ** (2)", "a ** 1e3"):
         with pytest.raises(ExpressionSyntaxError, match="exponent"):
             parse_expr(bad)
     assert parse_expr("a ** 0") == Pow(Var("a", 0), 0)
@@ -70,6 +71,9 @@ def test_blade_literals():
     assert parse_expr("e_12") == BladeLit((1, 2))
     assert parse_expr("e_7") == BladeLit((7,))
     assert parse_expr("e[1,10,12]") == BladeLit((1, 10, 12))
+    assert parse_expr("e [ 1 , 10 ]") == BladeLit((1, 10))
+    # outside parentheses, where no expression has a comma
+    assert parse_expr("e_1,10,12") == BladeLit((1, 10, 12))
 
 
 def test_blade_literal_validation():
@@ -83,6 +87,23 @@ def test_blade_literal_validation():
         parse_expr("e[]")
     with pytest.raises(ExpressionSyntaxError):
         parse_expr("e[1,1]")
+    for bad in ("e[1.5]", "e[1e1]"):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expr(bad)
+
+    # index 0, out of order and above MAX_INDEX in each blade form: both
+    # front ends share the lexer and report the same position
+    for text, position in (
+        ("e_0", 2), ("e_132", 4),
+        ("e[0]", 2), ("e[2, 1]", 5), ("e[65536]", 2),
+        ("e_0,1", 2), ("e_2,1", 4), ("e_1,65536", 4),
+    ):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.position == position, text
+        with pytest.raises(MultivectorParseError) as exc:
+            parse_multivector(text)
+        assert exc.value.position == position, text
 
 
 def test_e_underscore_name_is_an_identifier():
@@ -125,6 +146,13 @@ def test_number_forms():
     assert parse_expr("2.5") == Num(2.5)
     assert parse_expr(".5") == Num(0.5)
     assert parse_expr("10") == Num(10.0)
+    assert parse_expr("1e3") == Num(1000.0)
+    assert parse_expr("2.5E-1") == Num(0.25)
+    assert parse_expr("1e+16") == Num(1e16)
+    assert parse_expr("5e-324") == Num(5e-324)
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expr("1 + 1e999")
+    assert exc.value.position == 4
 
 
 def test_unary_plus_is_noop():
@@ -135,6 +163,7 @@ def test_unary_plus_is_noop():
 def test_juxtaposed_coefficient_multiplies_blade():
     assert parse_expr("2e_1") == BinOp("*", Num(2.0), BladeLit((1,)))
     assert parse_expr("4e[1,10]") == BinOp("*", Num(4.0), BladeLit((1, 10)))
+    assert parse_expr("1e-05e_1") == BinOp("*", Num(1e-05), BladeLit((1,)))
     # binds like an atom: 2e_1 ** 2 squares the whole term
     expr = parse_expr("3e_12 + 1")
     assert expr == BinOp("+", BinOp("*", Num(3.0), BladeLit((1, 2))), Num(1.0))

@@ -58,6 +58,23 @@ def test_constructor_validates_blades():
         Multivector({(1,): "three"})
 
 
+def test_non_finite_coefficients_are_rejected():
+    x = sample_x()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Multivector({(1,): bad})
+        with pytest.raises(ValueError, match="finite"):
+            from_terms([[2, 1]], [bad])
+        with pytest.raises(ValueError, match="finite"):
+            from_scalar(bad)
+        with pytest.raises(ValueError, match="finite"):
+            as_1vector([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            x * bad
+        with pytest.raises(ValueError, match="finite"):
+            bad * x
+
+
 def test_from_scalar():
     assert dict(from_scalar(2).terms()) == {(): 2.0}
     assert from_scalar(0).is_zero()

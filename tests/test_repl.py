@@ -83,6 +83,8 @@ def test_grades_builtin_prints_as_list(session):
 def test_grade_and_scalar_builtins(session):
     feed(session, "x = 1 + 2*e_1 + 3*e_2 + 4*e_23")
     assert feed(session, "grade(x, 1)") == "+ 2e_1 + 3e_2"
+    # inside parentheses a comma after e_12 separates arguments
+    assert feed(session, "grade(e_12,2)") == feed(session, "grade(e_12, 2)") == "+ 1e_12"
     assert feed(session, "scalar(5) - 2") == "scalar ( 3 )"
 
 
@@ -102,6 +104,12 @@ def test_basissep_command(session):
     assert feed(session, "y") == "+ 2 + 4e_1,2,3 - 10e_1,5,7,8,10"
     feed(session, ":basissep")
     assert feed(session, "e(1)*e(2)") == "+ 1e_12"
+
+
+def test_comma_separated_output_reads_back(session):
+    feed(session, "y = 2 + 4*e[1,2,3] - 10*e[1,5,7,8,10]")
+    assert feed(session, "z = + 2 + 4e_1,2,3 - 10e_1,5,7,8,10") is None
+    assert session.variables["z"] == session.variables["y"]
 
 
 def test_comments_and_blank_lines(session):
@@ -152,6 +160,9 @@ def test_error_positions_shift_to_full_line(session):
     with pytest.raises(ExpressionSyntaxError) as exc:
         run_command("x = @", session)
     assert exc.value.position == 4
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        run_command("x = 2 * 1e999", session)
+    assert exc.value.position == 8
     with pytest.raises(EvalError) as exc:
         run_command("  missing + 1", session)
     assert exc.value.position == 2
@@ -206,13 +217,26 @@ def test_power_uses_session_signature(session):
 
 
 def test_rendered_output_reads_back_as_an_expression(session):
+    from hypothesis import given
+
     from cliffcalc import render
-    from tests.strategies import corpus
+    from tests.strategies import FINITE_COEFFS, corpus, multivectors
 
     for mv in corpus(20, include_fewer=True):
         assert eval_expr(parse_expr(render(mv)), session) == mv
     # the scalar special form is itself a valid expression
     assert eval_expr(parse_expr("scalar ( -1 )"), session) == from_terms([[]], [-1])
+    assert eval_expr(parse_expr("scalar ( -1e-05 )"), session) == from_terms([[]], [-1e-05])
+    for c in (1e16, 1e-05, 5e-324):
+        mv = from_terms([[], [1], [2, 3]], [1, c, -c])
+        assert eval_expr(parse_expr(render(mv)), session) == mv
+
+    # "the zero clifford element (0)" is the one rendering that is not an expression
+    @given(mv=multivectors(max_index=9, coeffs=FINITE_COEFFS).filter(bool))
+    def reads_back(mv):
+        assert eval_expr(parse_expr(render(mv)), session) == mv
+
+    reads_back()
 
 
 # --- scripts and CLI --------------------------------------------------------

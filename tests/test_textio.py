@@ -14,8 +14,9 @@ from cliffcalc import (
     save,
     zero,
 )
+from cliffcalc.exprparse import ExpressionSyntaxError, parse_expr
 from cliffcalc.textio import format_coefficient
-from tests.strategies import corpus, multivectors
+from tests.strategies import FINITE_COEFFS, corpus, multivectors
 
 COMMA = PrintOptions(basis_sep=",")
 
@@ -45,11 +46,6 @@ def test_render_zero():
 def test_render_with_comma_separator():
     x = from_terms([[], [1, 2, 3], [1, 5, 7, 8, 10]], [2, 4, -10])
     assert render(x, COMMA) == "+ 2 + 4e_1,2,3 - 10e_1,5,7,8,10"
-
-
-def test_render_respects_prefix():
-    x = from_terms([[1, 2]], [3])
-    assert render(x, PrintOptions(prefix="E")) == "+ 3E12"
 
 
 def test_render_term_order_is_canonical():
@@ -113,6 +109,13 @@ def test_parse_merges_repeated_blades():
 
 def test_parse_float_coefficients():
     assert parse_multivector("2.5e_1 + .5") == Multivector({(): 0.5, (1,): 2.5})
+    # repr() spells these with an exponent; the number grammar reads it back
+    for c in (1e16, -1e-05, 5e-324, 1.7976931348623157e308):
+        for mv in (Multivector({(1,): c}), from_scalar(c), Multivector({(): 1.0, (2,): c})):
+            assert parse_multivector(render(mv)) == mv
+    assert render(Multivector({(1,): 1e16})) == "+ 1e+16e_1"
+    assert parse_multivector("+ 1e-05e_1") == Multivector({(1,): 1e-05})
+    assert parse_multivector("scalar ( -1e-05 )") == from_scalar(-1e-05)
 
 
 def test_parse_errors_carry_positions():
@@ -123,6 +126,28 @@ def test_parse_errors_carry_positions():
     with pytest.raises(MultivectorParseError) as exc:
         parse_multivector("e_21")
     assert exc.value.position == 3
+
+    # index 0, out of order and above MAX_INDEX in each blade form; the
+    # calculator reads the same text and reports the same position
+    for text, position in (
+        ("1 + 2e_0", 7), ("1 + 2e_21", 8),
+        ("1 + 2e[0]", 7), ("1 + 2e[ 3, 2 ]", 11), ("1 + 2e[65536]", 7),
+        ("1 + 2e_0,3", 7), ("1 + 2e_3,2", 9), ("1 + 2e_1,65536", 9),
+    ):
+        with pytest.raises(MultivectorParseError) as exc:
+            parse_multivector(text)
+        assert exc.value.position == position, text
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.position == position, text
+
+    # an overflowing literal fails at its own position, in either form
+    with pytest.raises(MultivectorParseError) as exc:
+        parse_multivector("+ 1 - 1e999e_1")
+    assert exc.value.position == 6
+    with pytest.raises(MultivectorParseError) as exc:
+        parse_multivector("scalar ( 1e999 )")
+    assert exc.value.position == 9
 
     with pytest.raises(MultivectorParseError):
         parse_multivector("1 2")
@@ -136,12 +161,12 @@ def test_parse_errors_carry_positions():
         parse_multivector("e[2,2]")
 
 
-@given(mv=multivectors(max_index=9))
+@given(mv=multivectors(max_index=9) | multivectors(max_index=9, coeffs=FINITE_COEFFS))
 def test_parse_inverts_render(mv):
     assert parse_multivector(render(mv)) == mv
 
 
-@given(mv=multivectors(max_index=9))
+@given(mv=multivectors(max_index=9) | multivectors(max_index=9, coeffs=FINITE_COEFFS))
 def test_parse_inverts_render_with_comma(mv):
     assert parse_multivector(render(mv, COMMA)) == mv
 
@@ -200,7 +225,8 @@ def test_load_reports_offending_line(tmp_path):
 
 
 def test_load_rejects_bad_lines(tmp_path):
-    cases = ["1.0\n", "1.0 ; x\n", "1.0 ; 0\n", "1.0 ; 2 2\n", "1.0 ; 3 1\n"]
+    cases = ["1.0\n", "1.0 ; x\n", "1.0 ; 0\n", "1.0 ; 2 2\n", "1.0 ; 3 1\n",
+             "1.0 ; 65536\n", "nan ; 1\n", "inf ;\n", "-inf ; 2\n", "1e999 ; 3\n"]
     for body in cases:
         path = tmp_path / "bad.mv"
         path.write_text(body)
