@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the geometric product across kernel backends.
+"""Benchmark the geometric product and the left contraction across backends.
 
 Builds deterministic random multivectors of increasing term counts and times
-the same product through the per-pair Python path and the packed numpy
+the geometric product through the per-pair Python path and the packed numpy
 kernel, end to end, plus the kernel call alone on arrays built from the
-multivectors' blade keys.  Run from the repository root:
+multivectors' blade keys.  The left contraction is timed end to end under
+both backends too; under ``numpy`` it takes the per-pair path up to
+``products._SMALL_CONTRACTION_PAIRS`` pairs and the kernel above.  Run from
+the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from cliffcalc import Signature, geometric_product
+from cliffcalc import Signature, geometric_product, left_contraction
 from cliffcalc import kernels
 from cliffcalc.rand import RandomSpec, random_multivector
 
@@ -44,10 +47,10 @@ def best_time(call, repeats: int) -> float:
     return best
 
 
-def time_backend(backend: str, a, b, repeats: int) -> float:
+def time_backend(backend: str, product, a, b, repeats: int) -> float:
     previous = kernels.set_backend(backend)
     try:
-        return best_time(lambda: geometric_product(a, b, SIG), repeats)
+        return best_time(lambda: product(a, b, SIG), repeats)
     finally:
         kernels.set_backend(previous)
 
@@ -71,14 +74,15 @@ def time_kernel(a, b, repeats: int) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="8,32,128,512", help="comma-separated term counts")
+    parser.add_argument("--sizes", default="8,16,24,32,128,512", help="comma-separated term counts")
     parser.add_argument("--repeats", type=int, default=9, help="timed repetitions per cell")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
     backends = ("python", "numpy")
 
-    header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in (*backends, "kernel"))
+    columns = (*backends, "kernel", *(f"lc {backend}" for backend in backends))
+    header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in columns)
     print(header)
     print("-" * len(header))
     for size in sizes:
@@ -86,8 +90,13 @@ def main() -> int:
         b = build(size, seed=2 * size + 1)
         pairs = a.num_terms() * b.num_terms()
         row = f"{a.num_terms():>7} {pairs:>9}"
-        timings = {backend: time_backend(backend, a, b, args.repeats) for backend in backends}
+        timings = {
+            backend: time_backend(backend, geometric_product, a, b, args.repeats)
+            for backend in backends
+        }
         timings["kernel"] = time_kernel(a, b, args.repeats)
+        for backend in backends:
+            timings[f"lc {backend}"] = time_backend(backend, left_contraction, a, b, args.repeats)
         row += "".join(f"{t * 1e6:>12.1f}us" for t in timings.values())
         row += f"   numpy {timings['python'] / timings['numpy']:.1f}x vs python"
         print(row)

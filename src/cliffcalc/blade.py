@@ -7,10 +7,11 @@ an int with bit i-1 set per index i (the bitmap representation of Dorst,
 Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19).  The
 product of keys a and b is the blade ``a ^ b`` with a sign of two factors:
 
-* (-1) per transposition that sorts the concatenation: the parity of
-  ``prefix_parity(a) & b``;
+* (-1) per transposition that sorts the concatenation;
 * the square of each shared generator: 0 if any squares to 0, else (-1) per
-  shared generator squaring to -1, folded into the same parity as ``a & neg``.
+  shared generator squaring to -1.
+
+Both read ``b`` only through an AND with the :func:`sign_factors` of ``a``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ def grade(a: Blade) -> int:
     return len(a)
 
 
-def index_error(index: int, prev: int) -> str | None:
+def index_error(index: int | str, prev: int) -> str | None:
     """Why ``index`` cannot follow ``prev`` in a canonical blade, else None.
 
     ``prev`` is the index before it in the blade, 0 for the first.  Every
     front end checks indices with this rule and raises its own error type.
+    A parser passes the digits of a literal with more significant digits
+    than MAX_INDEX as a str, out of range unconverted (``int()`` refuses
+    more than 4300 digits).
     """
-    if index < 1 or index > MAX_INDEX:
+    if isinstance(index, str) or index < 1 or index > MAX_INDEX:
         return f"blade index {index} outside 1..{MAX_INDEX}"
     if index <= prev:
         return "blade indices must be strictly increasing"
@@ -97,39 +101,40 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
     return SignedBlade(-1 if inversions & 1 else 1, tuple(sorted(raw)))
 
 
-def prefix_parity(a: int) -> int:
-    """Mask whose bit j is set when ``a`` has an odd number of bits above j.
+def sign_factors(a, pos, neg, width: int):
+    """(parity, dead): the masks that give the sign of ``a`` times any blade.
 
-    Moving a generator of b at position j left past a takes one
-    transposition per bit of a above j, so ``prefix_parity(a) & b`` has the
-    parity of the whole reordering.
+    Bit j of ``parity`` is set when ``a`` has an odd number of bits above j
+    (moving a generator of b at position j left past a takes one
+    transposition per such bit), xor-ed with the generators of ``a`` squaring
+    to -1; ``dead`` holds those squaring to 0.  ``pos``/``neg`` mark the
+    generators squaring to +1/-1 (see
+    :func:`~cliffcalc.metric.signature_masks`); 0 and 0 give the wedge.
+    ``width`` bounds the bit length of ``a``.  Works elementwise on numpy
+    uint64 arrays too, which is how the packed kernel takes the same sign.
     """
-    m = a >> 1
+    parity = a >> 1
     shift = 1
-    width = m.bit_length()
     while shift < width:
-        m ^= m >> shift
+        parity ^= parity >> shift
         shift <<= 1
-    return m
+    return parity ^ (a & neg), a & ~(pos | neg)
+
+
+def pair_sign(parity: int, dead: int, a: int, b: int) -> tuple[int, int]:
+    """(sign, key) of the product of blade keys ``a`` and ``b``.
+
+    ``parity`` and ``dead`` are :func:`sign_factors` of ``a``; the sign is 0
+    when the blades share a generator squaring to 0.
+    """
+    if dead & b:
+        return 0, 0
+    return (-1 if (parity & b).bit_count() & 1 else 1), a ^ b
 
 
 def mask_product(a: int, b: int, pos: int, neg: int) -> tuple[int, int]:
-    """(sign, key) of the geometric product of blade keys ``a`` and ``b``.
-
-    ``pos``/``neg`` mark the generators squaring to +1/-1 (see
-    :func:`~cliffcalc.metric.signature_masks`); any other shared generator
-    squares to 0 and makes the sign 0.
-    """
-    if a & b & ~(pos | neg):
-        return 0, 0
-    return (-1 if ((prefix_parity(a) ^ (a & neg)) & b).bit_count() & 1 else 1), a ^ b
-
-
-def mask_wedge(a: int, b: int) -> tuple[int, int]:
-    """(sign, key) of the wedge product of blade keys: sign 0 if they share a bit."""
-    if a & b:
-        return 0, 0
-    return (-1 if (prefix_parity(a) & b).bit_count() & 1 else 1), a | b
+    """(sign, key) of one product of blade keys (see :func:`sign_factors`)."""
+    return pair_sign(*sign_factors(a, pos, neg, a.bit_length()), a, b)
 
 
 def blade_product(a: Blade, b: Blade, sig: Signature) -> SignedBlade:
@@ -149,7 +154,7 @@ def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
     Signature-independent by construction; the sign is the parity of
     interleaving b's indices after a's.
     """
-    sign, key = mask_wedge(blade_key(a), blade_key(b))
+    sign, key = mask_product(blade_key(a), blade_key(b), 0, 0)
     return SignedBlade(sign, key_blade(key)) if sign else _ZERO
 
 

@@ -33,7 +33,8 @@ non-negative integer literal.
 A number directly followed by a blade literal multiplies it (``2e_1``,
 ``4e[1,10]``), and a leading ``+`` is a no-op, so rendered one-line output
 like ``+ 1 + 2e_1 + 3e_2`` reads back as an expression, with either
-separator.
+separator.  The rendered zero, ``the zero clifford element (0)``, is lexed as
+the number 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .blade import Blade, index_error
+from .blade import MAX_INDEX, Blade, index_error
 
 
 class ExpressionSyntaxError(ValueError):
@@ -115,6 +116,9 @@ PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
 _TWO_CHAR_OPS = ("**", "_|", "|_")
 _ONE_CHAR_OPS = "+-*^(),"
 
+#: How the zero multivector renders; the lexer reads it as the number 0.
+ZERO_FORM = "the zero clifford element (0)"
+
 #: A number literal: digits with an optional fraction and decimal exponent.
 NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
@@ -124,6 +128,7 @@ _DIGITS_RE = re.compile(r"\d+")
 _COMMA_RUN_RE = re.compile(r"\d+(?:,\d+)*")
 _BRACKET_OPEN_RE = re.compile(r"\s*\[")
 _BRACKET_INDEX_RE = re.compile(r"\s*(\d*)\s*")
+_INDEX_DIGITS = len(str(MAX_INDEX))
 
 
 def tokenize(source: str) -> list[Token]:
@@ -160,12 +165,16 @@ def tokenize(source: str) -> list[Token]:
         run = two == "e_" and (_COMMA_RUN_RE if depth == 0 else _DIGITS_RE).match(source, i + 2)
         if run:
             if "," in run.group():
-                indices = [(int(g.group()), g.start())
+                indices = [(_index(g.group()), g.start())
                            for g in _DIGITS_RE.finditer(source, i + 2, run.end())]
             else:
                 indices = [(int(d), i + 2 + k) for k, d in enumerate(run.group())]
             tokens.append(_blade_token(source, i, run.end(), indices))
             i = run.end()
+            continue
+        if ch == "t" and source.startswith(ZERO_FORM, i):
+            tokens.append(Token("number", 0.0, i, ZERO_FORM))
+            i += len(ZERO_FORM)
             continue
         if ch.isalpha():
             m = _IDENT_RE.match(source, i)
@@ -198,7 +207,7 @@ def _bracket_blade(source: str, start: int, j: int) -> tuple[int, Token]:
 
     Returns the position after ``]`` and the blade token.
     """
-    indices: list[tuple[int, int]] = []
+    indices: list[tuple[int | str, int]] = []
     while True:
         m = _BRACKET_INDEX_RE.match(source, j)
         if not m.group(1):
@@ -207,7 +216,7 @@ def _bracket_blade(source: str, start: int, j: int) -> tuple[int, Token]:
                 m.start(1),
                 ("an integer index",),
             )
-        indices.append((int(m.group(1)), m.start(1)))
+        indices.append((_index(m.group(1)), m.start(1)))
         j = m.end()
         if source[j:j + 1] == ",":
             j += 1
@@ -219,7 +228,18 @@ def _bracket_blade(source: str, start: int, j: int) -> tuple[int, Token]:
             )
 
 
-def _blade_token(source: str, start: int, end: int, indices: list[tuple[int, int]]) -> Token:
+def _index(digits: str) -> int | str:
+    """An index literal's value, or its significant digits when there are
+    more of them than MAX_INDEX has (out of range, and int() refuses over
+    4300 digits); :func:`~cliffcalc.blade.index_error` rejects the str."""
+    if len(digits) > _INDEX_DIGITS:
+        digits = digits.lstrip("0")
+        if len(digits) > _INDEX_DIGITS:
+            return digits
+    return int(digits or "0")
+
+
+def _blade_token(source: str, start: int, end: int, indices: list[tuple[int | str, int]]) -> Token:
     """The blade token for ``source[start:end]`` from (index, position) pairs."""
     prev = 0
     for index, pos in indices:

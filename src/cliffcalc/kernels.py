@@ -6,14 +6,14 @@ for index i), and a whole multivector becomes a pair of parallel arrays
 kernel that, for every term pair (a, b):
 
 * XORs the masks to get the result blade,
-* takes the reorder sign from a prefix-parity mask of ``a``: bit j of
-  ``m(a)`` is set when ``a`` has an odd number of bits above j, so the
-  parity of the transpositions is ``popcount(m(a) & b) & 1`` (the bitmap
-  reordering sign of Dorst, Fontijne & Mann, *Geometric Algebra for
-  Computer Science*, ch. 19),
-* reads the metric off two region masks (``pos_mask``/``neg_mask`` mark the
-  generators squaring to +1/-1; anything else squares to 0), folding the
-  -1 squares of ``a & b & neg_mask`` into the same popcount,
+* takes the sign from the :func:`~cliffcalc.blade.sign_factors` of ``a``,
+  computed once per left key on the whole array, as the per-pair path does:
+  the reorder sign is the parity of a prefix-parity mask of ``a`` AND ``b``
+  (the bitmap reordering sign of Dorst, Fontijne & Mann, *Geometric Algebra
+  for Computer Science*, ch. 19), with the -1 squares of the region masks
+  (``pos_mask``/``neg_mask`` mark the generators squaring to +1/-1)
+  folded into the same popcount, and a generator squaring to 0 kills the
+  pair,
 * optionally drops pairs failing a contraction grade filter (left keeps
   a ⊆ b, right keeps b ⊆ a),
 
@@ -33,13 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .blade import sign_factors
 # generator_square is not used here; perfbench/spans.py patches it by name
 from .metric import Signature, generator_square, signature_masks  # noqa: F401
 
 #: Largest generator index the packed kernel can represent.
 PACK_LIMIT = 64
 
-FILTER_NONE = 0
+FILTER_NONE = 0  # falsy: products tests ``if filter_mode`` for a contraction
 FILTER_LEFT = 1
 FILTER_RIGHT = 2
 
@@ -70,16 +71,13 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
     ka = keys_a[:, None]
     kb = keys_b[None, :]
 
-    # bit j of prefix: parity of the bits of a above j.  Xor-ing in the -1
-    # squares a & neg_mask and masking with b leaves an odd popcount exactly
-    # when the pair's sign is negative.
-    prefix = keys_a >> 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        prefix ^= prefix >> shift
-    odd = np.bitwise_count((prefix ^ (keys_a & neg_mask))[:, None] & kb) & 1
+    # the per-pair path's sign rule, one row per left key: an odd popcount of
+    # parity & b is a negative sign, and dead & b a generator squaring to 0
+    parity, dead = sign_factors(keys_a, pos_mask, neg_mask, PACK_LIMIT)
+    odd = np.bitwise_count(parity[:, None] & kb) & 1
     coeffs = (1 - 2 * odd.view(np.int8)) * coeffs_a[:, None] * coeffs_b[None, :]
 
-    keep = ((keys_a & ~(pos_mask | neg_mask))[:, None] & kb) == 0
+    keep = (dead[:, None] & kb) == 0
     if filter_mode == FILTER_LEFT:
         keep &= (ka & ~kb) == 0
     elif filter_mode == FILTER_RIGHT:

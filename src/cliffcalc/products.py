@@ -9,12 +9,15 @@ grade r and b of grade s, the geometric product a b is homogeneous, so
 keeping exactly the pairs whose product has grade s - r (left) or r - s
 (right) equals the definition as a double sum of grade projections.
 
-Dispatch: both paths work on blade keys (see :mod:`cliffcalc.blade`).
-When every index fits in 1..64 and the product has more than
-``_SMALL_PAIRS`` term pairs, the keys go into uint64 arrays for the packed
-numpy kernel in :mod:`cliffcalc.kernels`; smaller products, blades with
-larger indices and every product under ``CLIFFCALC_BACKEND=python`` loop
-over the pairs on Python ints.
+Both paths work on blade keys with one sign rule: the
+:func:`~cliffcalc.blade.sign_factors` of each left key a, then per pair only
+``dead & b``, the parity of ``parity & b`` and ``a ^ b``.  When every index
+fits in 1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
+(``_SMALL_CONTRACTION_PAIRS`` for contractions), the keys go into uint64
+arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`.  Smaller
+products, blades with larger indices and every product under
+``CLIFFCALC_BACKEND=python`` loop over the pairs on Python ints, taking a's
+factors once per left key and summing in pair order.
 """
 
 from __future__ import annotations
@@ -23,20 +26,26 @@ import numpy as np
 
 from . import kernels
 # perfbench/spans.py times the per-pair calls through these two names
-from .blade import mask_product as blade_product, mask_wedge as blade_wedge
+from .blade import pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, signature_masks
 from .multivector import Multivector, from_scalar
 
-# Products of at most this many term pairs take the per-pair path.  Timed one
-# product at a time in dimension 6 (2 CPUs, NumPy 2.4), the per-pair path on
-# blade keys breaks even with the packed kernel at 48-64 pairs for the
-# geometric product and ~81 for the wedge; contractions, whose filter skips
-# most pairs before the sign, stay cheaper per pair beyond 81.  On perfbench
-# calc_script (operands of 2-6 terms, 8 s runs) a cutoff of 48 gave a median
-# 23.4k ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and 23.0k
-# against 18.0k for 16 over 4 other seeds.  small_identities does not tell
-# them apart (6.7k-6.9k for 16-64): 98% of its products have over 64 pairs.
+# Geometric and wedge products of at most this many term pairs take the
+# per-pair path.  On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a
+# median 23.4k ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and
+# 23.0k against 18.0k for 16 over 4 other seeds.  Since the sign factors are
+# taken per left key, one geometric product at a time in dimension 6 (2
+# CPUs, NumPy 2.4) breaks even at ~81 pairs (Euclidean) to ~130-200 (Cl(3,1),
+# Grassmann), but no workload has products of 49-80 pairs to confirm more.
 _SMALL_PAIRS = 48
+
+# The same for contractions, whose filter drops most pairs before the sign:
+# per-pair over kernel time is 0.4-0.5 at 81 pairs and crosses 1 at ~256
+# (Euclidean), ~300 (Cl(3,1)) and ~360 pairs (Grassmann).  On perfbench
+# small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
+# 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against
+# 384 over seeds 27-30 won 3 of 4.
+_SMALL_CONTRACTION_PAIRS = 256
 
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -74,10 +83,9 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
     if a.is_zero() or b.is_zero():
         return Multivector._wrap({})
-    backend = kernels.active_backend()
     if (
-        backend != "python"
-        and a.num_terms() * b.num_terms() > _SMALL_PAIRS
+        a.num_terms() * b.num_terms() > (_SMALL_CONTRACTION_PAIRS if filter_mode else _SMALL_PAIRS)
+        and kernels.active_backend() != "python"
         and a.max_index() <= kernels.PACK_LIMIT
         and b.max_index() <= kernels.PACK_LIMIT
     ):
@@ -86,30 +94,29 @@ def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: 
 
 
 def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
-    if sig is not None:
+    if sig is None:
+        pos = neg = 0
+        sign_of = blade_wedge
+    else:
         pos, neg = signature_masks(sig, max(a.max_index(), b.max_index()))
+        sign_of = blade_product
     acc: dict[int, float] = {}
     for ka, ca in a._terms.items():
+        parity = None
         for kb, cb in b._terms.items():
             # left keeps a ⊆ b and right keeps b ⊆ a: exactly the pairs whose
             # product has grade |b| - |a| or |a| - |b|
-            if filter_mode == kernels.FILTER_LEFT:
-                if ka & ~kb:
-                    continue
-            elif filter_mode == kernels.FILTER_RIGHT:
-                if kb & ~ka:
-                    continue
-            if sig is None:
-                sign, key = blade_wedge(ka, kb)
-            else:
-                sign, key = blade_product(ka, kb, pos, neg)
-            if sign == 0:
+            if filter_mode and (ka & ~kb if filter_mode == kernels.FILTER_LEFT else kb & ~ka):
                 continue
-            value = acc.get(key, 0.0) + ca * cb * sign
-            if value == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = value
+            if parity is None:  # once per left key, and never if all are filtered
+                parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
+            sign, key = sign_of(parity, dead, ka, kb)
+            if sign:
+                acc[key] = acc.get(key, 0.0) + ca * cb * sign
+    # a sum that cancels to ±0.0 and is added to again equals a fresh sum
+    # from 0.0, so exact zeros can be dropped once, at the end
+    if 0.0 in acc.values():
+        acc = {key: value for key, value in acc.items() if value}
     return Multivector._wrap(dict(sorted(acc.items())))
 
 

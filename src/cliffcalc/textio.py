@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .blade import blade_key, index_error
-from .exprparse import NUMBER, ExpressionSyntaxError, tokenize
+from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, tokenize
 from .multivector import Multivector, from_scalar, sum_terms
 
 
@@ -75,7 +75,7 @@ def format_coefficient(c: float) -> str:
 def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
     """One-line canonical rendering of a multivector."""
     if mv.is_zero():
-        return "the zero clifford element (0)"
+        return ZERO_FORM
     terms = list(mv.terms())
     if len(terms) == 1 and terms[0][0] == ():
         return f"scalar ( {format_coefficient(terms[0][1])} )"
@@ -105,7 +105,7 @@ def parse_multivector(text: str) -> Multivector:
     except ExpressionSyntaxError as err:
         raise MultivectorParseError(err.base_message, err.position) from None
     stripped = text.strip()
-    if stripped == "the zero clifford element (0)":
+    if stripped == ZERO_FORM:
         return Multivector._wrap({})
     m = _SCALAR_FORM_RE.fullmatch(stripped)
     if m:

@@ -79,16 +79,28 @@ def rewrite_blade_product(a, b, sig: Signature):
     return sign, tuple(seq)
 
 
-def product_by_rewriting(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
-    """Multivector geometric product built on the rewriting oracle."""
+def product_by_rewriting(a: Multivector, b: Multivector, sig: Signature, grade=None) -> Multivector:
+    """Multivector geometric product built on the rewriting oracle.
+
+    With ``grade``, a function of the two blades, only pairs whose product
+    has that grade are summed; coefficients are summed in pair order.
+    """
     acc = {}
     for blade_a, ca in a.terms():
         for blade_b, cb in b.terms():
             sign, blade = rewrite_blade_product(blade_a, blade_b, sig)
-            if sign == 0:
+            if sign == 0 or grade is not None and len(blade) != grade(blade_a, blade_b):
                 continue
             acc[blade] = acc.get(blade, 0.0) + ca * cb * sign
     return Multivector({blade: c for blade, c in acc.items() if c != 0.0})
+
+
+def contraction_by_rewriting(a: Multivector, b: Multivector, sig: Signature, side: str) -> Multivector:
+    """Contraction as the rewriting product's pairs of grade |b| - |a| (left)
+    or |a| - |b| (right), summed in pair order (no grade projections)."""
+    if side == "left":
+        return product_by_rewriting(a, b, sig, lambda x, y: len(y) - len(x))
+    return product_by_rewriting(a, b, sig, lambda x, y: len(x) - len(y))
 
 
 def contraction_by_definition(a: Multivector, b: Multivector, sig: Signature, side: str) -> Multivector:

@@ -167,3 +167,26 @@ def test_juxtaposed_coefficient_multiplies_blade():
     # binds like an atom: 2e_1 ** 2 squares the whole term
     expr = parse_expr("3e_12 + 1")
     assert expr == BinOp("+", BinOp("*", Num(3.0), BladeLit((1, 2))), Num(1.0))
+
+
+def test_indices_too_long_for_int_are_out_of_range_at_their_position():
+    # int() refuses more than 4300 digits; the index is reported like any
+    # other out-of-range one, in the bracket and the comma form
+    huge = "1" * 5000
+    for text, position in (("e[" + huge + "]", 2), ("e[2, " + huge + "]", 5), ("e_1," + huge, 4)):
+        with pytest.raises(ExpressionSyntaxError, match=r"outside 1\.\.65535") as exc:
+            parse_expr(text)
+        assert exc.value.position == position
+    # leading zeros do not count towards the length
+    assert parse_expr("e[" + "0" * 5000 + "3]") == BladeLit((3,))
+    assert parse_expr("e_1," + "0" * 5000 + "3") == BladeLit((1, 3))
+
+
+def test_rendered_zero_is_the_number_zero():
+    assert parse_expr("the zero clifford element (0)") == Num(0.0)
+    assert parse_expr("e_1 + the zero clifford element (0)") == BinOp("+", BladeLit((1,)), Num(0.0))
+    # only the whole rendered phrase is a literal
+    for text in ("the zero clifford element", "the zero clifford element (1)", "the zero"):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expr(text)
+    assert parse_expr("the") == Var("the", 0)

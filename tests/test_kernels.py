@@ -134,13 +134,17 @@ def test_determinism_same_backend(restore_backend):
         assert dict(first.terms()) == dict(second.terms())
 
 
-def float_multivector(rng, indices, num_terms):
-    """Distinct random blades over ``indices`` with mixed-magnitude floats."""
+def float_multivector(rng, indices, num_terms, coeffs=None):
+    """Distinct random blades over ``indices`` with mixed-magnitude floats,
+    or with coefficients drawn from the sequence ``coeffs``."""
     terms = {}
     while len(terms) < num_terms:
         grade = int(rng.integers(0, 5))
         blade = tuple(sorted(int(i) for i in rng.choice(indices, size=grade, replace=False)))
-        terms[blade] = float(rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-8, 9)))
+        if coeffs is None:
+            terms[blade] = float(rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-8, 9)))
+        else:
+            terms[blade] = float(rng.choice(coeffs))
     return Multivector(terms)
 
 
@@ -263,3 +267,89 @@ def test_backends_agree_at_the_packing_boundary_above_the_cutoff(restore_backend
             assert b.max_index() == 64
             assert a.num_terms() * b.num_terms() > products._SMALL_PAIRS
             assert_backends_agree_exactly(a, b, sig)
+
+
+def test_contractions_above_their_cutoff_run_the_kernel_on_bit_63(restore_backend, monkeypatch):
+    # contractions have their own, higher cutoff: these reach the kernel
+    # with index 64 present, and must equal the per-pair path exactly
+    from cliffcalc import products
+
+    filters = []
+    kernel = kernels.pair_table
+
+    def recording_kernel(*args):
+        filters.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "pair_table", recording_kernel)
+    rng = np.random.default_rng(15)
+    indices = np.r_[1:3, 5, 62:65]
+    for sig in (euclidean(), Signature(63, 1), Signature(7), grassmann()):
+        for _ in range(3):
+            a = float_multivector(rng, indices, 17)
+            b = float_multivector(rng, indices, 17) + Multivector({(64,): 0.5})
+            assert b.max_index() == 64
+            assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+            filters.clear()
+            assert_backends_agree_exactly(a, b, sig)
+            assert FILTER_LEFT in filters and FILTER_RIGHT in filters
+
+
+#: Coefficients whose products cancel exactly, leave rounding residues
+#: (0.1 * 3.0 against 0.3) or underflow to ±0.0 (1e-200 * 1e-200).
+CANCELLING = (1.0, -1.0, 0.5, -0.5, 3.0, 0.1, -0.1, 0.3, 1e-200, -1e-200)
+
+
+def sum_events(a, b, sig):
+    """(a sum reaching exactly 0.0 and then added to nonzero, an underflow)
+    over the geometric product's pairs, traced with the rewriting oracle."""
+    from tests.oracle import rewrite_blade_product
+
+    sums, zeroed = {}, set()
+    revived = underflow = False
+    for blade_a, ca in a.terms():
+        for blade_b, cb in b.terms():
+            sign, blade = rewrite_blade_product(blade_a, blade_b, sig)
+            if sign == 0:
+                continue
+            term = ca * cb * sign
+            underflow |= term == 0.0
+            total = sums.get(blade, 0.0) + term
+            revived |= blade in zeroed and total != 0.0
+            if sums.get(blade, 0.0) != 0.0 and total == 0.0:
+                zeroed.add(blade)
+            sums[blade] = total
+    return revived, underflow
+
+
+@pytest.mark.parametrize("indices", [np.arange(1, 9), np.r_[1:5, 61:65]], ids=["dense", "sparse"])
+@pytest.mark.parametrize("sig", [euclidean(), Signature(2, 1)])
+def test_sums_that_cancel_or_underflow_match_the_oracles_bit_for_bit(restore_backend, indices, sig):
+    # Both paths sum each blade in pair order from 0.0: the per-pair path
+    # drops exact zeros at the end, the kernel drops ±0.0 pair products
+    # first, and the oracles sum every pair and drop zeros at the end.
+    from cliffcalc import products
+    from tests.oracle import contraction_by_rewriting, product_by_rewriting
+
+    rng = np.random.default_rng(16)
+    seen_revived = seen_underflow = False
+    for _ in range(4):
+        a = float_multivector(rng, indices, 18, CANCELLING)
+        b = float_multivector(rng, indices, 18, CANCELLING)
+        assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+        expected = [
+            list(m.terms())
+            for m in (
+                product_by_rewriting(a, b, sig),
+                product_by_rewriting(a, b, grassmann()),
+                contraction_by_rewriting(a, b, sig, "left"),
+                contraction_by_rewriting(a, b, sig, "right"),
+            )
+        ]
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            assert all_products(a, b, sig) == expected, backend
+        revived, underflow = sum_events(a, b, sig)
+        seen_revived |= revived
+        seen_underflow |= underflow
+    assert seen_revived and seen_underflow

@@ -219,7 +219,7 @@ def test_power_uses_session_signature(session):
 def test_rendered_output_reads_back_as_an_expression(session):
     from hypothesis import given
 
-    from cliffcalc import render
+    from cliffcalc import render, zero
     from tests.strategies import FINITE_COEFFS, corpus, multivectors
 
     for mv in corpus(20, include_fewer=True):
@@ -231,8 +231,10 @@ def test_rendered_output_reads_back_as_an_expression(session):
         mv = from_terms([[], [1], [2, 3]], [1, c, -c])
         assert eval_expr(parse_expr(render(mv)), session) == mv
 
-    # "the zero clifford element (0)" is the one rendering that is not an expression
-    @given(mv=multivectors(max_index=9, coeffs=FINITE_COEFFS).filter(bool))
+    # the rendered zero, "the zero clifford element (0)", reads back too
+    assert eval_expr(parse_expr(render(zero())), session) == zero()
+
+    @given(mv=multivectors(max_index=9, coeffs=FINITE_COEFFS))
     def reads_back(mv):
         assert eval_expr(parse_expr(render(mv)), session) == mv
 

@@ -239,3 +239,12 @@ def test_round_trip_corpus(tmp_path):
     for mv in corpus(30, include_fewer=True):
         save(mv, path)
         assert load(path) == mv
+
+
+def test_indices_too_long_for_int_are_out_of_range_at_their_position():
+    huge = "1" * 5000
+    for text, position in (("1 + 2e[" + huge + "]", 7), ("1 + 2e_1," + huge, 9)):
+        with pytest.raises(MultivectorParseError, match=r"outside 1\.\.65535") as exc:
+            parse_multivector(text)
+        assert exc.value.position == position
+    assert parse_multivector("2e[" + "0" * 5000 + "3]") == from_terms([[3]], [2])
