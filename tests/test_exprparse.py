@@ -10,6 +10,7 @@ from cliffcalc.exprparse import (
     Pow,
     Var,
     parse_expr,
+    tokenize,
 )
 from cliffcalc.textio import MultivectorParseError, parse_multivector
 
@@ -190,3 +191,43 @@ def test_rendered_zero_is_the_number_zero():
         with pytest.raises(ExpressionSyntaxError):
             parse_expr(text)
     assert parse_expr("the") == Var("the", 0)
+
+
+@pytest.mark.parametrize(
+    "text, message, position, expected",
+    [
+        ("e[1 2]", "unexpected '2'", 4, ("','", "']'")),
+        ("e[1,]", "unexpected ']'", 4, ("an integer index",)),
+        ("e[", "unexpected end of input", 2, ("an integer index",)),
+        ("e[1", "unexpected end of input", 3, ("','", "']'")),
+        ("e [ , 1]", "unexpected ','", 4, ("an integer index",)),
+        (".", "malformed number", 0, ()),
+        (".e1", "malformed number", 0, ()),
+        ("|", "unexpected character '|'", 0, ()),
+        ("a | b", "unexpected character '|'", 2, ()),
+        # after a stray ')' the depth is negative and the comma form stays
+        # off, so e_1 and 0 are separate tokens and the parser stops at ')'
+        ("1 ) e_1,0", "unexpected ')'", 2, ("an operator", "end of input")),
+    ],
+)
+def test_error_message_position_and_expected(text, message, position, expected):
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expr(text)
+    assert (exc.value.base_message, exc.value.position, exc.value.expected) == (
+        message, position, expected,
+    )
+
+
+def test_tokens_at_operator_and_comma_boundaries():
+    def kinds(text):
+        return [(tok.kind, tok.value, tok.pos) for tok in tokenize(text)]
+
+    # the identifier gives back its last '_' to the contraction bar
+    assert kinds("x__|y") == [
+        ("ident", "x_", 0), ("op", "_|", 2), ("ident", "y", 4), ("end", None, 5),
+    ]
+    # inside parentheses the comma is an operator
+    assert kinds("(e_1,2)") == [
+        ("op", "(", 0), ("blade", (1,), 1), ("op", ",", 4), ("number", 2.0, 5),
+        ("op", ")", 6), ("end", None, 7),
+    ]
