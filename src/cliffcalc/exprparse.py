@@ -15,26 +15,36 @@ getting the surprising grouping requires explicit parentheses.
 
 :func:`tokenize` is the one lexer for number and blade literals; the
 multivector parser :func:`cliffcalc.textio.parse_multivector` reads its
-tokens too.  Numbers are decimal with an optional exponent (``2.5``, ``.5``,
-``1e+16``); a literal that overflows a double is an error at its position.
-Blade literals are:
+tokens too.  It is one loop over one token table, a regex with a named
+alternative per token kind, tried in this order after any whitespace:
 
-* ``e_12``: a run of single-digit indices, one per digit;
-* ``e_1,10,12``: comma-separated full indices, lexed only outside
-  parentheses, where no expression has a comma (so ``grade(e_12,2)`` is
-  still a two-argument call);
-* ``e[1, 10, 12]``: bracketed full indices, whitespace allowed;
-* the ``e(7)`` builtin call.
+* ``end``: the end of input;
+* ``op``: ``**``, ``_|``, ``|_`` and ``- + * ^ ( ) ,``;
+* ``number``: decimal with an optional exponent (``2.5``, ``.5``,
+  ``1e+16``); one that overflows a double is an error at its position, and
+  a lone ``.`` is a malformed number;
+* ``run``: ``e_12``, a run of single-digit indices, one per digit; at
+  parenthesis depth 0 also ``e_1,10,12``, comma-separated full indices;
+* ``zero``: the rendered zero, ``the zero clifford element (0)``, which
+  is the number 0;
+* ``bracket``: ``e[1, 10, 12]``, bracketed full indices; an ``e[`` that
+  does not close properly is an error where it breaks;
+* ``ident``: a name (:data:`IDENT`); a last ``_`` goes to a following
+  ``|``, so ``x_|y`` reads as ``x _| y``;
+* ``char``: any other character, which is an error.
+
+The table is compiled with and without the comma form, chosen by
+``depth != 0``: no expression has a comma outside parentheses, so
+``grade(e_12,2)`` is still a two-argument call, and after a stray ``)`` the
+depth is negative and the comma form stays off.
 
 Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
-20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
-non-negative integer literal.
-
-A number directly followed by a blade literal multiplies it (``2e_1``,
+20 and ``2e_1`` is 2 times e_1 (``e(7)`` is the builtin call).  The
+exponent of ``**`` must be a non-negative integer literal.  A number
+directly followed by a blade literal multiplies it (``2e_1``,
 ``4e[1,10]``), and a leading ``+`` is a no-op, so rendered one-line output
-like ``+ 1 + 2e_1 + 3e_2`` reads back as an expression, with either
-separator.  The rendered zero, ``the zero clifford element (0)``, is lexed as
-the number 0.
+like ``+ 1 + 2e_1 + 3e[2, 10]`` reads back as an expression, with either
+separator.
 """
 
 from __future__ import annotations
@@ -113,22 +123,37 @@ Expr = Union[Num, BladeLit, Var, Neg, BinOp, Pow, Call]
 
 PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
 
-_TWO_CHAR_OPS = ("**", "_|", "|_")
-_ONE_CHAR_OPS = "+-*^(),"
-
 #: How the zero multivector renders; the lexer reads it as the number 0.
 ZERO_FORM = "the zero clifford element (0)"
 
 #: A number literal: digits with an optional fraction and decimal exponent.
 NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
-_NUMBER_RE = re.compile(NUMBER)
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+#: A name: a letter, then letters, digits and underscores.
+IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+
 _DIGITS_RE = re.compile(r"\d+")
-_COMMA_RUN_RE = re.compile(r"\d+(?:,\d+)*")
-_BRACKET_OPEN_RE = re.compile(r"\s*\[")
-_BRACKET_INDEX_RE = re.compile(r"\s*(\d*)\s*")
 _INDEX_DIGITS = len(str(MAX_INDEX))
+
+
+def _token_table(run: str) -> re.Pattern[str]:
+    """The token table: one alternative per token kind, tried in order."""
+    return re.compile(rf"""\s*(?:
+        (?P<end>\Z)
+      | (?P<op>\*\*|_\||\|_|[-+*^(),])
+      | (?P<number>{NUMBER})
+      | (?P<dot>\.)                                    # malformed number
+      | (?P<run>{run})
+      | (?P<zero>{re.escape(ZERO_FORM)})
+      | (?P<bracket>e\s*\[\s*\d+\s*(?:,\s*\d+\s*)*\])
+      | (?P<open>e\s*\[(?:\s*\d+\s*,)*\s*(?:\d+\s*)?)    # malformed: its valid prefix
+      | (?P<ident>{IDENT}(?<!_(?=\|)))                 # x_|y is x _| y
+      | (?P<char>\S)
+    )""", re.VERBOSE)
+
+
+#: Indexed by ``depth != 0``: the comma blade form only at depth 0.
+_TOKEN_TABLES = (_token_table(r"e_\d+(?:,\d+)*"), _token_table(r"e_\d+"))
 
 
 def tokenize(source: str) -> list[Token]:
@@ -139,93 +164,46 @@ def tokenize(source: str) -> list[Token]:
     and a bad one is reported at its own position.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    depth = 0  # parenthesis depth: the comma blade form is lexed only at 0
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, i))
-            i += 2
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(source, i)
-            if not m:
-                raise ExpressionSyntaxError("malformed number", i)
-            value = float(m.group())
-            if math.isinf(value):
-                raise ExpressionSyntaxError(f"number {m.group()} is out of range", i)
-            tokens.append(Token("number", value, i, m.group()))
-            i = m.end()
-            continue
-        run = two == "e_" and (_COMMA_RUN_RE if depth == 0 else _DIGITS_RE).match(source, i + 2)
-        if run:
-            if "," in run.group():
-                indices = [(_index(g.group()), g.start())
-                           for g in _DIGITS_RE.finditer(source, i + 2, run.end())]
-            else:
-                indices = [(int(d), i + 2 + k) for k, d in enumerate(run.group())]
-            tokens.append(_blade_token(source, i, run.end(), indices))
-            i = run.end()
-            continue
-        if ch == "t" and source.startswith(ZERO_FORM, i):
-            tokens.append(Token("number", 0.0, i, ZERO_FORM))
-            i += len(ZERO_FORM)
-            continue
-        if ch.isalpha():
-            m = _IDENT_RE.match(source, i)
-            name = m.group()
-            end = m.end()
-            # give back a trailing '_' so "x_|y" lexes as x _| y
-            if name.endswith("_") and source[end:end + 1] == "|":
-                name = name[:-1]
-                end -= 1
-            opener = name == "e" and _BRACKET_OPEN_RE.match(source, end)
-            if opener:
-                i, token = _bracket_blade(source, i, opener.end())
-                tokens.append(token)
-                continue
-            tokens.append(Token("ident", name, i))
-            i = end
-            continue
-        if ch in _ONE_CHAR_OPS:
-            depth += (ch == "(") - (ch == ")")
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", None, n))
-    return tokens
-
-
-def _bracket_blade(source: str, start: int, j: int) -> tuple[int, Token]:
-    """Lex ``e[i, j, ...]`` from the ``e`` at ``start``; ``j`` is just past ``[``.
-
-    Returns the position after ``]`` and the blade token.
-    """
-    indices: list[tuple[int | str, int]] = []
+    pos = 0
+    depth = 0  # parenthesis depth; negative after a stray ')'
+    match = _TOKEN_TABLES[0].match
     while True:
-        m = _BRACKET_INDEX_RE.match(source, j)
-        if not m.group(1):
-            raise ExpressionSyntaxError(
-                f"unexpected {_describe_char(source, m.start(1))}",
-                m.start(1),
-                ("an integer index",),
-            )
-        indices.append((_index(m.group(1)), m.start(1)))
-        j = m.end()
-        if source[j:j + 1] == ",":
-            j += 1
-        elif source[j:j + 1] == "]":
-            return j + 1, _blade_token(source, start, j + 1, indices)
+        m = match(source, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        text = m[kind]
+        if kind == "op":
+            if text in "()":
+                depth += 1 if text == "(" else -1
+                match = _TOKEN_TABLES[depth != 0].match
+            tokens.append(Token("op", text, start))
+        elif kind == "number":
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionSyntaxError(f"number {text} is out of range", start)
+            tokens.append(Token("number", value, start, text))
+        elif kind == "ident":
+            tokens.append(Token("ident", text, start))
+        elif kind == "run" and "," not in text:
+            indices = [(int(d), start + 2 + k) for k, d in enumerate(text[2:])]
+            tokens.append(_blade_token(source, start, pos, indices))
+        elif kind in ("run", "bracket"):
+            indices = [(_index(g.group()), g.start())
+                       for g in _DIGITS_RE.finditer(source, start, pos)]
+            tokens.append(_blade_token(source, start, pos, indices))
+        elif kind == "zero":
+            tokens.append(Token("number", 0.0, start, text))
+        elif kind == "end":
+            tokens.append(Token("end", None, start))
+            return tokens
+        elif kind == "open":
+            what = f"'{source[pos]}'" if pos < len(source) else "end of input"
+            expected = ("an integer index",) if text.rstrip()[-1] in "[," else ("','", "']'")
+            raise ExpressionSyntaxError(f"unexpected {what}", pos, expected)
+        elif kind == "dot":
+            raise ExpressionSyntaxError("malformed number", start)
         else:
-            raise ExpressionSyntaxError(
-                f"unexpected {_describe_char(source, j)}", j, ("','", "']'")
-            )
+            raise ExpressionSyntaxError(f"unexpected character {text!r}", start)
 
 
 def _index(digits: str) -> int | str:
@@ -248,10 +226,6 @@ def _blade_token(source: str, start: int, end: int, indices: list[tuple[int | st
             raise ExpressionSyntaxError(error, pos)
         prev = index
     return Token("blade", tuple(index for index, _ in indices), start, source[start:end])
-
-
-def _describe_char(source: str, pos: int) -> str:
-    return f"'{source[pos]}'" if pos < len(source) else "end of input"
 
 
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")

@@ -32,6 +32,7 @@ from .exprparse import (
     BladeLit,
     Call,
     Expr,
+    IDENT,
     ExpressionSyntaxError,
     Neg,
     Num,
@@ -211,8 +212,7 @@ def run_command(line: str, session: Session) -> str | None:
         return _command(stripped, session)
     name, expr_src, expr_offset = _split_assignment(stripped)
     if name is not None:
-        if name in RESERVED_NAMES:
-            raise CommandError(f"'{name}' is reserved and cannot be assigned")
+        _check_name(name)
         value = _eval_source(expr_src, session, offset + expr_offset)
         if isinstance(value, GradesResult):
             raise EvalError("cannot bind a grades(...) result to a variable")
@@ -225,7 +225,7 @@ def run_command(line: str, session: Session) -> str | None:
 
 
 def _split_assignment(text: str) -> tuple[str | None, str, int]:
-    m = re.match(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*(.*)$", text)
+    m = re.match(rf"({IDENT})\s*=\s*(.*)$", text)
     if not m:
         return None, text, 0
     rhs = m.group(2)
@@ -289,7 +289,7 @@ def _command(text: str, session: Session) -> str | None:
 
 
 def _check_name(name: str) -> None:
-    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+    if not re.fullmatch(IDENT, name):
         raise CommandError(f"invalid variable name '{name}'")
     if name in RESERVED_NAMES:
         raise CommandError(f"'{name}' is reserved and cannot be assigned")

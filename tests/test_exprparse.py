@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffcalc.exprparse import (
     BinOp,
@@ -12,6 +14,7 @@ from cliffcalc.exprparse import (
     parse_expr,
     tokenize,
 )
+from cliffcalc.repl import Session, run_command
 from cliffcalc.textio import MultivectorParseError, parse_multivector
 
 
@@ -231,3 +234,49 @@ def test_tokens_at_operator_and_comma_boundaries():
         ("op", "(", 0), ("blade", (1,), 1), ("op", ",", 4), ("number", 2.0, 5),
         ("op", ")", 6), ("end", None, 7),
     ]
+
+
+def test_non_ascii_letters_and_digits_are_unexpected_characters():
+    # only ASCII letters start a name, and only decimal digits a number
+    for text, position in (("\u00e9", 0), ("1 + \u00e9", 4), ("x\u00e9", 1), ("2\u00b2", 1)):
+        char = text[position]
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(text)
+        assert (exc.value.base_message, exc.value.position) == (
+            f"unexpected character {char!r}", position,
+        )
+        with pytest.raises(MultivectorParseError) as exc:
+            parse_multivector(text)
+        assert exc.value.position == position
+        assert str(exc.value).startswith(f"unexpected character {char!r}")
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        run_command("a = \u00e9", Session())
+    assert exc.value.position == 4
+
+
+_TOKEN_TEXT = st.lists(
+    st.sampled_from(list("e_[](),.*^|+-0123456789 \tEax@")
+                    + ["e_", "e[", "**", "_|", "|_", "1e5", "the zero clifford element (0)"])
+).map("".join) | st.text()
+
+
+@given(text=_TOKEN_TEXT)
+def test_lexer_never_crashes(text):
+    try:
+        tokens = tokenize(text)
+    except ExpressionSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        positions = [tok.pos for tok in tokens]
+        assert positions == sorted(set(positions))
+        assert tokens[-1].kind == "end" and tokens[-1].pos == len(text)
+    try:
+        parse_multivector(text)
+    except MultivectorParseError as err:
+        assert 0 <= err.position <= len(text)
+    # a ':command' line would do file I/O, so the text goes in as an expression
+    line = "x = " + text if text.lstrip().startswith(":") else text
+    try:
+        run_command(line, Session())
+    except ValueError:
+        pass
