@@ -2,8 +2,11 @@
 
 Rendering follows the classic console format: every term carries a leading
 sign token, coefficients print without a trailing ``.0`` when integral,
-blade subscripts are joined by ``basis_sep`` (empty by default, so ``e_23``;
-set ``","`` when indices can exceed 9).  Two whole-value special forms exist:
+blade subscripts are joined by ``basis_sep`` (empty by default, so ``e_23``,
+or ``","`` for ``e_6,7,10``).  A blade that would not read back that way
+prints in bracket form: a single index above 9 (``e[11]``), or any index
+above 9 with the empty separator (``e[1, 10]``).  Two whole-value special
+forms exist:
 ``scalar ( c )`` for a purely scalar multivector and
 ``the zero clifford element (0)`` for zero.
 
@@ -12,9 +15,8 @@ and every finite coefficient.  It reads the tokens of
 :func:`cliffcalc.exprparse.tokenize`, so numbers and blade literals follow
 the calculator's grammar: exponents (``1e-05e_1``), digit-run, comma and
 bracketed blades (``e_12``, ``e_1,10``, ``e[1, 10]``) and coefficient-less
-blades (``e_12`` meaning ``1e_12``).  With the default separator a digit run
-is read digit-by-digit, so multi-digit indices require the comma or bracket
-form.
+blades (``e_12`` meaning ``1e_12``).  A digit run is read digit-by-digit,
+which is why multi-digit indices render in the comma or bracket form.
 
 The ``.mv`` file format is one term per line, ``<coefficient> ; <i1> ... <ik>``
 with an empty index list for the scalar term, in canonical order; it
@@ -83,7 +85,9 @@ def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
     for blade, coeff in terms:
         sign = "-" if coeff < 0 else "+"
         magnitude = format_coefficient(abs(coeff))
-        if blade:
+        if blade and blade[-1] > 9 and (len(blade) == 1 or not opts.basis_sep):
+            parts.append(f"{sign} {magnitude}e[{', '.join(map(str, blade))}]")
+        elif blade:
             subscripts = opts.basis_sep.join(str(i) for i in blade)
             parts.append(f"{sign} {magnitude}e_{subscripts}")
         else:
@@ -104,10 +108,7 @@ def parse_multivector(text: str) -> Multivector:
         tokens = tokenize(text)
     except ExpressionSyntaxError as err:
         raise MultivectorParseError(err.base_message, err.position) from None
-    stripped = text.strip()
-    if stripped == ZERO_FORM:
-        return Multivector._wrap({})
-    m = _SCALAR_FORM_RE.fullmatch(stripped)
+    m = _SCALAR_FORM_RE.fullmatch(text.strip())
     if m:
         return from_scalar(float(m.group(1)))
 

@@ -218,8 +218,9 @@ def test_power_uses_session_signature(session):
 
 def test_rendered_output_reads_back_as_an_expression(session):
     from hypothesis import given
+    from hypothesis import strategies as st
 
-    from cliffcalc import render, zero
+    from cliffcalc import MAX_INDEX, PrintOptions, render, zero
     from tests.strategies import FINITE_COEFFS, corpus, multivectors
 
     for mv in corpus(20, include_fewer=True):
@@ -234,9 +235,15 @@ def test_rendered_output_reads_back_as_an_expression(session):
     # the rendered zero, "the zero clifford element (0)", reads back too
     assert eval_expr(parse_expr(render(zero())), session) == zero()
 
-    @given(mv=multivectors(max_index=9, coeffs=FINITE_COEFFS))
-    def reads_back(mv):
-        assert eval_expr(parse_expr(render(mv)), session) == mv
+    # indices above 9 read back under either separator, up to MAX_INDEX
+    mv = from_terms([[11], [1, 10], [9, MAX_INDEX]], [1, -2, 0.5])
+    for opts in (PrintOptions(), PrintOptions(basis_sep=",")):
+        assert eval_expr(parse_expr(render(mv, opts)), session) == mv
+
+    @given(mv=multivectors(max_index=12, coeffs=FINITE_COEFFS), sep=st.sampled_from(["", ","]))
+    def reads_back(mv, sep):
+        text = render(mv, PrintOptions(basis_sep=sep))
+        assert eval_expr(parse_expr(text), session) == mv
 
     reads_back()
 
@@ -269,6 +276,14 @@ def test_run_script_stops_on_error_with_line_number(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "+ 1e_1\n"
     assert f"{path}:2: error:" in captured.err
+
+
+def test_run_script_reports_a_non_ascii_letter_as_an_error(tmp_path, capsys):
+    path = write_script(tmp_path, "e(1)\na = \u00e9\ne(2)\n")
+    assert run_script(path, Session()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "+ 1e_1\n"
+    assert f"{path}:2: error: unexpected character '\u00e9' (at position 5)" in captured.err
 
 
 def test_run_script_missing_file(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from cliffcalc import (
+    MAX_INDEX,
     Multivector,
     MultivectorFileError,
     MultivectorParseError,
@@ -161,14 +162,20 @@ def test_parse_errors_carry_positions():
         parse_multivector("e[2,2]")
 
 
-@given(mv=multivectors(max_index=9) | multivectors(max_index=9, coeffs=FINITE_COEFFS))
+@given(mv=multivectors(max_index=12) | multivectors(max_index=12, coeffs=FINITE_COEFFS))
 def test_parse_inverts_render(mv):
     assert parse_multivector(render(mv)) == mv
 
 
-@given(mv=multivectors(max_index=9) | multivectors(max_index=9, coeffs=FINITE_COEFFS))
+@given(mv=multivectors(max_index=12) | multivectors(max_index=12, coeffs=FINITE_COEFFS))
 def test_parse_inverts_render_with_comma(mv):
     assert parse_multivector(render(mv, COMMA)) == mv
+
+
+def test_parse_inverts_render_at_max_index():
+    mv = from_terms([[MAX_INDEX], [1, MAX_INDEX], [9, 10, MAX_INDEX - 1]], [1, -2.5, 1e-300])
+    for opts in (PrintOptions(), COMMA):
+        assert parse_multivector(render(mv, opts)) == mv
 
 
 def test_parse_inverts_render_multidigit_indices():
@@ -177,14 +184,18 @@ def test_parse_inverts_render_multidigit_indices():
         assert parse_multivector(render(mv, COMMA)) == mv
 
 
-def test_single_multidigit_index_is_ambiguous_without_brackets():
-    # a lone index > 9 renders with no separator to show; digit-run parsing
-    # is digit-by-digit by contract, so the bracket form is the way back in
+def test_index_above_9_renders_in_bracket_form_where_a_run_would_not_read_back():
+    # a digit run is read digit by digit, so e_11 would be e_1 e_1: a lone
+    # index above 9 always, and any index above 9 without a separator,
+    # print in bracket form
     lone = Multivector({(11,): 1.0})
-    assert render(lone, COMMA) == "+ 1e_11"
-    with pytest.raises(MultivectorParseError):
-        parse_multivector("+ 1e_11")
-    assert parse_multivector("+ 1e[11]") == lone
+    assert render(lone) == render(lone, COMMA) == "+ 1e[11]"
+    mixed = from_terms([[2], [1, 10], [6, 7, 10]], [3, -1, 2])
+    assert render(mixed) == "+ 3e_2 - 1e[1, 10] + 2e[6, 7, 10]"
+    # with the comma shown, multi-index blades keep the comma form
+    assert render(mixed, COMMA) == "+ 3e_2 - 1e_1,10 + 2e_6,7,10"
+    for text in (render(lone), render(mixed), render(mixed, COMMA)):
+        assert parse_multivector(text) in (lone, mixed)
 
 
 # --- save / load ------------------------------------------------------------
