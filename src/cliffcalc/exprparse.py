@@ -25,10 +25,9 @@ alternative per token kind, tried in this order after any whitespace:
   a lone ``.`` is a malformed number;
 * ``run``: ``e_12``, a run of single-digit indices, one per digit; at
   parenthesis depth 0 also ``e_1,10,12``, comma-separated full indices;
-* ``zero``: the rendered zero, ``the zero clifford element (0)``, which
-  is the number 0;
-* ``bracket``: ``e[1, 10, 12]``, bracketed full indices; an ``e[`` that
-  does not close properly is an error where it breaks;
+* ``zero``: ``the zero clifford element (0)``, the number 0;
+* ``bracket``: ``e[1, 10, 12]``, full indices; a malformed ``e[`` is an
+  error where it breaks;
 * ``ident``: a name (:data:`IDENT`); a last ``_`` goes to a following
   ``|``, so ``x_|y`` reads as ``x _| y``;
 * ``char``: any other character, which is an error.
@@ -39,12 +38,10 @@ The table is compiled with and without the comma form, chosen by
 depth is negative and the comma form stays off.
 
 Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
-20 and ``2e_1`` is 2 times e_1 (``e(7)`` is the builtin call).  The
-exponent of ``**`` must be a non-negative integer literal.  A number
-directly followed by a blade literal multiplies it (``2e_1``,
-``4e[1,10]``), and a leading ``+`` is a no-op, so rendered one-line output
-like ``+ 1 + 2e_1 + 3e[2, 10]`` reads back as an expression, with either
-separator.
+20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
+non-negative integer literal.  A number directly followed by a blade
+literal multiplies it, and a leading ``+`` is a no-op, so rendered output
+like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an expression.
 """
 
 from __future__ import annotations

@@ -6,12 +6,11 @@ blade subscripts are joined by ``basis_sep`` (empty by default, so ``e_23``,
 or ``","`` for ``e_6,7,10``).  A blade that would not read back that way
 prints in bracket form: a single index above 9 (``e[11]``), or any index
 above 9 with the empty separator (``e[1, 10]``).  Two whole-value special
-forms exist:
-``scalar ( c )`` for a purely scalar multivector and
+forms exist: ``scalar ( c )`` for a purely scalar multivector and
 ``the zero clifford element (0)`` for zero.
 
-:func:`parse_multivector` inverts :func:`render` for both separator settings
-and every finite coefficient.  It reads the tokens of
+:func:`parse_multivector` inverts :func:`render` for both separator settings,
+every index and every finite coefficient.  It reads the tokens of
 :func:`cliffcalc.exprparse.tokenize`, so numbers and blade literals follow
 the calculator's grammar: exponents (``1e-05e_1``), digit-run, comma and
 bracketed blades (``e_12``, ``e_1,10``, ``e[1, 10]``) and coefficient-less
@@ -81,17 +80,17 @@ def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
     terms = list(mv.terms())
     if len(terms) == 1 and terms[0][0] == ():
         return f"scalar ( {format_coefficient(terms[0][1])} )"
+    sep = opts.basis_sep
     parts = []
     for blade, coeff in terms:
         sign = "-" if coeff < 0 else "+"
         magnitude = format_coefficient(abs(coeff))
-        if blade and blade[-1] > 9 and (len(blade) == 1 or not opts.basis_sep):
-            parts.append(f"{sign} {magnitude}e[{', '.join(map(str, blade))}]")
-        elif blade:
-            subscripts = opts.basis_sep.join(str(i) for i in blade)
-            parts.append(f"{sign} {magnitude}e_{subscripts}")
-        else:
+        if not blade:
             parts.append(f"{sign} {magnitude}")
+        elif blade[-1] > 9 and (not sep or len(blade) == 1):
+            parts.append(f"{sign} {magnitude}e[{', '.join(map(str, blade))}]")
+        else:
+            parts.append(f"{sign} {magnitude}e_{sep.join(map(str, blade))}")
     return " ".join(parts)
 
 
