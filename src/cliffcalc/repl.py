@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .exprparse import (
+    IDENT,
     BinOp,
     BladeLit,
     Call,
     Expr,
-    IDENT,
     ExpressionSyntaxError,
     Neg,
     Num,
