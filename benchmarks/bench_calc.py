@@ -28,7 +28,8 @@ OPERATORS = ("*", "^", "_|", "|_")
 
 def literal(mv) -> str:
     """Input text for an integer-coefficient multivector: ``e_12`` when every
-    index is a single digit, ``e[2,11]`` otherwise."""
+    index is a single digit, ``e[2,11]`` otherwise.  Written here rather than
+    by ``render`` so the script stays the same when rendering changes."""
     parts = []
     for blade, c in mv.terms():
         text = f"{'-' if c < 0 else '+'} {int(abs(c))}"
