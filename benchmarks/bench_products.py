@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the geometric product and the left contraction across backends.
+"""Benchmark the geometric product, the left contraction and the wedge across backends.
 
 Builds deterministic random multivectors of increasing term counts and times
 the geometric product through the per-pair Python path and the packed numpy
 kernel, end to end, plus the kernel call alone on arrays built from the
-multivectors' blade keys.  The left contraction is timed end to end under
-both backends too; under ``numpy`` it takes the per-pair path up to
-``products._SMALL_CONTRACTION_PAIRS`` pairs and the kernel above.  Run from
-the repository root:
+multivectors' blade keys.  The left contraction and the wedge are timed end
+to end under both backends too; under ``numpy`` they take the per-pair path
+up to ``products._SMALL_FILTERED_PAIRS`` pairs and the kernel above.  Run
+from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from cliffcalc import Signature, geometric_product, left_contraction
+from cliffcalc import Signature, geometric_product, left_contraction, wedge
 from cliffcalc import kernels
 from cliffcalc.rand import RandomSpec, random_multivector
 
@@ -81,7 +81,9 @@ def main() -> int:
 
     backends = ("python", "numpy")
 
-    columns = (*backends, "kernel", *(f"lc {backend}" for backend in backends))
+    filtered = {"lc": left_contraction, "wedge": lambda a, b, _sig: wedge(a, b)}
+    columns = (*backends, "kernel",
+               *(f"{name} {backend}" for name in filtered for backend in backends))
     header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in columns)
     print(header)
     print("-" * len(header))
@@ -95,8 +97,9 @@ def main() -> int:
             for backend in backends
         }
         timings["kernel"] = time_kernel(a, b, args.repeats)
-        for backend in backends:
-            timings[f"lc {backend}"] = time_backend(backend, left_contraction, a, b, args.repeats)
+        for name, product in filtered.items():
+            for backend in backends:
+                timings[f"{name} {backend}"] = time_backend(backend, product, a, b, args.repeats)
         row += "".join(f"{t * 1e6:>12.1f}us" for t in timings.values())
         row += f"   numpy {timings['python'] / timings['numpy']:.1f}x vs python"
         print(row)

@@ -121,20 +121,23 @@ def sign_factors(a, pos, neg, width: int):
     return parity ^ (a & neg), a & ~(pos | neg)
 
 
-def pair_sign(parity: int, dead: int, a: int, b: int) -> tuple[int, int]:
-    """(sign, key) of the product of blade keys ``a`` and ``b``.
+def pair_sign(parity: int, dead: int, b: int) -> int:
+    """Sign (-1, 0 or 1) of the product of a blade key with ``b``.
 
-    ``parity`` and ``dead`` are :func:`sign_factors` of ``a``; the sign is 0
-    when the blades share a generator squaring to 0.
+    ``parity`` and ``dead`` are the :func:`sign_factors` of the left key
+    ``a``; the sign is 0 when the blades share a generator squaring to 0.
+    The product's key is ``a ^ b`` whatever the sign, so callers that need
+    it take it themselves, and only for a nonzero sign.
     """
     if dead & b:
-        return 0, 0
-    return (-1 if (parity & b).bit_count() & 1 else 1), a ^ b
+        return 0
+    return -1 if (parity & b).bit_count() & 1 else 1
 
 
 def mask_product(a: int, b: int, pos: int, neg: int) -> tuple[int, int]:
     """(sign, key) of one product of blade keys (see :func:`sign_factors`)."""
-    return pair_sign(*sign_factors(a, pos, neg, a.bit_length()), a, b)
+    parity, dead = sign_factors(a, pos, neg, a.bit_length())
+    return pair_sign(parity, dead, b), a ^ b
 
 
 def blade_product(a: Blade, b: Blade, sig: Signature) -> SignedBlade:

@@ -32,6 +32,10 @@ alternative per token kind, tried in this order after any whitespace:
   ``|``, so ``x_|y`` reads as ``x _| y``;
 * ``char``: any other character, which is an error.
 
+Numbers and indices take the ASCII digits ``0-9`` only, as names take ASCII
+letters, so a digit of another script (``\u0663``) is an unexpected
+character; whitespace between tokens is any Unicode whitespace.
+
 The table is compiled with and without the comma form, chosen by
 ``depth != 0``: no expression has a comma outside parentheses, so
 ``grade(e_12,2)`` is still a two-argument call, and after a stray ``)`` the
@@ -123,13 +127,13 @@ PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
 #: How the zero multivector renders; the lexer reads it as the number 0.
 ZERO_FORM = "the zero clifford element (0)"
 
-#: A number literal: digits with an optional fraction and decimal exponent.
-NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+#: A number literal: ASCII digits with an optional fraction and decimal exponent.
+NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 #: A name: a letter, then letters, digits and underscores.
 IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 
-_DIGITS_RE = re.compile(r"\d+")
+_DIGITS_RE = re.compile(r"[0-9]+")
 _INDEX_DIGITS = len(str(MAX_INDEX))
 
 
@@ -139,18 +143,18 @@ def _token_table(run: str) -> re.Pattern[str]:
         (?P<end>\Z)
       | (?P<op>\*\*|_\||\|_|[-+*^(),])
       | (?P<number>{NUMBER})
-      | (?P<dot>\.)                                    # malformed number
+      | (?P<dot>\.)                                          # malformed number
       | (?P<run>{run})
       | (?P<zero>{re.escape(ZERO_FORM)})
-      | (?P<bracket>e\s*\[\s*\d+\s*(?:,\s*\d+\s*)*\])
-      | (?P<open>e\s*\[(?:\s*\d+\s*,)*\s*(?:\d+\s*)?)    # malformed: its valid prefix
-      | (?P<ident>{IDENT}(?<!_(?=\|)))                 # x_|y is x _| y
+      | (?P<bracket>e\s*\[\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\])
+      | (?P<open>e\s*\[(?:\s*[0-9]+\s*,)*\s*(?:[0-9]+\s*)?)  # malformed: its valid prefix
+      | (?P<ident>{IDENT}(?<!_(?=\|)))                       # x_|y is x _| y
       | (?P<char>\S)
     )""", re.VERBOSE)
 
 
 #: Indexed by ``depth != 0``: the comma blade form only at depth 0.
-_TOKEN_TABLES = (_token_table(r"e_\d+(?:,\d+)*"), _token_table(r"e_\d+"))
+_TOKEN_TABLES = (_token_table(r"e_[0-9]+(?:,[0-9]+)*"), _token_table(r"e_[0-9]+"))
 
 
 def tokenize(source: str) -> list[Token]:

@@ -45,7 +45,7 @@ _SMALL_PAIRS = 48
 # small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
 # 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against
 # 384 over seeds 27-30 won 3 of 4.
-_SMALL_CONTRACTION_PAIRS = 256
+_SMALL_FILTERED_PAIRS = 256
 
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -83,8 +83,9 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
     if a.is_zero() or b.is_zero():
         return Multivector._wrap({})
+    cutoff = _SMALL_FILTERED_PAIRS if filter_mode or sig is None else _SMALL_PAIRS
     if (
-        a.num_terms() * b.num_terms() > (_SMALL_CONTRACTION_PAIRS if filter_mode else _SMALL_PAIRS)
+        a.num_terms() * b.num_terms() > cutoff
         and kernels.active_backend() != "python"
         and a.max_index() <= kernels.PACK_LIMIT
         and b.max_index() <= kernels.PACK_LIMIT
@@ -100,24 +101,45 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     else:
         pos, neg = signature_masks(sig, max(a.max_index(), b.max_index()))
         sign_of = blade_product
+    right = b._terms.items()
     acc: dict[int, float] = {}
-    for ka, ca in a._terms.items():
-        parity = None
-        for kb, cb in b._terms.items():
-            # left keeps a ⊆ b and right keeps b ⊆ a: exactly the pairs whose
-            # product has grade |b| - |a| or |a| - |b|
-            if filter_mode and (ka & ~kb if filter_mode == kernels.FILTER_LEFT else kb & ~ka):
-                continue
-            if parity is None:  # once per left key, and never if all are filtered
-                parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
-            sign, key = sign_of(parity, dead, ka, kb)
-            if sign:
-                acc[key] = acc.get(key, 0.0) + ca * cb * sign
+    get = acc.get
+    if sig is not None and not filter_mode:
+        for ka, ca in a._terms.items():
+            parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
+            for kb, cb in right:
+                sign = sign_of(parity, dead, kb)
+                if sign:
+                    key = ka ^ kb
+                    acc[key] = get(key, 0.0) + ca * cb * sign
+    else:
+        for ka, ca in a._terms.items():
+            # a pair is kept when kb & mask == want: left keeps a ⊆ b and
+            # right b ⊆ a, exactly the pairs whose product has grade |b| - |a|
+            # or |a| - |b|; the wedge keeps the pairs that share no generator
+            if filter_mode == kernels.FILTER_LEFT:
+                mask = want = ka
+            elif filter_mode:
+                mask, want = ~ka, 0
+            else:
+                mask, want = ka, 0
+            parity = None
+            for kb, cb in right:
+                if kb & mask != want:
+                    continue
+                if parity is None:  # once per left key, and never if none is kept
+                    parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
+                sign = sign_of(parity, dead, kb)
+                if sign:
+                    key = ka ^ kb
+                    acc[key] = get(key, 0.0) + ca * cb * sign
     # a sum that cancels to ±0.0 and is added to again equals a fresh sum
     # from 0.0, so exact zeros can be dropped once, at the end
     if 0.0 in acc.values():
         acc = {key: value for key, value in acc.items() if value}
-    return Multivector._wrap(dict(sorted(acc.items())))
+    if len(acc) > 1:  # sorting the keys alone is cheaper than sorting items
+        acc = {key: acc[key] for key in sorted(acc)}
+    return Multivector._wrap(acc)
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:

@@ -12,7 +12,7 @@ Commands:
 
     :signature p [q]     set the metric; q omitted means unbounded
     :signature inf       positive-definite on all generators
-    :basissep [s]        subscript separator (omit s to reset to "")
+    :basissep [,]        separate subscripts with ','; omitted, with nothing
     :load [name] <path>  read a .mv file; bind it, or print it if unnamed
     :save <name> <path>  write a bound variable to a .mv file
     :quit                leave the calculator
@@ -261,7 +261,7 @@ def _command(text: str, session: Session) -> str | None:
         return None
     if cmd == ":basissep":
         if len(args) > 1:
-            raise CommandError("usage: :basissep [separator]")
+            raise CommandError("usage: :basissep [,]")
         sep = args[0] if args else ""
         try:
             session.print_options = PrintOptions(basis_sep=sep)
@@ -380,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SPEC",
         help="initial signature: 'p,q', 'p' (q unbounded) or 'inf'",
     )
-    parser.add_argument("--basissep", metavar="S", default=None, help="subscript separator")
+    parser.add_argument("--basissep", metavar="S", default=None,
+                        help="subscript separator: ',' or '' (none, the default)")
     args = parser.parse_args(argv)
 
     session = Session()

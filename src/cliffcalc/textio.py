@@ -56,11 +56,10 @@ class PrintOptions:
     basis_sep: str = ""
 
     def __post_init__(self) -> None:
-        for ch in self.basis_sep:
-            if ch.isdigit() or ch in "+-" or ch.isspace():
-                raise ValueError(
-                    f"basis_sep may not contain digits, signs or whitespace: {self.basis_sep!r}"
-                )
+        # only these two read back: the parsers take a blade's indices as a
+        # digit run or as comma-separated numbers
+        if self.basis_sep not in ("", ","):
+            raise ValueError(f"basis_sep must be '' or ',', got {self.basis_sep!r}")
 
 
 DEFAULT_OPTIONS = PrintOptions()

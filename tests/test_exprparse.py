@@ -254,6 +254,39 @@ def test_non_ascii_letters_and_digits_are_unexpected_characters():
     assert exc.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("\u0663", 0),                  # Arabic-Indic three
+        ("e_\u0661\u0662", 2),          # e_ is a name, then the digit
+        ("2 * \uff11", 4),               # fullwidth one
+        ("1\u0660", 1),                 # after an ASCII digit
+        ("1.\u0665", 2),                # in a fraction
+        ("e_1,\u0662", 4),              # in the comma form
+    ],
+)
+def test_non_ascii_digits_are_unexpected_characters(text, position):
+    char = text[position]
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expr(text)
+    assert (exc.value.base_message, exc.value.position) == (
+        f"unexpected character {char!r}", position,
+    )
+    with pytest.raises(MultivectorParseError) as exc:
+        parse_multivector(text)
+    assert exc.value.position == position
+
+
+def test_non_ascii_digits_in_brackets_break_the_blade_where_they_stand():
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse_expr("e[1, \u0662]")
+    assert (exc.value.position, exc.value.expected) == (5, ("an integer index",))
+
+
+def test_any_unicode_whitespace_separates_tokens():
+    assert parse_expr("\u00a0e_12\u2003+\u30002") == BinOp("+", BladeLit((1, 2)), Num(2.0))
+
+
 _TOKEN_TEXT = st.lists(
     st.sampled_from(list("e_[](),.*^|+-0123456789 \tEax@")
                     + ["e_", "e[", "**", "_|", "|_", "1e5", "the zero clifford element (0)"])

@@ -289,7 +289,7 @@ def test_contractions_above_their_cutoff_run_the_kernel_on_bit_63(restore_backen
             a = float_multivector(rng, indices, 17)
             b = float_multivector(rng, indices, 17) + Multivector({(64,): 0.5})
             assert b.max_index() == 64
-            assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+            assert a.num_terms() * b.num_terms() > products._SMALL_FILTERED_PAIRS
             filters.clear()
             assert_backends_agree_exactly(a, b, sig)
             assert FILTER_LEFT in filters and FILTER_RIGHT in filters
@@ -336,7 +336,7 @@ def test_sums_that_cancel_or_underflow_match_the_oracles_bit_for_bit(restore_bac
     for _ in range(4):
         a = float_multivector(rng, indices, 18, CANCELLING)
         b = float_multivector(rng, indices, 18, CANCELLING)
-        assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+        assert a.num_terms() * b.num_terms() > products._SMALL_FILTERED_PAIRS
         expected = [
             list(m.terms())
             for m in (

@@ -307,6 +307,15 @@ def test_main_signature_flag_variants(tmp_path, capsys):
     assert capsys.readouterr().out == "scalar ( 1 )\n"
 
 
+def test_separators_that_would_not_read_back_are_errors(session, tmp_path, capsys):
+    with pytest.raises(CommandError, match="basis_sep must be '' or ','"):
+        run_command(":basissep ;", session)
+    assert feed(session, ":basissep ,", "e(1)*e(2)*e(10)") == "+ 1e_1,2,10"
+    path = write_script(tmp_path, "e(1)*e(2)\n")
+    assert main(["--script", path, "--basissep", ";"]) == 1
+    assert "basis_sep must be '' or ','" in capsys.readouterr().err
+
+
 def test_main_rejects_bad_signature_flag(capsys):
     assert main(["--signature", "bogus", "--script", "x"]) == 1
     assert "error" in capsys.readouterr().err
