@@ -295,6 +295,89 @@ def test_contractions_above_their_cutoff_run_the_kernel_on_bit_63(restore_backen
             assert FILTER_LEFT in filters and FILTER_RIGHT in filters
 
 
+def with_e64(rng, indices, num_terms):
+    """A float multivector of exactly ``num_terms`` terms, one of them e_64."""
+    mv = float_multivector(rng, indices[indices < 64], num_terms - 1)
+    return mv + Multivector({(64,): 0.5})
+
+
+def test_wedges_run_the_kernel_on_bit_63_only_above_their_cutoff(restore_backend, monkeypatch):
+    # the wedge shares the contractions' cutoff: up to it the per-pair path
+    # runs with index 64 present, above it the kernel, and both equal the
+    # python backend exactly
+    from cliffcalc import products
+
+    calls = []
+    kernel = kernels.pair_table
+
+    def recording_kernel(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "pair_table", recording_kernel)
+    rng = np.random.default_rng(17)
+    indices = np.r_[1:3, 5, 62:65]
+    for na, nb in ((7, 7), (9, 9), (16, 16), (16, 17), (17, 17)):
+        a, b = with_e64(rng, indices, na), with_e64(rng, indices, nb)
+        pairs = a.num_terms() * b.num_terms()
+        assert pairs == na * nb
+        kernels.set_backend("numpy")
+        calls.clear()
+        packed = list(wedge(a, b).terms())
+        assert calls == ([FILTER_NONE] if pairs > products._SMALL_FILTERED_PAIRS else [])
+        kernels.set_backend("python")
+        assert list(wedge(a, b).terms()) == packed
+
+
+#: Integer coefficients, drawn as floats.
+INTEGERS = (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("coeffs", [INTEGERS, None], ids=["int", "float"])
+@pytest.mark.parametrize("dimension", [6, 10])
+def test_per_pair_wedges_match_the_kernel_and_the_oracle(restore_backend, dimension, coeffs):
+    # 49-256 pairs: the range the wedge moved from the kernel to the per-pair path
+    from cliffcalc import products
+    from tests.oracle import product_by_rewriting
+
+    rng = np.random.default_rng(18 + dimension)
+    indices = np.arange(1, dimension + 1)
+    for na, nb in ((7, 7), (7, 9), (9, 9), (12, 13), (16, 16)):
+        a = float_multivector(rng, indices, na, coeffs)
+        b = float_multivector(rng, indices, nb, coeffs)
+        assert 49 <= a.num_terms() * b.num_terms() <= products._SMALL_FILTERED_PAIRS
+        expected = list(product_by_rewriting(a, b, grassmann()).terms())
+        assert list(products._packed(a, b, None, FILTER_NONE).terms()) == expected
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            assert list(wedge(a, b).terms()) == expected, backend
+
+
+def test_wedge_takes_no_sign_factors_for_a_left_key_whose_pairs_all_overlap(monkeypatch):
+    from cliffcalc import products
+    from tests.oracle import product_by_rewriting
+
+    left_keys = []
+    sign_factors = products.sign_factors
+
+    def recording_sign_factors(a, *args):
+        left_keys.append(a)
+        return sign_factors(a, *args)
+
+    monkeypatch.setattr(products, "sign_factors", recording_sign_factors)
+    b = Multivector({(1,): 1.0, (1, 2, 3): -2.0, (1, 4): 0.5})
+    # every blade here shares e_1 with every blade of b
+    overlapping = Multivector({(1, 2): 3.0, (1, 3): 1.0, (1, 2, 4): -1.0})
+    assert wedge(overlapping, b).is_zero()
+    assert left_keys == []
+    # e_4 and e_5 have disjoint partners in b, e_1 and e_12 none
+    mixed = Multivector({(1,): 2.0, (4,): 1.0, (1, 2): 3.0, (5,): -1.0})
+    product = wedge(mixed, b)
+    assert list(product.terms()) == list(product_by_rewriting(mixed, b, grassmann()).terms())
+    assert product.num_terms() == 5
+    assert left_keys == [0b1000, 0b10000]
+
+
 #: Coefficients whose products cancel exactly, leave rounding residues
 #: (0.1 * 3.0 against 0.3) or underflow to ±0.0 (1e-200 * 1e-200).
 CANCELLING = (1.0, -1.0, 0.5, -0.5, 3.0, 0.1, -0.1, 0.3, 1e-200, -1e-200)
