@@ -10,14 +10,19 @@ keeping exactly the pairs whose product has grade s - r (left) or r - s
 (right) equals the definition as a double sum of grade projections.
 
 Both paths work on blade keys with one sign rule: the
-:func:`~cliffcalc.blade.sign_factors` of each left key a, then per pair only
-``dead & b``, the parity of ``parity & b`` and ``a ^ b``.  When every index
-fits in 1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
-(``_SMALL_CONTRACTION_PAIRS`` for contractions), the keys go into uint64
-arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`.  Smaller
-products, blades with larger indices and every product under
-``CLIFFCALC_BACKEND=python`` loop over the pairs on Python ints, taking a's
-factors once per left key and summing in pair order.
+:func:`~cliffcalc.blade.sign_factors` of each left key a, then per pair the
+:func:`~cliffcalc.blade.pair_sign` (``dead & b`` and the parity of
+``parity & b``) and the result key ``a ^ b``.  When every index fits in
+1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
+(``_SMALL_FILTERED_PAIRS`` for the contractions and the wedge), the keys go
+into uint64 arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`.
+Smaller products, blades with larger indices and every product under
+``CLIFFCALC_BACKEND=python`` take the per-pair path, a loop over the pairs on
+Python ints.  There the contractions and the wedge drop the pairs that cannot
+contribute (outside the grade filter, or sharing a generator) before the
+sign, so a left key takes its sign factors only once a pair survives; a pair
+takes its key only for a nonzero sign; coefficients are summed in pair
+order, and the result is put in canonical order by sorting its keys alone.
 """
 
 from __future__ import annotations
@@ -30,21 +35,28 @@ from .blade import pair_sign as blade_product, pair_sign as blade_wedge, sign_fa
 from .metric import Signature, signature_masks
 from .multivector import Multivector, from_scalar
 
-# Geometric and wedge products of at most this many term pairs take the
-# per-pair path.  On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a
-# median 23.4k ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and
-# 23.0k against 18.0k for 16 over 4 other seeds.  Since the sign factors are
-# taken per left key, one geometric product at a time in dimension 6 (2
-# CPUs, NumPy 2.4) breaks even at ~81 pairs (Euclidean) to ~130-200 (Cl(3,1),
-# Grassmann), but no workload has products of 49-80 pairs to confirm more.
+# Geometric products of at most this many term pairs take the per-pair path.
+# On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a median 23.4k
+# ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and 23.0k against
+# 18.0k for 16 over 4 other seeds.  Since the sign factors are taken per left
+# key, one geometric product at a time in dimension 6 (2 CPUs, NumPy 2.4)
+# breaks even at ~81 pairs (Euclidean) to ~130-200 (Cl(3,1), Grassmann), but
+# no workload has products of 49-80 pairs to confirm more.
 _SMALL_PAIRS = 48
 
-# The same for contractions, whose filter drops most pairs before the sign:
-# per-pair over kernel time is 0.4-0.5 at 81 pairs and crosses 1 at ~256
-# (Euclidean), ~300 (Cl(3,1)) and ~360 pairs (Grassmann).  On perfbench
-# small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
-# 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against
-# 384 over seeds 27-30 won 3 of 4.
+# The same for the contractions and the wedge, whose filters drop pairs
+# before the sign.  One product at a time (random operands of grade <= 5, 2
+# CPUs, NumPy 2.4), per-pair over kernel time, median of 6 operand pairs:
+# - wedge: 0.5 at 81 pairs, 0.6 at 144, 0.85 at 196, 1.0 at 256 and 1.1-1.2
+#   at 324 in dimension 6; 0.6, 0.8, 0.95, 1.2-1.3 and 1.3-1.5 in dimension
+#   10, where wedges of ~200-256 pairs would be faster in the kernel;
+# - left/right contraction (Euclidean): 0.4 at 81 pairs, 0.8-0.9 at 256 and
+#   1.1-1.3 at 400 in dimension 6; 0.25-0.35, 0.55-0.7 and 0.8-0.95 in
+#   dimension 10.
+# On perfbench small_identities (8 s runs, seeds 24-26) contractions gave a
+# median 6.4k ops/s at 48, 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k
+# at 512; 256 against 384 over seeds 27-30 won 3 of 4.  Its wedges have
+# 49-81 pairs.
 _SMALL_FILTERED_PAIRS = 256
 
 
@@ -137,7 +149,9 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     # from 0.0, so exact zeros can be dropped once, at the end
     if 0.0 in acc.values():
         acc = {key: value for key, value in acc.items() if value}
-    if len(acc) > 1:  # sorting the keys alone is cheaper than sorting items
+    # one key is in order already; sorting the keys alone is cheaper than
+    # sorting the items
+    if len(acc) > 1:
         acc = {key: acc[key] for key in sorted(acc)}
     return Multivector._wrap(acc)
 
