@@ -116,7 +116,7 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     right = b._terms.items()
     acc: dict[int, float] = {}
     get = acc.get
-    if sig is not None and not filter_mode:
+    if sig is not None and not filter_mode:  # every pair kept: no filter test
         for ka, ca in a._terms.items():
             parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
             for kb, cb in right:
