@@ -257,12 +257,12 @@ def test_non_ascii_letters_and_digits_are_unexpected_characters():
 @pytest.mark.parametrize(
     "text, position",
     [
-        ("\u0663", 0),                  # Arabic-Indic three
-        ("e_\u0661\u0662", 2),          # e_ is a name, then the digit
-        ("2 * \uff11", 4),               # fullwidth one
-        ("1\u0660", 1),                 # after an ASCII digit
-        ("1.\u0665", 2),                # in a fraction
-        ("e_1,\u0662", 4),              # in the comma form
+        ("\u0663", 0),              # Arabic-Indic three
+        ("e_\u0661\u0662", 2),      # e_ is a name, then the digit
+        ("2 * \uff11", 4),          # fullwidth one
+        ("1\u0660", 1),             # after an ASCII digit
+        ("1.\u0665", 2),            # in a fraction
+        ("e_1,\u0662", 4),          # in the comma form
     ],
 )
 def test_non_ascii_digits_are_unexpected_characters(text, position):

@@ -74,9 +74,6 @@ def test_print_options_validation():
 
 @pytest.mark.parametrize("sep", [";", "_", "|", ".", ":", ",,", "\u00b7"])
 def test_separators_that_would_not_read_back_are_rejected(sep):
-    mv = from_terms([[1, 2], [3, 10]], [1, 2])
-    for opts in (PrintOptions(), COMMA):
-        assert parse_multivector(render(mv, opts)) == mv
     with pytest.raises(ValueError, match="basis_sep must be '' or ','"):
         PrintOptions(basis_sep=sep)
 
