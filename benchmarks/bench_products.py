@@ -6,8 +6,8 @@ the geometric product through the per-pair Python path and the packed numpy
 kernel, end to end, plus the kernel call alone on arrays built from the
 multivectors' blade keys.  The left contraction and the wedge are timed end
 to end under both backends too; under ``numpy`` they take the per-pair path
-up to ``products._SMALL_FILTERED_PAIRS`` pairs and the kernel above.  Run
-from the repository root:
+up to ``products._SMALL_CONTRACTION_PAIRS`` and ``products._SMALL_WEDGE_PAIRS``
+pairs and the kernel above.  Run from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7

@@ -14,15 +14,16 @@ Both paths work on blade keys with one sign rule: the
 :func:`~cliffcalc.blade.pair_sign` (``dead & b`` and the parity of
 ``parity & b``) and the result key ``a ^ b``.  When every index fits in
 1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
-(``_SMALL_FILTERED_PAIRS`` for the contractions and the wedge), the keys go
-into uint64 arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`.
-Smaller products, blades with larger indices and every product under
-``CLIFFCALC_BACKEND=python`` take the per-pair path, a loop over the pairs on
-Python ints.  There the contractions and the wedge drop the pairs that cannot
-contribute (outside the grade filter, or sharing a generator) before the
-sign, so a left key takes its sign factors only once a pair survives; a pair
-takes its key only for a nonzero sign; coefficients are summed in pair
-order, and the result is put in canonical order by sorting its keys alone.
+(``_SMALL_CONTRACTION_PAIRS`` for the contractions, ``_SMALL_WEDGE_PAIRS``
+for the wedge), the keys go into uint64 arrays for the packed numpy kernel
+in :mod:`cliffcalc.kernels`.  Smaller products, blades with larger indices
+and every product under ``CLIFFCALC_BACKEND=python`` take the per-pair path,
+one loop over the pairs on Python ints.  There the contractions and the
+wedge drop the pairs that cannot contribute (outside the grade filter, or
+sharing a generator) before the sign, so a left key takes its sign factors
+only once a pair survives; a pair takes its key only for a nonzero sign;
+coefficients are summed in pair order, and the result is put in canonical
+order by sorting its keys alone.
 """
 
 from __future__ import annotations
@@ -44,20 +45,23 @@ from .multivector import Multivector, from_scalar
 # no workload has products of 49-80 pairs to confirm more.
 _SMALL_PAIRS = 48
 
-# The same for the contractions and the wedge, whose filters drop pairs
-# before the sign.  One product at a time (random operands of grade <= 5, 2
-# CPUs, NumPy 2.4), per-pair over kernel time, median of 6 operand pairs:
-# - wedge: 0.5 at 81 pairs, 0.6 at 144, 0.85 at 196, 1.0 at 256 and 1.1-1.2
-#   at 324 in dimension 6; 0.6, 0.8, 0.95, 1.2-1.3 and 1.3-1.5 in dimension
-#   10, where wedges of ~200-256 pairs would be faster in the kernel;
-# - left/right contraction (Euclidean): 0.4 at 81 pairs, 0.8-0.9 at 256 and
-#   1.1-1.3 at 400 in dimension 6; 0.25-0.35, 0.55-0.7 and 0.8-0.95 in
-#   dimension 10.
-# On perfbench small_identities (8 s runs, seeds 24-26) contractions gave a
-# median 6.4k ops/s at 48, 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k
-# at 512; 256 against 384 over seeds 27-30 won 3 of 4.  Its wedges have
+# The same for the contractions, whose filter drops most pairs before the
+# sign.  One product at a time (random operands of grade <= 5, 2 CPUs, NumPy
+# 2.4), per-pair over kernel time, median of 6 operand pairs, is 0.4 at 81
+# pairs, 0.8-0.9 at 256 and 1.1-1.3 at 400 in dimension 6 (Euclidean), and
+# 0.25-0.35, 0.55-0.7 and 0.8-0.95 in dimension 10.  On perfbench
+# small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
+# 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against 384
+# over seeds 27-30 won 3 of 4.
+_SMALL_CONTRACTION_PAIRS = 256
+
+# The same for the wedge, which drops overlapping pairs before the sign.
+# Measured as above, per-pair over kernel time is 0.5 at 81 pairs, 0.6 at
+# 144, 0.8-0.9 at 169-225 and 1.0 at 256 in dimension 6, and 0.6, 0.8,
+# 0.85-0.9, 1.15 and 1.25 in dimension 10: 144 is the largest size where
+# per-pair is clearly ahead in both.  perfbench small_identities' wedges have
 # 49-81 pairs.
-_SMALL_FILTERED_PAIRS = 256
+_SMALL_WEDGE_PAIRS = 144
 
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -95,7 +99,12 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
     if a.is_zero() or b.is_zero():
         return Multivector._wrap({})
-    cutoff = _SMALL_FILTERED_PAIRS if filter_mode or sig is None else _SMALL_PAIRS
+    if filter_mode:
+        cutoff = _SMALL_CONTRACTION_PAIRS
+    elif sig is None:
+        cutoff = _SMALL_WEDGE_PAIRS
+    else:
+        cutoff = _SMALL_PAIRS
     if (
         a.num_terms() * b.num_terms() > cutoff
         and kernels.active_backend() != "python"
@@ -116,35 +125,29 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     right = b._terms.items()
     acc: dict[int, float] = {}
     get = acc.get
-    if sig is not None and not filter_mode:  # every pair kept: no filter test
-        for ka, ca in a._terms.items():
-            parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
-            for kb, cb in right:
-                sign = sign_of(parity, dead, kb)
-                if sign:
-                    key = ka ^ kb
-                    acc[key] = get(key, 0.0) + ca * cb * sign
-    else:
-        for ka, ca in a._terms.items():
-            # a pair is kept when kb & mask == want: left keeps a ⊆ b and
-            # right b ⊆ a, exactly the pairs whose product has grade |b| - |a|
-            # or |a| - |b|; the wedge keeps the pairs that share no generator
-            if filter_mode == kernels.FILTER_LEFT:
-                mask = want = ka
-            elif filter_mode:
-                mask, want = ~ka, 0
-            else:
-                mask, want = ka, 0
-            parity = None
-            for kb, cb in right:
-                if kb & mask != want:
-                    continue
-                if parity is None:  # once per left key, and never if none is kept
-                    parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
-                sign = sign_of(parity, dead, kb)
-                if sign:
-                    key = ka ^ kb
-                    acc[key] = get(key, 0.0) + ca * cb * sign
+    for ka, ca in a._terms.items():
+        # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
+        # b ⊆ a, exactly the pairs whose product has grade |b| - |a| or
+        # |a| - |b|; the wedge keeps the pairs that share no generator, and
+        # the geometric product (mask = want = 0) keeps every pair
+        if filter_mode == kernels.FILTER_LEFT:
+            mask = want = ka
+        elif filter_mode:
+            mask, want = ~ka, 0
+        elif sig is None:
+            mask, want = ka, 0
+        else:
+            mask = want = 0
+        parity = None
+        for kb, cb in right:
+            if kb & mask != want:
+                continue
+            if parity is None:  # once per left key, and never if none is kept
+                parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
+            sign = sign_of(parity, dead, kb)
+            if sign:
+                key = ka ^ kb
+                acc[key] = get(key, 0.0) + ca * cb * sign
     # a sum that cancels to ±0.0 and is added to again equals a fresh sum
     # from 0.0, so exact zeros can be dropped once, at the end
     if 0.0 in acc.values():

@@ -255,7 +255,9 @@ def test_backends_agree_on_huge_signature_counts(restore_backend, sig):
 
 
 def test_backends_agree_at_the_packing_boundary_above_the_cutoff(restore_backend):
-    # enough pairs that the numpy backend really runs the kernel on bit 63
+    # enough pairs that the numpy backend really runs the geometric product's
+    # kernel on bit 63; the contractions and the wedge run per-pair at this
+    # size, and the tests below cover their kernel on bit 63
     from cliffcalc import products
 
     rng = np.random.default_rng(14)
@@ -289,7 +291,7 @@ def test_contractions_above_their_cutoff_run_the_kernel_on_bit_63(restore_backen
             a = float_multivector(rng, indices, 17)
             b = float_multivector(rng, indices, 17) + Multivector({(64,): 0.5})
             assert b.max_index() == 64
-            assert a.num_terms() * b.num_terms() > products._SMALL_FILTERED_PAIRS
+            assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
             filters.clear()
             assert_backends_agree_exactly(a, b, sig)
             assert FILTER_LEFT in filters and FILTER_RIGHT in filters
@@ -302,11 +304,9 @@ def with_e64(rng, indices, num_terms):
 
 
 def test_wedges_run_the_kernel_on_bit_63_only_above_their_cutoff(restore_backend, monkeypatch):
-    # the wedge shares the contractions' cutoff: up to it the per-pair path
-    # runs with index 64 present, above it the kernel, and both equal the
-    # python backend exactly
-    from cliffcalc import products
-
+    # up to the wedge's cutoff of 144 pairs the per-pair path runs with index
+    # 64 present, above it the kernel, and both equal the python backend
+    # exactly
     calls = []
     kernel = kernels.pair_table
 
@@ -317,14 +317,14 @@ def test_wedges_run_the_kernel_on_bit_63_only_above_their_cutoff(restore_backend
     monkeypatch.setattr(kernels, "pair_table", recording_kernel)
     rng = np.random.default_rng(17)
     indices = np.r_[1:3, 5, 62:65]
-    for na, nb in ((7, 7), (9, 9), (16, 16), (16, 17), (17, 17)):
+    for na, nb in ((7, 7), (9, 9), (12, 12), (12, 13), (13, 13), (16, 16)):
         a, b = with_e64(rng, indices, na), with_e64(rng, indices, nb)
         pairs = a.num_terms() * b.num_terms()
         assert pairs == na * nb
         kernels.set_backend("numpy")
         calls.clear()
         packed = list(wedge(a, b).terms())
-        assert calls == ([FILTER_NONE] if pairs > products._SMALL_FILTERED_PAIRS else [])
+        assert calls == ([FILTER_NONE] if pairs > 144 else [])
         kernels.set_backend("python")
         assert list(wedge(a, b).terms()) == packed
 
@@ -336,16 +336,18 @@ INTEGERS = (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 4.0)
 @pytest.mark.parametrize("coeffs", [INTEGERS, None], ids=["int", "float"])
 @pytest.mark.parametrize("dimension", [6, 10])
 def test_per_pair_wedges_match_the_kernel_and_the_oracle(restore_backend, dimension, coeffs):
-    # 49-256 pairs: the range the wedge moved from the kernel to the per-pair path
+    # 49-256 pairs: the wedges that took the kernel under a 48-pair cutoff.
+    # The python backend runs them all per-pair, the numpy backend those up
+    # to the wedge's cutoff.
     from cliffcalc import products
     from tests.oracle import product_by_rewriting
 
     rng = np.random.default_rng(18 + dimension)
     indices = np.arange(1, dimension + 1)
-    for na, nb in ((7, 7), (7, 9), (9, 9), (12, 13), (16, 16)):
+    for na, nb in ((7, 7), (7, 9), (9, 9), (12, 12), (12, 13), (16, 16)):
         a = float_multivector(rng, indices, na, coeffs)
         b = float_multivector(rng, indices, nb, coeffs)
-        assert 49 <= a.num_terms() * b.num_terms() <= products._SMALL_FILTERED_PAIRS
+        assert 49 <= a.num_terms() * b.num_terms() <= 256
         expected = list(product_by_rewriting(a, b, grassmann()).terms())
         assert list(products._packed(a, b, None, FILTER_NONE).terms()) == expected
         for backend in ("numpy", "python"):
@@ -419,7 +421,7 @@ def test_sums_that_cancel_or_underflow_match_the_oracles_bit_for_bit(restore_bac
     for _ in range(4):
         a = float_multivector(rng, indices, 18, CANCELLING)
         b = float_multivector(rng, indices, 18, CANCELLING)
-        assert a.num_terms() * b.num_terms() > products._SMALL_FILTERED_PAIRS
+        assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
         expected = [
             list(m.terms())
             for m in (
