@@ -91,14 +91,16 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
         error = index_error(i, 0)
         if error:
             raise ValueError(error)
-    inversions = 0
-    for k in range(len(raw)):
-        for m in range(k + 1, len(raw)):
-            if raw[k] > raw[m]:
-                inversions += 1
-            elif raw[k] == raw[m]:
-                raise ValueError(f"duplicate index {raw[k]} in blade {raw}")
-    return SignedBlade(-1 if inversions & 1 else 1, tuple(sorted(raw)))
+    # the sign is that of the wedge of the generators in the order given;
+    # wedging e_i on the right gives 0 when i is already in the key
+    sign = 1
+    key = 0
+    for i in raw:
+        factor, key = mask_product(key, 1 << (i - 1), 0, 0)
+        if not factor:
+            raise ValueError(f"duplicate index {i} in blade {raw}")
+        sign *= factor
+    return SignedBlade(sign, key_blade(key))
 
 
 def sign_factors(a, pos, neg, width: int):

@@ -189,7 +189,7 @@ def tokenize(source: str) -> list[Token]:
             indices = [(int(d), start + 2 + k) for k, d in enumerate(text[2:])]
             tokens.append(_blade_token(source, start, pos, indices))
         elif kind in ("run", "bracket"):
-            indices = [(_index(g.group()), g.start())
+            indices = [(index_value(g.group()), g.start())
                        for g in _DIGITS_RE.finditer(source, start, pos)]
             tokens.append(_blade_token(source, start, pos, indices))
         elif kind == "zero":
@@ -207,7 +207,7 @@ def tokenize(source: str) -> list[Token]:
             raise ExpressionSyntaxError(f"unexpected character {text!r}", start)
 
 
-def _index(digits: str) -> int | str:
+def index_value(digits: str) -> int | str:
     """An index literal's value, or its significant digits when there are
     more of them than MAX_INDEX has (out of range, and int() refuses over
     4300 digits); :func:`~cliffcalc.blade.index_error` rejects the str."""

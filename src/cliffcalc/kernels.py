@@ -88,16 +88,17 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
     if flat_keys.size == 0:
         return flat_keys, flat_coeffs
 
+    # one bin per possible key while that is cheap, else one per distinct
+    # key; a key below the bin count reads as the same int64, so it is its own
+    # bin index without a copy
     bins = dense_bins(keys_a, keys_b)
     if bins:
-        sums = np.bincount(flat_keys.astype(np.intp), weights=flat_coeffs, minlength=bins)
-        present = np.flatnonzero(sums)
-        return present.astype(np.uint64), sums[present]
-    unique_keys, inverse = np.unique(flat_keys, return_inverse=True)
-    sums = np.zeros(unique_keys.size, dtype=np.float64)
-    np.add.at(sums, inverse, flat_coeffs)
-    keep = sums != 0.0
-    return unique_keys[keep], sums[keep]
+        keys, index = np.arange(bins, dtype=np.uint64), flat_keys.view(np.int64)
+    else:
+        keys, index = np.unique(flat_keys, return_inverse=True)
+    sums = np.bincount(index, weights=flat_coeffs, minlength=keys.size)
+    present = np.flatnonzero(sums)
+    return keys[present], sums[present]
 
 
 def _default_backend() -> str:

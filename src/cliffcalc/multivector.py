@@ -2,15 +2,18 @@
 
 A :class:`Multivector` stores only nonzero terms, keyed by blade key (see
 :func:`cliffcalc.blade.blade_key`) in ascending order, which is canonical
-order; index tuples appear only at its public methods.  Everything here is
+order; index tuples appear only at its public methods.  :func:`canonical` is
+the one rule that puts a dict of terms in that form, and every builder that
+can make a zero or break the order ends in it.  Everything here is
 metric-free: construction, addition, negation, scalar multiplication and the
 grade machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
 
 Coefficients are finite doubles: every constructor and scalar
 multiplication rejects NaN and infinities, though arithmetic on finite values
-can still overflow.  Zero pruning uses exact comparison with 0.0 so the
-algebraic identities stay exact on integer inputs.  Use
+can still overflow, and a product that underflows to 0.0 drops its term.
+Zero pruning uses exact comparison with 0.0 so the algebraic identities stay
+exact on integer inputs.  Use
 :meth:`Multivector.equals_within` for approximate comparison of floating
 results.
 """
@@ -42,7 +45,13 @@ class Multivector:
 
     @classmethod
     def _wrap(cls, terms: dict[int, float]) -> "Multivector":
-        """Adopt a blade-key dict that is already pruned and in ascending key order."""
+        """Adopt a blade-key dict that is already in :func:`canonical` form.
+
+        Only builders that keep the order and cannot make a zero skip
+        :func:`canonical`: ``__neg__``, ``grade_part``, :func:`basis`,
+        :func:`from_scalar` and the packed kernel's output in
+        :func:`cliffcalc.products._packed`.
+        """
         mv = object.__new__(cls)
         mv._terms = terms
         return mv
@@ -117,7 +126,8 @@ class Multivector:
             raise ValueError(f"scalar must be finite, got {s!r}")
         if s == 0.0:
             return Multivector._wrap({})
-        return Multivector._wrap({key: c * s for key, c in self._terms.items()})
+        # c * s can underflow to 0.0
+        return Multivector._wrap(canonical({key: c * s for key, c in self._terms.items()}))
 
     __rmul__ = __mul__
 
@@ -151,23 +161,32 @@ def _check_coeff(value) -> float:
     return value
 
 
+def canonical(acc: dict[int, float]) -> dict[int, float]:
+    """The terms of ``acc`` as a :class:`Multivector` stores them.
+
+    Drops the keys whose coefficient is exactly 0.0 and orders the rest by
+    ascending key, in one pass; one key is in order already, and is returned
+    as ``acc`` itself unless it is zero.  Builders add all their terms first
+    and call this once: a sum that cancels to ±0.0 and is then added to
+    equals a fresh sum from 0.0, so dropping zeros only at the end gives the
+    same coefficients as dropping them along the way.
+    """
+    if len(acc) > 1:
+        # sorting the keys alone is cheaper than sorting the items
+        return {key: value for key in sorted(acc) if (value := acc[key])}
+    return {} if 0.0 in acc.values() else acc
+
+
 def sum_terms(
     items: Iterable[tuple[int, float]], out: dict[int, float] | None = None
 ) -> dict[int, float]:
-    """Add (blade key, coefficient) pairs in order into ``out`` (default empty).
-
-    A key whose sum is exactly 0.0 is dropped, and a later pair for it starts
-    again from 0.0, which gives the same sum as continuing from the dropped
-    0.0.  Returns the terms in ascending key order, ready for ``_wrap``.
-    """
+    """Add (blade key, coefficient) pairs in order into ``out`` (default
+    empty) and return the sums in :func:`canonical` form, ready for ``_wrap``."""
     acc = {} if out is None else out
+    get = acc.get
     for key, c in items:
-        value = acc.get(key, 0.0) + c
-        if value == 0.0:
-            acc.pop(key, None)
-        else:
-            acc[key] = value
-    return dict(sorted(acc.items()))
+        acc[key] = get(key, 0.0) + c
+    return canonical(acc)
 
 
 def zero() -> Multivector:
@@ -204,12 +223,9 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
 
 def as_1vector(v: Sequence[float]) -> Multivector:
     """Coerce a list of reals to the 1-vector sum(v[i] * e_{i+1})."""
-    out: dict[int, float] = {}
-    for i, c in enumerate(v, start=1):
-        c = _check_coeff(c)
-        if c != 0.0:
-            out[1 << (i - 1)] = c
-    return Multivector._wrap(out)
+    return Multivector._wrap(canonical(
+        {1 << (i - 1): _check_coeff(c) for i, c in enumerate(v, start=1)}
+    ))
 
 
 def basis(i: int) -> Multivector:

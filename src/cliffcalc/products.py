@@ -21,9 +21,11 @@ and every product under ``CLIFFCALC_BACKEND=python`` take the per-pair path,
 one loop over the pairs on Python ints.  There the contractions and the
 wedge drop the pairs that cannot contribute (outside the grade filter, or
 sharing a generator) before the sign, so a left key takes its sign factors
-only once a pair survives; a pair takes its key only for a nonzero sign;
-coefficients are summed in pair order, and the result is put in canonical
-order by sorting its keys alone.
+only once a pair survives; a pair takes its key only for a nonzero sign.
+Both paths sum coefficients per result key in pair order and drop exact
+zeros once, at the end: the per-pair path through
+:func:`~cliffcalc.multivector.canonical`, which also orders its keys, and the
+kernel at array level, its keys coming out ascending.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import kernels
 # perfbench/spans.py times the per-pair calls through these two names
 from .blade import pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, signature_masks
-from .multivector import Multivector, from_scalar
+from .multivector import Multivector, canonical, from_scalar
 
 # Geometric products of at most this many term pairs take the per-pair path.
 # On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a median 23.4k
@@ -148,15 +150,7 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
             if sign:
                 key = ka ^ kb
                 acc[key] = get(key, 0.0) + ca * cb * sign
-    # a sum that cancels to ±0.0 and is added to again equals a fresh sum
-    # from 0.0, so exact zeros can be dropped once, at the end
-    if 0.0 in acc.values():
-        acc = {key: value for key, value in acc.items() if value}
-    # one key is in order already; sorting the keys alone is cheaper than
-    # sorting the items
-    if len(acc) > 1:
-        acc = {key: acc[key] for key in sorted(acc)}
-    return Multivector._wrap(acc)
+    return Multivector._wrap(canonical(acc))
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .multivector import Multivector
+from .multivector import Multivector, canonical
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,4 +106,4 @@ def random_multivector(spec: RandomSpec = RandomSpec()) -> Multivector:
         if key in terms:
             continue
         terms[key] = float(coeff_values[rng.next_below(len(coeff_values))])
-    return Multivector._wrap(dict(sorted(terms.items())))
+    return Multivector._wrap(canonical(terms))

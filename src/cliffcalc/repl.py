@@ -295,6 +295,10 @@ def _check_name(name: str) -> None:
         raise CommandError(f"'{name}' is reserved and cannot be assigned")
 
 
+#: A signature count: ASCII digits, signed so that -1 reads as a negative count.
+_COUNT_RE = re.compile(r"[-+]?[0-9]+")
+
+
 def _parse_signature(tokens: list[str]) -> Signature:
     if not 1 <= len(tokens) <= 2:
         raise CommandError("usage: :signature p [q]  or  :signature inf")
@@ -304,7 +308,9 @@ def _parse_signature(tokens: list[str]) -> Signature:
             counts.append(UNBOUNDED)
             continue
         try:
-            value = int(tok)
+            if not _COUNT_RE.fullmatch(tok):
+                raise ValueError
+            value = int(tok)  # which also refuses more than 4300 digits
         except ValueError:
             raise CommandError(f"bad signature count {tok!r}") from None
         if value < 0:
@@ -388,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.signature is not None:
             session.signature = _parse_signature(
-                [t for t in args.signature.split(",") if t.strip() != ""]
+                [t.strip() for t in args.signature.split(",") if t.strip() != ""]
             )
         if args.basissep is not None:
             session.print_options = PrintOptions(basis_sep=args.basissep)

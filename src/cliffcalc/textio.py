@@ -19,8 +19,10 @@ which is why multi-digit indices render in the comma or bracket form.
 
 The ``.mv`` file format is one term per line, ``<coefficient> ; <i1> ... <ik>``
 with an empty index list for the scalar term, in canonical order; it
-round-trips exactly (coefficients written with full repr precision).  NaN
-and infinite coefficients are rejected on load.
+round-trips exactly (coefficients written with full repr precision).  Load
+reads a coefficient as an optionally signed calculator number and an index as
+ASCII digits, so NaN, infinities, ``_`` digit separators and non-ASCII digits
+are rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .blade import blade_key, index_error
-from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, tokenize
+from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, index_value, tokenize
 from .multivector import Multivector, from_scalar, sum_terms
 
 
@@ -149,6 +151,11 @@ def save(mv: Multivector, path: str | os.PathLike) -> None:
                 fh.write(f"{coeff!r} ;\n")
 
 
+# the calculator's grammar: ASCII digits, no digit separators, no inf or nan
+_COEFF_RE = re.compile(rf"[-+]?{NUMBER}")
+_INDEX_RE = re.compile(r"[0-9]+")
+
+
 def load(path: str | os.PathLike) -> Multivector:
     """Read a .mv file; an empty file is the zero multivector."""
     items: list[tuple[int, float]] = []
@@ -160,23 +167,20 @@ def load(path: str | os.PathLike) -> Multivector:
             left, sep, right = line.partition(";")
             if not sep:
                 raise MultivectorFileError("missing ';' separator", lineno)
-            try:
-                coeff = float(left.strip())
-            except ValueError:
-                raise MultivectorFileError(
-                    f"bad coefficient {left.strip()!r}", lineno
-                ) from None
+            text = left.strip()
+            if not _COEFF_RE.fullmatch(text):
+                raise MultivectorFileError(f"bad coefficient {text!r}", lineno)
+            coeff = float(text)
             if not math.isfinite(coeff):
                 raise MultivectorFileError(
-                    f"coefficient must be finite, got {left.strip()!r}", lineno
+                    f"coefficient must be finite, got {text!r}", lineno
                 )
             key = 0
             prev = 0
             for token in right.split():
-                try:
-                    index = int(token)
-                except ValueError:
-                    raise MultivectorFileError(f"bad index {token!r}", lineno) from None
+                if not _INDEX_RE.fullmatch(token):
+                    raise MultivectorFileError(f"bad index {token!r}", lineno)
+                index = index_value(token)
                 error = index_error(index, prev)
                 if error:
                     raise MultivectorFileError(error, lineno)

@@ -34,6 +34,15 @@ def test_canonicalize_applies_permutation_parity():
 def test_canonicalize_rejects_duplicates():
     with pytest.raises(ValueError):
         canonicalize([1, 2, 1])
+    with pytest.raises(ValueError, match="duplicate index 1"):
+        canonicalize([2, 1, 3, 1])
+
+
+def test_canonicalize_checks_range_before_duplicates():
+    with pytest.raises(ValueError, match="outside"):
+        canonicalize([1, 1, 70000])
+    with pytest.raises(ValueError, match="outside"):
+        canonicalize([2, 0, 2])
 
 
 @given(raw=blades(max_index=9).map(list))

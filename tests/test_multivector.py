@@ -1,16 +1,30 @@
+import math
+import os
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cliffcalc import (
     Multivector,
+    Signature,
     as_1vector,
     basis,
+    euclidean,
     from_scalar,
     from_terms,
+    grassmann,
+    kernels,
+    load,
+    parse_multivector,
+    render,
+    save,
     zero,
 )
+from cliffcalc.blade import blade_key
+from cliffcalc import products
 from tests.oracle import count_inversions
-from tests.strategies import multivectors
+from tests.strategies import FINITE_COEFFS, blades, multivectors
 
 
 def sample_x():
@@ -133,6 +147,64 @@ def test_no_stored_zero_coefficients(a):
     mv = a - a + a
     for _, coeff in mv.terms():
         assert coeff != 0.0
+
+
+def assert_canonical_terms(mv):
+    """No stored coefficient is exactly zero, and keys ascend strictly."""
+    assert all(coeff != 0.0 for _, coeff in mv.terms())
+    keys = [blade_key(blade) for blade in mv.blades()]
+    assert keys == sorted(set(keys))
+
+
+# up to 18 terms over 8 generators, so the numpy backend runs the packed
+# kernel on some products and the per-pair path on the rest; overflowing
+# float products make numpy warn, which is not what this checks
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(
+    a=multivectors(max_index=8, max_terms=18, coeffs=FINITE_COEFFS),
+    b=multivectors(max_index=8, max_terms=18, coeffs=FINITE_COEFFS),
+    s=FINITE_COEFFS,
+    sig=st.sampled_from([euclidean(), Signature(3, 1), grassmann()]),
+    raw=st.lists(st.tuples(blades(8).map(lambda b: list(reversed(b))), FINITE_COEFFS), max_size=8),
+)
+def test_every_result_stores_canonical_terms(a, b, s, sig, raw):
+    scaled = a * s
+    built = from_terms([blade for blade, _ in raw], [coeff for _, coeff in raw])
+    results = [scaled, s * b, a + b, a - b, a - a + b, built]
+    previous = kernels.active_backend()
+    try:
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            results += [products.geometric_product(a, b, sig), products.wedge(a, b),
+                        products.left_contraction(a, b, sig),
+                        products.right_contraction(a, b, sig)]
+    finally:
+        kernels.set_backend(previous)
+    if a and b:  # the kernel itself, below the cutoffs too
+        results += [products._packed(a, b, sig, kernels.FILTER_NONE),
+                    products._packed(a, b, None, kernels.FILTER_NONE),
+                    products._packed(a, b, sig, kernels.FILTER_LEFT),
+                    products._packed(a, b, sig, kernels.FILTER_RIGHT)]
+    for mv in results:
+        assert_canonical_terms(mv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.mv")
+        for mv in (a, scaled, built):
+            # sums and products of finite values may overflow, and inf
+            # does not read back
+            if all(math.isfinite(c) for _, c in mv.terms()):
+                assert_canonical_terms(parse_multivector(render(mv)))
+                save(mv, path)
+                assert_canonical_terms(load(path))
+
+
+def test_scalar_product_that_underflows_to_zero_drops_the_term():
+    x = Multivector({(1,): 1e-200}) * 1e-200
+    assert x == zero() and x.is_zero()
+    assert parse_multivector(render(x)) == x
+    mixed = Multivector({(1,): 1e-200, (2,): 3.0}) * 1e-200
+    assert mixed == Multivector({(2,): 3e-200})
+    assert parse_multivector(render(mixed)) == mixed
 
 
 # --- grade machinery ------------------------------------------------------

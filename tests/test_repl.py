@@ -195,7 +195,10 @@ def test_load_missing_file_raises_oserror(session, tmp_path):
 
 def test_command_usage_errors(session):
     for bad in (":signature", ":signature 1 2 3", ":signature x", ":basissep a b",
-                ":load", ":save x", ":load a b c"):
+                ":load", ":save x", ":load a b c",
+                # signature counts are ASCII digits, with no digit separators
+                ":signature \u0663 1_0", ":signature \u0663", ":signature 1_0", ":signature 1 \u0661",
+                ":signature " + "9" * 5000):
         with pytest.raises(CommandError):
             run_command(bad, session)
 
@@ -319,6 +322,13 @@ def test_separators_that_would_not_read_back_are_errors(session, tmp_path, capsy
 def test_main_rejects_bad_signature_flag(capsys):
     assert main(["--signature", "bogus", "--script", "x"]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["--signature", "\u0663,1_0", "--script", "x"]) == 1
+    assert "bad signature count" in capsys.readouterr().err
+
+
+def test_negative_signature_count_is_reported_as_negative(session):
+    with pytest.raises(CommandError, match="must be non-negative, got -1"):
+        run_command(":signature -1", session)
 
 
 def test_interactive_loop(monkeypatch, capsys):

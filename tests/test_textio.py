@@ -243,7 +243,11 @@ def test_load_reports_offending_line(tmp_path):
 
 def test_load_rejects_bad_lines(tmp_path):
     cases = ["1.0\n", "1.0 ; x\n", "1.0 ; 0\n", "1.0 ; 2 2\n", "1.0 ; 3 1\n",
-             "1.0 ; 65536\n", "nan ; 1\n", "inf ;\n", "-inf ; 2\n", "1e999 ; 3\n"]
+             "1.0 ; 65536\n", "nan ; 1\n", "inf ;\n", "-inf ; 2\n", "1e999 ; 3\n",
+             # the calculator's grammar: ASCII digits, no digit separators
+             "\u0663.5 ; \u0661 \u0662\n", "1_0 ; 1_2\n", "1.0 ; 1_2\n", "1.0 ; \u0661\n",
+             "\u0663 ;\n", "1.0 ; +1\n", "1.0 ; -1\n", "infinity ; 1\n", "0x1p0 ; 1\n",
+             "1.0 ; " + "1" * 5000 + "\n"]
     for body in cases:
         path = tmp_path / "bad.mv"
         path.write_text(body)
