@@ -6,7 +6,9 @@ Builds a calculator script from ``random_multivector`` literals (dimension
 of six bound variables, then prints the best-of-N microseconds per line for
 each layer on its own: ``tokenize``, ``parse_expr`` (which includes
 ``tokenize``), ``eval_expr`` on the parsed trees, and ``render`` of the
-values.  Run from the repository root:
+values.  A second table times whole lines through ``run_command`` by kind:
+literal assignments, printed binary products, powers, ``grades`` calls, and
+``:signature``/``:basissep`` commands.  Run from the repository root:
 
     python benchmarks/bench_calc.py
     python benchmarks/bench_calc.py --lines 400 --repeats 15 --seed 7
@@ -20,10 +22,13 @@ from cliffcalc import Signature, render
 from cliffcalc.exprparse import parse_expr, tokenize
 from cliffcalc.multivector import Multivector
 from cliffcalc.rand import RandomSpec, random_multivector
-from cliffcalc.repl import Session, eval_expr
+from cliffcalc.repl import Session, eval_expr, run_command
 
 NAMES = tuple(f"v{i}" for i in range(6))
 OPERATORS = ("*", "^", "_|", "|_")
+KINDS = ("literal", "binary", "power", "grades")
+COMMANDS = (":signature 3 1", ":basissep ,", ":signature inf", ":basissep",
+            ":signature 6 4", ":signature 4")
 
 
 def literal(mv) -> str:
@@ -41,8 +46,9 @@ def literal(mv) -> str:
     return " ".join(parts)
 
 
-def script(lines: int, seed: int) -> list[str]:
-    """Expression lines: about a quarter literals, the rest operations."""
+def script(lines: int, seed: int) -> list[tuple[str, str]]:
+    """(kind, line) pairs of expression lines: about a quarter literals, the
+    rest operations."""
     rng = random.Random(seed)
 
     def new_literal():
@@ -53,15 +59,15 @@ def script(lines: int, seed: int) -> list[str]:
     out = []
     for _ in range(lines):
         v, u = rng.choice(NAMES), rng.choice(NAMES)
-        kind = rng.choices(("literal", "binary", "power", "grades"), (24, 88, 12, 16))[0]
+        kind = rng.choices(KINDS, (24, 88, 12, 16))[0]
         if kind == "literal":
-            out.append(new_literal())
+            out.append((kind, new_literal()))
         elif kind == "binary":
-            out.append(f"{v} {rng.choice(OPERATORS)} {u}")
+            out.append((kind, f"{v} {rng.choice(OPERATORS)} {u}"))
         elif kind == "power":
-            out.append(f"{v} ** {rng.choice((2, 3))}")
+            out.append((kind, f"{v} ** {rng.choice((2, 3))}"))
         else:
-            out.append(f"grades({v} * {u})")
+            out.append((kind, f"grades({v} * {u})"))
     return out
 
 
@@ -91,7 +97,8 @@ def main() -> int:
     for name in NAMES:
         session.variables[name] = random_multivector(RandomSpec(
             dimension=12, max_grade=3, num_terms=rng.randint(2, 6), seed=rng.getrandbits(63)))
-    lines = script(args.lines, args.seed)
+    kinds_and_lines = script(args.lines, args.seed)
+    lines = [line for _, line in kinds_and_lines]
     trees = [parse_expr(line) for line in lines]
     values = [value for value in (eval_expr(tree, session) for tree in trees)
               if isinstance(value, Multivector)]
@@ -108,6 +115,20 @@ def main() -> int:
     )
     for name, call, items in layers:
         print(f"{name:<12}{best_per_item(call, items, args.repeats) * 1e6:>10.2f}")
+
+    # whole lines: a literal is assigned, as in a script, to a name no other
+    # line reads; commands run in a session of their own
+    by_kind = {kind: [] for kind in KINDS}
+    for kind, line in kinds_and_lines:
+        by_kind[kind].append(f"t = {line}" if kind == "literal" else line)
+    groups = [(kind, session, by_kind[kind]) for kind in KINDS]
+    groups.append(("command", Session(), list(COMMANDS)))
+    print()
+    print(f"{'run_command':<12}{'lines':>6}{'us each':>10}")
+    print("-" * 28)
+    for kind, kind_session, items in groups:
+        per_line = best_per_item(lambda line: run_command(line, kind_session), items, args.repeats)
+        print(f"{kind:<12}{len(items):>6}{per_line * 1e6:>10.2f}")
     return 0
 
 

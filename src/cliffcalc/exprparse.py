@@ -34,7 +34,10 @@ alternative per token kind, tried in this order after any whitespace:
 
 Numbers and indices take the ASCII digits ``0-9`` only, as names take ASCII
 letters, so a digit of another script (``\u0663``) is an unexpected
-character; whitespace between tokens is any Unicode whitespace.
+character; whitespace between tokens is any Unicode whitespace.  A blade
+literal's index list is checked whole, in 1..MAX_INDEX and strictly
+increasing; only a literal that fails is gone through index by index, so
+the error stands at its first bad index.
 
 The table is compiled with and without the comma form, chosen by
 ``depth != 0``: no expression has a comma outside parentheses, so
@@ -46,13 +49,16 @@ Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
 non-negative integer literal.  A number directly followed by a blade
 literal multiplies it, and a leading ``+`` is a no-op, so rendered output
 like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an expression.
+
+The AST nodes are NamedTuples, about half the cost of frozen dataclasses to
+build; like any tuples, they compare by their fields alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import lt
 from typing import NamedTuple, Union
 
 from .blade import MAX_INDEX, Blade, index_error
@@ -79,42 +85,35 @@ class Token(NamedTuple):
     text: str = ""
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class BladeLit:
+class BladeLit(NamedTuple):
     indices: Blade
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple["Expr", ...]
     pos: int = 0
@@ -133,6 +132,7 @@ NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 #: A name: a letter, then letters, digits and underscores.
 IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 
+_DIGIT_RE = re.compile(r"[0-9]")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _INDEX_DIGITS = len(str(MAX_INDEX))
 
@@ -161,8 +161,7 @@ def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending with an ``end`` token.
 
     A ``number`` token carries its float, a ``blade`` token its canonical
-    index tuple; each index is checked with :func:`cliffcalc.blade.index_error`
-    and a bad one is reported at its own position.
+    index tuple, checked by :func:`_check_indices`.
     """
     tokens: list[Token] = []
     pos = 0
@@ -185,13 +184,14 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("number", value, start, text))
         elif kind == "ident":
             tokens.append(Token("ident", text, start))
-        elif kind == "run" and "," not in text:
-            indices = [(int(d), start + 2 + k) for k, d in enumerate(text[2:])]
-            tokens.append(_blade_token(source, start, pos, indices))
-        elif kind in ("run", "bracket"):
-            indices = [(index_value(g.group()), g.start())
-                       for g in _DIGITS_RE.finditer(source, start, pos)]
-            tokens.append(_blade_token(source, start, pos, indices))
+        elif kind == "run" or kind == "bracket":
+            if kind == "run" and "," not in text:  # one index per digit
+                digits, indices = _DIGIT_RE, tuple(map(int, text[2:]))
+            else:
+                digits = _DIGITS_RE
+                indices = tuple(map(index_value, digits.findall(source, start, pos)))
+            _check_indices(indices, digits, source, start, pos)
+            tokens.append(Token("blade", indices, start, text))
         elif kind == "zero":
             tokens.append(Token("number", 0.0, start, text))
         elif kind == "end":
@@ -218,15 +218,21 @@ def index_value(digits: str) -> int | str:
     return int(digits or "0")
 
 
-def _blade_token(source: str, start: int, end: int, indices: list[tuple[int | str, int]]) -> Token:
-    """The blade token for ``source[start:end]`` from (index, position) pairs."""
+def _check_indices(indices: tuple[int | str, ...], digits: re.Pattern[str],
+                   source: str, start: int, end: int) -> None:
+    """Check a blade literal's indices at once; only a bad literal goes through
+    them, raising at the ``digits`` match of the first that ``index_error`` rejects."""
+    try:
+        if all(map(lt, (0, *indices), (*indices, MAX_INDEX + 1))):
+            return
+    except TypeError:  # an index_value str: too many digits
+        pass
     prev = 0
-    for index, pos in indices:
+    for index, match in zip(indices, digits.finditer(source, start, end)):
         error = index_error(index, prev)
         if error:
-            raise ExpressionSyntaxError(error, pos)
+            raise ExpressionSyntaxError(error, match.start())
         prev = index
-    return Token("blade", tuple(index for index, _ in indices), start, source[start:end])
 
 
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")
@@ -266,8 +272,7 @@ class _Parser:
             if tok.value == "**":
                 left = Pow(left, self.power_exponent())
             else:
-                right = self.expression(prec + 1)
-                left = BinOp(tok.value, left, right)
+                left = BinOp(tok.value, left, self.expression(prec + 1))
 
     def power_exponent(self) -> int:
         tok = self.peek()
@@ -293,13 +298,9 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "number":
-            num = Num(tok.value)
-            # juxtaposed coefficient, as in rendered output: 2e_1, 4e[1,10]
-            nxt = self.peek()
-            if nxt.kind == "blade":
-                self.advance()
-                return BinOp("*", num, BladeLit(nxt.value))
-            return num
+            if self.peek().kind == "blade":  # juxtaposed, as rendered: 2e_1, 4e[1,10]
+                return BinOp("*", Num(tok.value), BladeLit(self.advance().value))
+            return Num(tok.value)
         if tok.kind == "blade":
             return BladeLit(tok.value)
         if tok.kind == "ident":
@@ -311,9 +312,7 @@ class _Parser:
             inner = self.expression(0)
             self.expect_op(")")
             return inner
-        raise ExpressionSyntaxError(
-            f"unexpected {_describe(tok)}", tok.pos, _ATOM_EXPECTED
-        )
+        raise ExpressionSyntaxError(f"unexpected {_describe(tok)}", tok.pos, _ATOM_EXPECTED)
 
     def call(self, name_tok: Token) -> Call:
         self.advance()  # '('

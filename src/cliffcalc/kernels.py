@@ -75,7 +75,9 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
     # parity & b is a negative sign, and dead & b a generator squaring to 0
     parity, dead = sign_factors(keys_a, pos_mask, neg_mask, PACK_LIMIT)
     odd = np.bitwise_count(parity[:, None] & kb) & 1
-    coeffs = (1 - 2 * odd.view(np.int8)) * coeffs_a[:, None] * coeffs_b[None, :]
+    # a product that overflows is inf, without a warning, as in the per-pair path
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (1 - 2 * odd.view(np.int8)) * coeffs_a[:, None] * coeffs_b[None, :]
 
     keep = (dead[:, None] & kb) == 0
     if filter_mode == FILTER_LEFT:

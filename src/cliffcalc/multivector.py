@@ -49,8 +49,10 @@ class Multivector:
 
         Only builders that keep the order and cannot make a zero skip
         :func:`canonical`: ``__neg__``, ``grade_part``, :func:`basis`,
-        :func:`from_scalar` and the packed kernel's output in
-        :func:`cliffcalc.products._packed`.
+        :func:`from_scalar`, the packed kernel's output in
+        :func:`cliffcalc.products._packed` and the calculator's one-term
+        literals in :func:`cliffcalc.repl.eval_expr`; scalar ``__mul__``
+        keeps the order and drops its own underflowed zeros.
         """
         mv = object.__new__(cls)
         mv._terms = terms
@@ -126,8 +128,10 @@ class Multivector:
             raise ValueError(f"scalar must be finite, got {s!r}")
         if s == 0.0:
             return Multivector._wrap({})
-        # c * s can underflow to 0.0
-        return Multivector._wrap(canonical({key: c * s for key, c in self._terms.items()}))
+        # c * s can underflow to 0.0; the keys keep their order
+        return Multivector._wrap(
+            {key: v for key, c in self._terms.items() if (v := c * s)}
+        )
 
     __rmul__ = __mul__
 

@@ -92,8 +92,11 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
         raise TypeError(f"exponent must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"exponent must be non-negative, got {k}")
-    result = from_scalar(1.0)
-    for _ in range(k):
+    if k == 0:
+        return from_scalar(1.0)
+    # 1 * a is a itself: the scalar key's sign is +1 and 1.0 * c == c
+    result = a
+    for _ in range(k - 1):
         result = geometric_product(result, a, sig)
     return result
 

@@ -41,7 +41,8 @@ from .exprparse import (
     parse_expr,
 )
 from .metric import UNBOUNDED, Signature, euclidean
-from .multivector import Multivector, basis, from_scalar
+from .blade import blade_key
+from .multivector import Multivector, basis, canonical, from_scalar
 from .products import (
     geometric_product,
     left_contraction,
@@ -100,39 +101,67 @@ Value = Multivector | GradesResult
 
 def eval_expr(expr: Expr, session: Session) -> Value:
     """Evaluate an AST bottom-up against the session state."""
-    if isinstance(expr, Num):
-        return from_scalar(expr.value)
-    if isinstance(expr, BladeLit):
-        return Multivector({expr.indices: 1.0})
+    # the most frequent nodes first: every literal term is a BinOp
+    if isinstance(expr, BinOp):
+        op, left, right = expr
+        if op in ("+", "-"):
+            return _sum_chain(expr, session)
+        if op == "*" and type(left) is Num and type(right) is BladeLit:
+            # a literal term such as 3e_12: the scalar key's sign is +1 under
+            # every signature and c * 1.0 * 1 == c, so this is the product
+            c = left.value
+            return Multivector._wrap({blade_key(right.indices): c} if c else {})
+        left = _want_mv(eval_expr(left, session), f"'{op}'")
+        right = _want_mv(eval_expr(right, session), f"'{op}'")
+        if op == "*":
+            return geometric_product(left, right, session.signature)
+        if op == "^":
+            return wedge(left, right)
+        if op == "_|":
+            return left_contraction(left, right, session.signature)
+        if op == "|_":
+            return right_contraction(left, right, session.signature)
+        raise EvalError(f"unknown operator '{op}'")
     if isinstance(expr, Var):
         try:
             return session.variables[expr.name]
         except KeyError:
             raise EvalError(f"unbound variable '{expr.name}'", expr.pos) from None
+    if isinstance(expr, Num):
+        return from_scalar(expr.value)
+    if isinstance(expr, BladeLit):
+        return Multivector._wrap({blade_key(expr.indices): 1.0})  # the lexer checked it
     if isinstance(expr, Neg):
         return -_want_mv(eval_expr(expr.operand, session), "unary '-'")
     if isinstance(expr, Pow):
         base = _want_mv(eval_expr(expr.base, session), "'**'")
         return power(base, expr.exponent, session.signature)
-    if isinstance(expr, BinOp):
-        left = _want_mv(eval_expr(expr.left, session), f"'{expr.op}'")
-        right = _want_mv(eval_expr(expr.right, session), f"'{expr.op}'")
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return geometric_product(left, right, session.signature)
-        if expr.op == "^":
-            return wedge(left, right)
-        if expr.op == "_|":
-            return left_contraction(left, right, session.signature)
-        if expr.op == "|_":
-            return right_contraction(left, right, session.signature)
-        raise EvalError(f"unknown operator '{expr.op}'")
     if isinstance(expr, Call):
         return _call(expr, session)
     raise EvalError(f"cannot evaluate {expr!r}")
+
+
+def _sum_chain(expr: BinOp, session: Session) -> Multivector:
+    """A left-associative chain of ``+`` and ``-`` as one sum.
+
+    The operands are evaluated left to right, as the nested ``+`` and ``-``
+    would, and their terms added into one accumulator (negated after a
+    ``-``) that goes through :func:`~cliffcalc.multivector.canonical` once;
+    its docstring gives why that equals adding pair by pair.
+    """
+    chain = []  # (sign, operator, operand), rightmost first
+    while type(expr) is BinOp and expr.op in ("+", "-"):
+        chain.append((-1.0 if expr.op == "-" else 1.0, expr.op, expr.right))
+        expr = expr.left
+    # the first operand is added, and named with the first operator
+    chain.append((1.0, chain[-1][1], expr))
+    acc: dict[int, float] = {}
+    get = acc.get
+    for sign, op, operand in reversed(chain):
+        value = _want_mv(eval_expr(operand, session), f"'{op}'")
+        for key, c in value._terms.items():
+            acc[key] = get(key, 0.0) + sign * c
+    return Multivector._wrap(canonical(acc))
 
 
 def _want_mv(value: Value, where: str) -> Multivector:
@@ -224,8 +253,12 @@ def run_command(line: str, session: Session) -> str | None:
     return render(value, session.print_options)
 
 
+_ASSIGNMENT_RE = re.compile(rf"({IDENT})\s*=\s*(.*)$")
+_NAME_RE = re.compile(IDENT)
+
+
 def _split_assignment(text: str) -> tuple[str | None, str, int]:
-    m = re.match(rf"({IDENT})\s*=\s*(.*)$", text)
+    m = _ASSIGNMENT_RE.match(text)
     if not m:
         return None, text, 0
     rhs = m.group(2)
@@ -248,11 +281,19 @@ def _eval_source(source: str, session: Session, offset: int) -> Value:
         raise
 
 
+#: A word of a command line without quotes or backslashes: shlex.split
+#: splits such a line on its whitespace, space, tab, CR and LF, only.
+_WORD_RE = re.compile(r"[^ \t\r\n]+")
+
+
 def _command(text: str, session: Session) -> str | None:
-    try:
-        words = shlex.split(text)
-    except ValueError as err:
-        raise CommandError(f"bad command syntax: {err}") from None
+    if "'" in text or '"' in text or "\\" in text:
+        try:
+            words = shlex.split(text)
+        except ValueError as err:
+            raise CommandError(f"bad command syntax: {err}") from None
+    else:
+        words = _WORD_RE.findall(text)
     cmd, args = words[0], words[1:]
     if cmd == ":quit":
         raise QuitRequested()
@@ -289,7 +330,7 @@ def _command(text: str, session: Session) -> str | None:
 
 
 def _check_name(name: str) -> None:
-    if not re.fullmatch(IDENT, name):
+    if not _NAME_RE.fullmatch(name):
         raise CommandError(f"invalid variable name '{name}'")
     if name in RESERVED_NAMES:
         raise CommandError(f"'{name}' is reserved and cannot be assigned")

@@ -31,8 +31,9 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .blade import blade_key, index_error
+from .blade import blade_key, index_error, key_blade
 from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, index_value, tokenize
 from .multivector import Multivector, from_scalar, sum_terms
 
@@ -69,30 +70,50 @@ DEFAULT_OPTIONS = PrintOptions()
 
 def format_coefficient(c: float) -> str:
     """Minimal decimal form: integral values drop the trailing .0."""
-    if math.isfinite(c) and c == int(c) and abs(c) < 1e16:
+    if c.is_integer() and -1e16 < c < 1e16:  # is_integer() is False on inf and nan
         return str(int(c))
     return repr(c)
 
 
 def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
-    """One-line canonical rendering of a multivector."""
-    if mv.is_zero():
+    """One-line canonical rendering of a multivector.
+
+    A blade's text comes from :func:`_blade_text`, a bounded cache keyed by
+    (blade key, separator).  Only keys of at most 64 bits, indices up to 64,
+    go into it, so an entry stays under ~0.4 KiB and a full cache of 4096
+    under ~1.5 MiB; short blades take ~0.2 KiB each.
+    """
+    terms = mv._terms
+    if not terms:
         return ZERO_FORM
-    terms = list(mv.terms())
-    if len(terms) == 1 and terms[0][0] == ():
-        return f"scalar ( {format_coefficient(terms[0][1])} )"
+    if len(terms) == 1 and 0 in terms:
+        return f"scalar ( {format_coefficient(terms[0])} )"
     sep = opts.basis_sep
-    parts = []
-    for blade, coeff in terms:
-        sign = "-" if coeff < 0 else "+"
-        magnitude = format_coefficient(abs(coeff))
-        if not blade:
-            parts.append(f"{sign} {magnitude}")
-        elif blade[-1] > 9 and (not sep or len(blade) == 1):
-            parts.append(f"{sign} {magnitude}e[{', '.join(map(str, blade))}]")
-        else:
-            parts.append(f"{sign} {magnitude}e_{sep.join(map(str, blade))}")
-    return " ".join(parts)
+    return " ".join([
+        f"{'-' if coeff < 0 else '+'} {format_coefficient(abs(coeff))}"
+        f"{_blade_text(key, sep) if key < _CACHED_KEYS else _blade_form(key, sep)}"
+        for key, coeff in terms.items()
+    ])
+
+
+#: Keys below this, of at most 64 bits, have their text cached.
+_CACHED_KEYS = 1 << 64
+
+
+def _blade_form(key: int, sep: str) -> str:
+    """How a blade key prints after its coefficient; empty for the scalar."""
+    if not key:
+        return ""
+    blade = key_blade(key)
+    if blade[-1] > 9 and (not sep or len(blade) == 1):
+        return f"e[{', '.join(map(str, blade))}]"
+    return f"e_{sep.join(map(str, blade))}"
+
+
+# A script prints the same blades over and over; 4096 entries hold the
+# 2,000-2,200 distinct (key, separator) pairs of a perfbench calc_script
+# replay, ~0.45 MiB.
+_blade_text = lru_cache(maxsize=4096)(_blade_form)
 
 
 _SCALAR_FORM_RE = re.compile(rf"scalar \( (-?{NUMBER}) \)")

@@ -438,3 +438,30 @@ def test_sums_that_cancel_or_underflow_match_the_oracles_bit_for_bit(restore_bac
         seen_revived |= revived
         seen_underflow |= underflow
     assert seen_revived and seen_underflow
+
+
+@pytest.mark.parametrize("left_terms", [6, 7], ids=["per-pair", "kernel"])
+def test_overflowing_products_neither_warn_nor_differ_between_backends(restore_backend, left_terms):
+    # 1e300 * 1e300 overflows to inf and inf - inf is nan: both paths keep
+    # them silently, so a warnings filter set to error changes neither
+    import math
+    import warnings
+
+    from cliffcalc import products
+
+    a = Multivector({(i,): 1e300 for i in range(1, left_terms + 1)})
+    b = Multivector({(i,): 1e300 for i in range(1, 9)})
+    assert (a.num_terms() * b.num_terms() > products._SMALL_PAIRS) == (left_terms == 7)
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            results.append(list(geometric_product(a, b, Signature(8)).terms()))
+    numpy_terms, python_terms = results
+    # the scalar, and every e_ij with i <= left_terms (nan when j <= left_terms too)
+    assert len(numpy_terms) == len(python_terms) == 1 + math.comb(8, 2) - math.comb(8 - left_terms, 2)
+    assert any(math.isnan(c) for _, c in numpy_terms) and any(math.isinf(c) for _, c in numpy_terms)
+    for (blade_n, c_n), (blade_p, c_p) in zip(numpy_terms, python_terms):
+        assert blade_n == blade_p
+        assert c_n == c_p or (math.isnan(c_n) and math.isnan(c_p))
