@@ -11,9 +11,16 @@ pairs and the kernel above.  Run from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
+    python benchmarks/bench_products.py --json BENCH_products.json
+
+``--json PATH`` also writes the sweep, in microseconds per cell, with the
+machine and the Python and NumPy versions.
 """
 
 import argparse
+import json
+import os
+import platform
 import time
 
 import numpy as np
@@ -76,6 +83,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,24,32,128,512", help="comma-separated term counts")
     parser.add_argument("--repeats", type=int, default=9, help="timed repetitions per cell")
+    parser.add_argument("--json", metavar="PATH", help="also write the sweep as JSON to PATH")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
@@ -87,6 +95,7 @@ def main() -> int:
     header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in columns)
     print(header)
     print("-" * len(header))
+    rows = []
     for size in sizes:
         a = build(size, seed=2 * size)
         b = build(size, seed=2 * size + 1)
@@ -103,6 +112,24 @@ def main() -> int:
         row += "".join(f"{t * 1e6:>12.1f}us" for t in timings.values())
         row += f"   numpy {timings['python'] / timings['numpy']:.1f}x vs python"
         print(row)
+        rows.append({"terms": a.num_terms(), "pairs": pairs,
+                     "us": {name: round(t * 1e6, 1) for name, t in timings.items()}})
+    if args.json:
+        record = {
+            "benchmark": "bench_products",
+            "signature": f"Cl({SIG.p},{SIG.q})",
+            "dimension": 10,
+            "repeats": args.repeats,
+            "timing": "best of the repeats after one warm-up call, microseconds",
+            "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                        "cpus": os.cpu_count()},
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "rows": rows,
+        }
+        with open(args.json, "w") as out:
+            json.dump(record, out, indent=2)
+            out.write("\n")
     return 0
 
 

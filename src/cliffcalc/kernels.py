@@ -17,8 +17,13 @@ kernel that, for every term pair (a, b):
 * optionally drops pairs failing a contraction grade filter (left keeps
   a ⊆ b, right keeps b ⊆ a),
 
-then accumulates coefficients per result key in pair order from 0.0 and
-prunes exact zeros; keys come out ascending.
+then accumulates coefficients per result key in pair order from +0.0 and
+drops the sums that are exactly zero; keys come out ascending.  A pair whose
+product is ±0.0 is summed like any other, since it changes no sum.
+
+Each thread keeps the kernel's three pair tables (float64, uint64, uint8)
+between calls for products of up to ``_HELD_PAIRS`` term pairs, so a call
+writes into memory already mapped; every returned array is a copy.
 
 Backend selection: the ``CLIFFCALC_BACKEND`` environment variable may be set
 to ``numpy`` (the default) or ``python`` (skip the packed kernel entirely;
@@ -29,6 +34,7 @@ also what any product with indices above 64 uses).
 from __future__ import annotations
 
 import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +49,12 @@ PACK_LIMIT = 64
 FILTER_NONE = 0  # falsy: products tests ``if filter_mode`` for a contraction
 FILTER_LEFT = 1
 FILTER_RIGHT = 2
+
+#: Term pairs up to which each thread keeps its kernel tables between calls
+#: (17 bytes a pair: 17 MiB); a larger product allocates its tables per call.
+_HELD_PAIRS = 1 << 20
+
+_held = threading.local()
 
 _ENV_VAR = "CLIFFCALC_BACKEND"
 _BACKENDS = ("numpy", "python")
@@ -66,33 +78,67 @@ def dense_bins(keys_a, keys_b) -> int:
     return bins if bins <= max(1024, 2 * keys_a.size * keys_b.size) else 0
 
 
+def _tables(pairs: int):
+    """(float64, uint64, uint8) scratch arrays of ``pairs`` elements each.
+
+    Up to ``_HELD_PAIRS`` pairs they are slices of this thread's held
+    buffers, which grow only when a call needs more than they hold.
+    """
+    held = getattr(_held, "tables", None)
+    if held is None or held[0].size < pairs:
+        held = (np.empty(pairs), np.empty(pairs, np.uint64), np.empty(pairs, np.uint8))
+        if pairs <= _HELD_PAIRS:
+            _held.tables = held
+    return tuple(table[:pairs] for table in held)
+
+
 def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode):
     """Product table over all term pairs, summed per result key."""
-    ka = keys_a[:, None]
+    na, nb = keys_a.size, keys_b.size
+    if na * nb == 0:
+        return np.empty(0, np.uint64), np.empty(0)
+    # the tables may be held buffers: every array returned is a copy
+    coeffs, table, count = (t.reshape(na, nb) for t in _tables(na * nb))
     kb = keys_b[None, :]
 
     # the per-pair path's sign rule, one row per left key: an odd popcount of
-    # parity & b is a negative sign, and dead & b a generator squaring to 0
+    # parity & b is a negative sign, and dead & b a generator squaring to 0.
+    # The sign is the popcount's low bit shifted to the float's sign bit;
+    # negation is exact, so this is s * (a * b) == (s * a) * b bit for bit.
     parity, dead = sign_factors(keys_a, pos_mask, neg_mask, PACK_LIMIT)
-    odd = np.bitwise_count(parity[:, None] & kb) & 1
     # a product that overflows is inf, without a warning, as in the per-pair path
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = (1 - 2 * odd.view(np.int8)) * coeffs_a[:, None] * coeffs_b[None, :]
+        np.multiply(coeffs_a[:, None], coeffs_b[None, :], out=coeffs)
+    np.bitwise_and(parity[:, None], kb, out=table)
+    np.bitwise_count(table, out=count)
+    np.left_shift(count, 63, out=table, dtype=np.uint64)
+    bits = coeffs.view(np.uint64)
+    np.bitwise_xor(bits, table, out=bits)
 
-    keep = (dead[:, None] & kb) == 0
-    if filter_mode == FILTER_LEFT:
-        keep &= (ka & ~kb) == 0
-    elif filter_mode == FILTER_RIGHT:
-        keep &= (kb & ~ka) == 0
-    keep &= coeffs != 0.0
-    flat_keys = (ka ^ kb)[keep]
-    flat_coeffs = coeffs[keep]
-    if flat_keys.size == 0:
-        return flat_keys, flat_coeffs
+    # a pair is kept when b & mask == want, as in the per-pair path, with the
+    # dead pairs folded in (dead is a subset of a): left keeps a ⊆ b, right
+    # b ⊆ a, and only a dead generator or a filter drops anything
+    keep = None
+    if filter_mode or dead.any():
+        mask, want = dead, 0
+        if filter_mode == FILTER_LEFT:
+            mask, want = keys_a ^ dead, keys_a[:, None]
+        elif filter_mode == FILTER_RIGHT:
+            mask = ~keys_a | dead
+        np.bitwise_and(mask[:, None], kb, out=table)
+        keep = np.equal(table, want, out=count.view(np.bool_))
+    np.bitwise_xor(keys_a[:, None], kb, out=table)
+    if keep is None:
+        flat_keys, flat_coeffs = table.ravel(), coeffs.ravel()
+    else:
+        flat_keys, flat_coeffs = table[keep], coeffs[keep]
+        if flat_keys.size == 0:
+            return flat_keys, flat_coeffs
 
     # one bin per possible key while that is cheap, else one per distinct
     # key; a key below the bin count reads as the same int64, so it is its own
-    # bin index without a copy
+    # bin index without a copy.  bincount sums each bin in pair order from
+    # +0.0, which a ±0.0 term never changes, so no zero pair is dropped first
     bins = dense_bins(keys_a, keys_b)
     if bins:
         keys, index = np.arange(bins, dtype=np.uint64), flat_keys.view(np.int64)

@@ -41,28 +41,31 @@ from .multivector import Multivector, canonical, from_scalar
 # Geometric products of at most this many term pairs take the per-pair path.
 # On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a median 23.4k
 # ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and 23.0k against
-# 18.0k for 16 over 4 other seeds.  Since the sign factors are taken per left
-# key, one geometric product at a time in dimension 6 (2 CPUs, NumPy 2.4)
-# breaks even at ~81 pairs (Euclidean) to ~130-200 (Cl(3,1), Grassmann), but
-# no workload has products of 49-80 pairs to confirm more.
+# 18.0k for 16 over 4 other seeds.  One geometric product at a time against
+# the kernel with held tables (2 CPUs, NumPy 2.4), per-pair over kernel time,
+# median of 6 operand pairs, is 0.3-0.6 at 49 pairs and breaks even at ~100
+# pairs (Euclidean in dimension 6, Cl(6,4) in dimension 10), ~196 (Cl(3,1))
+# and above 196 (Grassmann); small tables cost the kernel what they did before
+# it held them.  No workload has products of 49-200 pairs to confirm more.
 _SMALL_PAIRS = 48
 
 # The same for the contractions, whose filter drops most pairs before the
 # sign.  One product at a time (random operands of grade <= 5, 2 CPUs, NumPy
-# 2.4), per-pair over kernel time, median of 6 operand pairs, is 0.4 at 81
-# pairs, 0.8-0.9 at 256 and 1.1-1.3 at 400 in dimension 6 (Euclidean), and
-# 0.25-0.35, 0.55-0.7 and 0.8-0.95 in dimension 10.  On perfbench
+# 2.4), per-pair over kernel time, median of 6 operand pairs, is 0.3-0.4 at
+# 81 pairs, 0.75-0.9 at 256 and 1.0-1.3 at 400 in dimension 6 (Euclidean),
+# and 0.25-0.35, 0.55-0.7 and 0.7-0.95 in dimension 10, against the kernel
+# before and after it held its tables.  On perfbench
 # small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
 # 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against 384
 # over seeds 27-30 won 3 of 4.
 _SMALL_CONTRACTION_PAIRS = 256
 
 # The same for the wedge, which drops overlapping pairs before the sign.
-# Measured as above, per-pair over kernel time is 0.5 at 81 pairs, 0.6 at
-# 144, 0.8-0.9 at 169-225 and 1.0 at 256 in dimension 6, and 0.6, 0.8,
-# 0.85-0.9, 1.15 and 1.25 in dimension 10: 144 is the largest size where
-# per-pair is clearly ahead in both.  perfbench small_identities' wedges have
-# 49-81 pairs.
+# Measured as above, per-pair over kernel time is 0.4-0.5 at 81 pairs,
+# 0.55-0.6 at 144, 0.75-0.9 at 169-225 and 0.9-1.0 at 256 in dimension 6, and
+# 0.5-0.6, 0.8, 0.85-0.95 and 1.15 in dimension 10, against the kernel before
+# and after it held its tables: 144 is the largest size where per-pair is
+# clearly ahead in both.  perfbench small_identities' wedges have 49-81 pairs.
 _SMALL_WEDGE_PAIRS = 144
 
 

@@ -465,3 +465,190 @@ def test_overflowing_products_neither_warn_nor_differ_between_backends(restore_b
     for (blade_n, c_n), (blade_p, c_p) in zip(numpy_terms, python_terms):
         assert blade_n == blade_p
         assert c_n == c_p or (math.isnan(c_n) and math.isnan(c_p))
+
+
+def kernel_operands(mv):
+    return (
+        np.fromiter(mv._terms, np.uint64, mv.num_terms()),
+        np.fromiter(mv._terms.values(), np.float64, mv.num_terms()),
+    )
+
+
+def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
+    pos, neg = region_masks(sig) if sig is not None else (0, 0)
+    return pair_table_numpy(
+        *kernel_operands(a), *kernel_operands(b), np.uint64(pos), np.uint64(neg), filter_mode
+    )
+
+
+def dimension_10(num_terms, seed, scale=0.3):
+    from cliffcalc.rand import RandomSpec, random_multivector
+
+    spec = RandomSpec(dimension=10, max_grade=5, num_terms=num_terms, include_fewer=True, seed=seed)
+    return random_multivector(spec) * scale
+
+
+def same_arrays(first, second):
+    """Equal keys and coefficients, compared bit for bit."""
+    return all(
+        x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        for x, y in zip(first, second)
+    )
+
+
+def held_tables():
+    return kernels._held.tables
+
+
+def test_a_kernel_result_is_unchanged_by_later_products():
+    a, b = dimension_10(300, 1), dimension_10(200, 2)
+    first = kernel_call(a, b)
+    saved = tuple(array.copy() for array in first)
+    kernel_call(dimension_10(300, 3), dimension_10(200, 4))  # the same size
+    kernel_call(dimension_10(512, 5), dimension_10(512, 6))  # a larger size
+    kernel_call(dimension_10(300, 3), dimension_10(200, 4), None)  # the wedge
+    assert same_arrays(first, saved)
+    assert same_arrays(kernel_call(a, b), saved)
+
+
+def test_kernel_results_share_no_memory_with_the_held_tables():
+    # every return path: dense and sparse bins, with and without a mask, an
+    # empty result after the mask and one after every sum cancels
+    wide = float_multivector(np.random.default_rng(30), np.r_[1:5, 61:65], 12)
+    cases = [
+        (dimension_10(200, 7), dimension_10(100, 8), Signature(6, 4), FILTER_NONE),
+        (dimension_10(200, 7), dimension_10(100, 8), None, FILTER_NONE),
+        (dimension_10(200, 7), dimension_10(100, 8), Signature(6, 4), FILTER_LEFT),
+        (wide, wide, euclidean(), FILTER_NONE),
+        (Multivector({(): 2.0}), wide, euclidean(), FILTER_NONE),  # no two pairs share a key
+        (wide, wide, euclidean(), FILTER_RIGHT),
+        (Multivector({(1, 2): 1.0}), Multivector({(1,): 1.0}), euclidean(), FILTER_LEFT),
+        (*null_products(), Signature(6, 4), FILTER_NONE),
+    ]
+    for a, b, sig, filter_mode in cases:
+        returned = kernel_call(a, b, sig, filter_mode)
+        for array in returned:
+            for table in held_tables():
+                assert not np.shares_memory(array, table)
+    assert returned[0].size == 0
+
+
+def test_threads_running_mixed_sizes_get_the_serial_results():
+    import sys
+    import threading
+
+    sizes = (40, 96, 200, 350, 512)
+    operands = [(dimension_10(n, 40 + n), dimension_10(n, 41 + n, -0.7)) for n in sizes]
+    serial = [kernel_call(a, b) for a, b in operands]
+    mismatches = []
+    start = threading.Barrier(3)
+
+    def worker(offset):
+        start.wait(timeout=10)
+        for step in range(12):
+            k = (offset + step * (offset + 1)) % len(operands)
+            if not same_arrays(kernel_call(*operands[k]), serial[k]):
+                mismatches.append((offset, step, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_products_above_the_held_limit_are_correct_and_not_held(restore_backend, monkeypatch):
+    import threading
+
+    from cliffcalc import products
+
+    monkeypatch.setattr(kernels, "_HELD_PAIRS", 64 * 64)
+    monkeypatch.setattr(kernels, "_held", threading.local())
+    small = (dimension_10(64, 50), dimension_10(60, 51))
+    large = (dimension_10(120, 52), dimension_10(100, 53))
+    kernel_call(*small)
+    before = held_tables()
+    for a, b in (large, small, large):
+        # every product runs the kernel, the small one inside the limit
+        assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+        assert_backends_agree_exactly(a, b, Signature(6, 4))
+        assert all(table.size <= 64 * 64 for table in held_tables())
+    assert all(x is y for x, y in zip(held_tables(), before))
+
+
+def null_products():
+    """a, b with a b == 0 term by term: a = n X and b = n Y for the null
+    vector n = e_1 + e_7 of Cl(6,4), so every sum cancels exactly."""
+    n = Multivector({(1,): 1.0, (7,): 1.0})
+    x = Multivector({(2,): 1.5, (3, 4): -2.0, (5,): 0.5, (2, 6, 8): 3.0, (9, 10): -1.0, (): 2.0, (4,): 4.0})
+    y = Multivector({(3,): 2.0, (2, 5): 0.25, (6, 9): -3.0, (): -1.0, (8, 10): 1.0, (4, 5, 6): 6.0, (10,): -0.5})
+    sig = Signature(6, 4)
+    return geometric_product(n, x, sig), geometric_product(n, y, sig)
+
+
+def coefficient_bits(terms):
+    return [(blade, int(np.float64(c).view(np.uint64))) for blade, c in terms]
+
+
+def test_the_unmasked_kernel_matches_the_python_backend_bit_for_bit(restore_backend):
+    # Cl(6,4) has no generator squaring to 0, so its geometric product keeps
+    # every pair and bincount reads the whole table: pair products that
+    # underflow to ±0.0 (1e-200 * 1e-200) are summed, and sums that cancel
+    # are dropped at the end, as in the per-pair path
+    from cliffcalc import products
+
+    sig = Signature(6, 4)
+    rng = np.random.default_rng(31)
+    indices = np.arange(1, 11)
+    seen_underflow = seen_cancelled = False
+    for _ in range(6):
+        a = float_multivector(rng, indices, 20, CANCELLING)
+        b = float_multivector(rng, indices, 20, CANCELLING)
+        assert a.num_terms() * b.num_terms() > products._SMALL_PAIRS
+        kernels.set_backend("numpy")
+        packed = list(geometric_product(a, b, sig).terms())
+        kernels.set_backend("python")
+        per_pair = list(geometric_product(a, b, sig).terms())
+        assert coefficient_bits(packed) == coefficient_bits(per_pair)
+        seen_underflow |= any(ca * cb == 0.0 for _, ca in a.terms() for _, cb in b.terms())
+        reached = np.unique(np.bitwise_xor.outer(kernel_operands(a)[0], kernel_operands(b)[0]))
+        seen_cancelled |= len(packed) < reached.size
+    assert seen_underflow and seen_cancelled
+
+    a, b = null_products()
+    assert a.num_terms() * b.num_terms() > products._SMALL_PAIRS
+    keys, coeffs = kernel_call(a, b, sig)
+    assert keys.size == 0 and coeffs.size == 0
+    for backend in ("numpy", "python"):
+        kernels.set_backend(backend)
+        assert geometric_product(a, b, sig).is_zero()
+
+
+def test_the_unmasked_kernel_overflows_like_the_python_backend(restore_backend):
+    import math
+
+    sig = Signature(6, 4)
+    rng = np.random.default_rng(32)
+    huge = (1e300, -1e300, 1e200, 3.0, -0.5)
+    for _ in range(4):
+        a = float_multivector(rng, np.arange(1, 11), 12, huge)
+        b = float_multivector(rng, np.arange(1, 11), 12, huge)
+        results = []
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            results.append(list(geometric_product(a, b, sig).terms()))
+        packed, per_pair = results
+        assert [blade for blade, _ in packed] == [blade for blade, _ in per_pair]
+        assert any(math.isinf(c) for _, c in packed)
+        for (_, c_n), (_, c_p) in zip(packed, per_pair):
+            # a NaN's sign bit may differ between the two paths
+            assert math.isnan(c_n) == math.isnan(c_p)
+            if not math.isnan(c_n):
+                assert np.float64(c_n).view(np.uint64) == np.float64(c_p).view(np.uint64)
