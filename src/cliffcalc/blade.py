@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 # generator_square is not used here; perfbench/spans.py patches it by name
 from .metric import Signature, generator_square, signature_masks  # noqa: F401
 
@@ -103,6 +105,11 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
     return SignedBlade(sign, key_blade(key))
 
 
+#: Int keys below this bound (indices up to 12) read their prefix parity from
+#: a table, :data:`_PREFIX_PARITY`.
+_PREFIX_BOUND = 1 << 12
+
+
 def sign_factors(a, pos, neg, width: int):
     """(parity, dead): the masks that give the sign of ``a`` times any blade.
 
@@ -112,15 +119,27 @@ def sign_factors(a, pos, neg, width: int):
     to -1; ``dead`` holds those squaring to 0.  ``pos``/``neg`` mark the
     generators squaring to +1/-1 (see
     :func:`~cliffcalc.metric.signature_masks`); 0 and 0 give the wedge.
-    ``width`` bounds the bit length of ``a``.  Works elementwise on numpy
-    uint64 arrays too, which is how the packed kernel takes the same sign.
+    ``width`` bounds the bit length of ``a``.  An int key below
+    ``_PREFIX_BOUND`` reads its prefix parity from a table; wider keys, and
+    numpy uint64 arrays (elementwise, which is how the packed kernel takes
+    the same sign), take one shift-xor round per doubling of ``width``.
     """
-    parity = a >> 1
-    shift = 1
-    while shift < width:
-        parity ^= parity >> shift
-        shift <<= 1
+    if type(a) is int and a < _PREFIX_BOUND:
+        parity = _PREFIX_PARITY[a]
+    else:
+        parity = a >> 1
+        shift = 1
+        while shift < width:
+            parity ^= parity >> shift
+            shift <<= 1
     return parity ^ (a & neg), a & ~(pos | neg)
+
+
+#: The prefix parity of every key below ``_PREFIX_BOUND``, taken by the
+#: shift-xor rounds of :func:`sign_factors` on an array of those keys.
+_PREFIX_PARITY = tuple(
+    sign_factors(np.arange(_PREFIX_BOUND, dtype=np.uint64), np.uint64(0), np.uint64(0), 12)[0].tolist()
+)
 
 
 def pair_sign(parity: int, dead: int, b: int) -> int:

@@ -7,7 +7,8 @@ kernel that, for every term pair (a, b):
 
 * XORs the masks to get the result blade,
 * takes the sign from the :func:`~cliffcalc.blade.sign_factors` of ``a``,
-  computed once per left key on the whole array, as the per-pair path does:
+  computed once per left key on the whole array at the keys' width (the
+  caller's largest index), as the per-pair path does:
   the reorder sign is the parity of a prefix-parity mask of ``a`` AND ``b``
   (the bitmap reordering sign of Dorst, Fontijne & Mann, *Geometric Algebra
   for Computer Science*, ch. 19), with the -1 squares of the region masks
@@ -18,8 +19,11 @@ kernel that, for every term pair (a, b):
   a ⊆ b, right keeps b ⊆ a),
 
 then accumulates coefficients per result key in pair order from +0.0 and
-drops the sums that are exactly zero; keys come out ascending.  A pair whose
-product is ±0.0 is summed like any other, since it changes no sum.
+drops the sums that are exactly zero; keys come out ascending.  While
+``1 << width`` bins are cheap (:func:`dense_bins`) a key is its own bin and
+a nonzero bin's index its key, otherwise ``np.unique`` bins the keys.  A
+pair whose product is ±0.0 is summed like any other, since it changes no
+sum.
 
 Each thread keeps the kernel's three pair tables (float64, uint64, uint8)
 between calls for products of up to ``_HELD_PAIRS`` term pairs, so a call
@@ -66,16 +70,15 @@ def region_masks(sig: Signature) -> tuple[int, int]:
     return signature_masks(sig, PACK_LIMIT)
 
 
-def dense_bins(keys_a, keys_b) -> int:
+def dense_bins(width: int, pairs: int) -> int:
     """Bin count for dense accumulation, or 0 when the sparse path is cheaper.
 
-    Dense pays for ``1 << width`` bins, where ``width`` is the bit length of
-    the largest key; it is used while that stays within twice the pair count
-    (and always up to 1024 bins).
+    Dense pays for ``1 << width`` bins, where ``width`` bounds the bit length
+    of every key (the caller's ``max_index()``); it is used while that stays
+    within twice the pair count (and always up to 1024 bins).
     """
-    width = int(max(keys_a.max(), keys_b.max())).bit_length()
     bins = 1 << width
-    return bins if bins <= max(1024, 2 * keys_a.size * keys_b.size) else 0
+    return bins if bins <= max(1024, 2 * pairs) else 0
 
 
 def _tables(pairs: int):
@@ -92,8 +95,13 @@ def _tables(pairs: int):
     return tuple(table[:pairs] for table in held)
 
 
-def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, filter_mode):
-    """Product table over all term pairs, summed per result key."""
+def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, filter_mode):
+    """Product table over all term pairs, summed per result key.
+
+    ``width`` (at most ``PACK_LIMIT``) bounds the bit length of every key of
+    both operands: it sets the rounds of the left keys' prefix parity and the
+    choice between dense and sparse bins.
+    """
     na, nb = keys_a.size, keys_b.size
     if na * nb == 0:
         return np.empty(0, np.uint64), np.empty(0)
@@ -105,7 +113,7 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
     # parity & b is a negative sign, and dead & b a generator squaring to 0.
     # The sign is the popcount's low bit shifted to the float's sign bit;
     # negation is exact, so this is s * (a * b) == (s * a) * b bit for bit.
-    parity, dead = sign_factors(keys_a, pos_mask, neg_mask, PACK_LIMIT)
+    parity, dead = sign_factors(keys_a, pos_mask, neg_mask, width)
     # a product that overflows is inf, without a warning, as in the per-pair path
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(coeffs_a[:, None], coeffs_b[None, :], out=coeffs)
@@ -137,16 +145,17 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, fil
 
     # one bin per possible key while that is cheap, else one per distinct
     # key; a key below the bin count reads as the same int64, so it is its own
-    # bin index without a copy.  bincount sums each bin in pair order from
-    # +0.0, which a ±0.0 term never changes, so no zero pair is dropped first
-    bins = dense_bins(keys_a, keys_b)
-    if bins:
-        keys, index = np.arange(bins, dtype=np.uint64), flat_keys.view(np.int64)
+    # bin index without a copy, and a nonzero bin's index is its key.
+    # bincount sums each bin in pair order from +0.0, which a ±0.0 term never
+    # changes, so no zero pair is dropped first
+    keys = None
+    if dense_bins(width, na * nb):
+        index = flat_keys.view(np.int64)
     else:
         keys, index = np.unique(flat_keys, return_inverse=True)
-    sums = np.bincount(index, weights=flat_coeffs, minlength=keys.size)
+    sums = np.bincount(index, weights=flat_coeffs)
     present = np.flatnonzero(sums)
-    return keys[present], sums[present]
+    return present.view(np.uint64) if keys is None else keys[present], sums[present]
 
 
 def _default_backend() -> str:

@@ -16,12 +16,14 @@ Both paths work on blade keys with one sign rule: the
 1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
 (``_SMALL_CONTRACTION_PAIRS`` for the contractions, ``_SMALL_WEDGE_PAIRS``
 for the wedge), the keys go into uint64 arrays for the packed numpy kernel
-in :mod:`cliffcalc.kernels`.  Smaller products, blades with larger indices
-and every product under ``CLIFFCALC_BACKEND=python`` take the per-pair path,
-one loop over the pairs on Python ints.  There the contractions and the
-wedge drop the pairs that cannot contribute (outside the grade filter, or
-sharing a generator) before the sign, so a left key takes its sign factors
-only once a pair survives; a pair takes its key only for a nonzero sign.
+in :mod:`cliffcalc.kernels`, with the operands' largest index as the keys'
+width.  Smaller products, blades with larger indices and every product
+under ``CLIFFCALC_BACKEND=python`` take the per-pair path, one loop over the
+pairs on Python ints, whose left keys of indices up to 12 read their prefix
+parity from a table.  There the contractions and the wedge drop the pairs
+that cannot contribute (outside the grade filter, or sharing a generator)
+before the sign, so a left key takes its sign factors only once a pair
+survives; a pair takes its key only for a nonzero sign.
 Both paths sum coefficients per result key in pair order and drop exact
 zeros once, at the end: the per-pair path through
 :func:`~cliffcalc.multivector.canonical`, which also orders its keys, and the
@@ -38,35 +40,16 @@ from .blade import pair_sign as blade_product, pair_sign as blade_wedge, sign_fa
 from .metric import Signature, signature_masks
 from .multivector import Multivector, canonical, from_scalar
 
-# Geometric products of at most this many term pairs take the per-pair path.
-# On perfbench calc_script (2-6 terms, 8 s runs) 48 gave a median 23.4k
-# ops/s against 22.3k for 32 and 23.1k for 64 over 3 seeds, and 23.0k against
-# 18.0k for 16 over 4 other seeds.  One geometric product at a time against
-# the kernel with held tables (2 CPUs, NumPy 2.4), per-pair over kernel time,
-# median of 6 operand pairs, is 0.3-0.6 at 49 pairs and breaks even at ~100
-# pairs (Euclidean in dimension 6, Cl(6,4) in dimension 10), ~196 (Cl(3,1))
-# and above 196 (Grassmann); small tables cost the kernel what they did before
-# it held them.  No workload has products of 49-200 pairs to confirm more.
-_SMALL_PAIRS = 48
-
-# The same for the contractions, whose filter drops most pairs before the
-# sign.  One product at a time (random operands of grade <= 5, 2 CPUs, NumPy
-# 2.4), per-pair over kernel time, median of 6 operand pairs, is 0.3-0.4 at
-# 81 pairs, 0.75-0.9 at 256 and 1.0-1.3 at 400 in dimension 6 (Euclidean),
-# and 0.25-0.35, 0.55-0.7 and 0.7-0.95 in dimension 10, against the kernel
-# before and after it held its tables.  On perfbench
-# small_identities (8 s runs, seeds 24-26) the median was 6.4k ops/s at 48,
-# 8.9k at 128, 10.1k at 256, 10.4k at 384 and 10.1k at 512; 256 against 384
-# over seeds 27-30 won 3 of 4.
-_SMALL_CONTRACTION_PAIRS = 256
-
-# The same for the wedge, which drops overlapping pairs before the sign.
-# Measured as above, per-pair over kernel time is 0.4-0.5 at 81 pairs,
-# 0.55-0.6 at 144, 0.75-0.9 at 169-225 and 0.9-1.0 at 256 in dimension 6, and
-# 0.5-0.6, 0.8, 0.85-0.95 and 1.15 in dimension 10, against the kernel before
-# and after it held its tables: 144 is the largest size where per-pair is
-# clearly ahead in both.  perfbench small_identities' wedges have 49-81 pairs.
-_SMALL_WEDGE_PAIRS = 144
+# Products of at most this many term pairs take the per-pair path: the
+# geometric product, the contractions (whose grade filter drops most pairs
+# before the sign) and the wedge (which drops overlapping pairs).  Each is the
+# largest pair count at which the median per-pair over packed time of the
+# "cutoffs" grid in BENCH_products.json, written by
+# ``benchmarks/bench_products.py --cutoffs``, is below 1; "cutoff_history"
+# there holds the measurements behind the earlier values.
+_SMALL_PAIRS = 100
+_SMALL_CONTRACTION_PAIRS = 400
+_SMALL_WEDGE_PAIRS = 256
 
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -166,7 +149,7 @@ def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: 
         np.fromiter(a._terms.values(), np.float64, a.num_terms()),
         np.fromiter(b._terms, np.uint64, b.num_terms()),
         np.fromiter(b._terms.values(), np.float64, b.num_terms()),
-        np.uint64(pos), np.uint64(neg), filter_mode,
+        np.uint64(pos), np.uint64(neg), max(a.max_index(), b.max_index()), filter_mode,
     )
     # kernel keys come out ascending, which is canonical order already
     return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))

@@ -206,3 +206,32 @@ def test_index_bounds_enforced():
         canonicalize([65536])
     with pytest.raises(ValueError):
         canonicalize([0])
+
+
+# --- sign_factors ---------------------------------------------------------
+
+def test_prefix_parity_table_equals_the_shift_xor_rule():
+    # bit j is set when the key has an odd number of bits above j
+    from cliffcalc import blade
+
+    assert len(blade._PREFIX_PARITY) == blade._PREFIX_BOUND == 1 << 12
+    for a in range(blade._PREFIX_BOUND):
+        expected = sum(1 << j for j in range(12) if (a >> (j + 1)).bit_count() & 1)
+        assert blade._PREFIX_PARITY[a] == expected
+
+
+@pytest.mark.parametrize("sig", [euclidean(), Signature(3, 1), Signature(6, 4), grassmann()])
+def test_sign_factors_of_table_keys_equal_the_loop_on_arrays(sig):
+    # int keys below the bound read the table, the rest and every array take
+    # the loop: both give the same masks, past the bound too
+    import numpy as np
+
+    from cliffcalc.blade import sign_factors
+    from cliffcalc.metric import signature_masks
+
+    pos, neg = signature_masks(sig, 14)
+    keys = range(1 << 14)
+    parity, dead = sign_factors(np.array(keys, dtype=np.uint64), np.uint64(pos), np.uint64(neg), 14)
+    assert [sign_factors(a, pos, neg, a.bit_length()) for a in keys] == list(
+        zip(parity.tolist(), dead.tolist())
+    )

@@ -74,7 +74,7 @@ def test_numpy_table_handles_all_filtered():
     cb = np.array([3.0])
     all_positive = np.uint64(0xFFFFFFFFFFFFFFFF)
     keys, coeffs = pair_table_numpy(
-        keys_a, ca, keys_b, cb, all_positive, np.uint64(0), FILTER_LEFT
+        keys_a, ca, keys_b, cb, all_positive, np.uint64(0), 3, FILTER_LEFT
     )
     assert keys.size == 0 and coeffs.size == 0
 
@@ -160,10 +160,9 @@ def all_products(a, b, sig):
     ]
 
 
-def keys_of(mv):
-    return np.array(
-        [sum(1 << (i - 1) for i in blade) for blade in mv.blades()], dtype=np.uint64
-    )
+def bins_of(a, b):
+    """The kernel's bin count for the product of two multivectors."""
+    return dense_bins(max(a.max_index(), b.max_index()), a.num_terms() * b.num_terms())
 
 
 def assert_backends_agree_exactly(a, b, sig):
@@ -182,7 +181,7 @@ def test_backends_agree_on_float_coefficients_dense(restore_backend, sig):
     for _ in range(8):
         a = float_multivector(rng, indices, int(rng.integers(10, 30)))
         b = float_multivector(rng, indices, int(rng.integers(10, 30)))
-        assert dense_bins(keys_of(a), keys_of(b)) == 64
+        assert bins_of(a, b) == 64
         assert_backends_agree_exactly(a, b, sig)
 
 
@@ -195,7 +194,7 @@ def test_backends_agree_on_float_coefficients_wide_keys(restore_backend, sig):
     for _ in range(8):
         a = float_multivector(rng, indices, int(rng.integers(7, 12)))
         b = float_multivector(rng, indices, int(rng.integers(7, 12)))
-        assert dense_bins(keys_of(a), keys_of(b)) == 0
+        assert bins_of(a, b) == 0
         assert_backends_agree_exactly(a, b, sig)
 
 
@@ -209,26 +208,21 @@ def test_float_sums_keep_pair_order():
     for shift, bins in ((0, 4), (60, 0)):
         ka = np.array([0b00, 0b01, 0b10], dtype=np.uint64) << np.uint64(shift)
         kb = np.array([0b11, 0b10, 0b01], dtype=np.uint64) << np.uint64(shift)
-        assert dense_bins(ka, kb) == bins
-        keys, coeffs = pair_table_numpy(ka, ca, kb, cb, pos, np.uint64(0), FILTER_NONE)
+        assert dense_bins(2 + shift, ka.size * kb.size) == bins
+        keys, coeffs = pair_table_numpy(ka, ca, kb, cb, pos, np.uint64(0), 2 + shift, FILTER_NONE)
         table = dict(zip(keys.tolist(), coeffs.tolist()))
         assert keys.tolist() == sorted(table)
         assert table[0b11 << shift] == 1e16
 
 
 def test_dense_bins_scales_with_pair_count():
-    def keys(*indices):
-        return np.array([1 << (i - 1) for i in indices], dtype=np.uint64)
-
     # a 5x5 table reaching index 20 would scan 2**20 bins for 25 pairs: sparse
-    assert dense_bins(keys(1, 2, 3, 4, 20), keys(5, 6, 7, 8, 9)) == 0
+    assert dense_bins(20, 25) == 0
     # up to 1024 bins (index 10) dense is always taken
-    assert dense_bins(keys(1, 2, 3, 4, 10), keys(5, 6, 7, 8, 9)) == 1024
+    assert dense_bins(10, 25) == 1024
     # index 20 is dense once the table has 2**19 pairs to pay for the bins
-    wide = np.arange(1 << 10, dtype=np.uint64)
-    wide[-1] = 1 << 19
-    assert dense_bins(wide[-511:], wide) == 0
-    assert dense_bins(wide, wide[-512:]) == 1 << 20
+    assert dense_bins(20, 511 * 1024) == 0
+    assert dense_bins(20, 1024 * 512) == 1 << 20
 
 
 def test_unknown_backend_env_var_is_rejected(monkeypatch):
@@ -264,8 +258,8 @@ def test_backends_agree_at_the_packing_boundary_above_the_cutoff(restore_backend
     indices = np.r_[1:3, 5, 62:65]
     for sig in (euclidean(), Signature(63, 1), Signature(7), grassmann()):
         for _ in range(4):
-            a = float_multivector(rng, indices, 8)
-            b = float_multivector(rng, indices, 8) + Multivector({(64,): 0.5})
+            a = float_multivector(rng, indices, 11)
+            b = float_multivector(rng, indices, 11) + Multivector({(64,): 0.5})
             assert b.max_index() == 64
             assert a.num_terms() * b.num_terms() > products._SMALL_PAIRS
             assert_backends_agree_exactly(a, b, sig)
@@ -288,13 +282,43 @@ def test_contractions_above_their_cutoff_run_the_kernel_on_bit_63(restore_backen
     indices = np.r_[1:3, 5, 62:65]
     for sig in (euclidean(), Signature(63, 1), Signature(7), grassmann()):
         for _ in range(3):
-            a = float_multivector(rng, indices, 17)
-            b = float_multivector(rng, indices, 17) + Multivector({(64,): 0.5})
+            a = float_multivector(rng, indices, 21)
+            b = float_multivector(rng, indices, 21) + Multivector({(64,): 0.5})
             assert b.max_index() == 64
             assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
             filters.clear()
             assert_backends_agree_exactly(a, b, sig)
             assert FILTER_LEFT in filters and FILTER_RIGHT in filters
+
+
+def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(restore_backend, monkeypatch):
+    # 257-400 pairs: the contractions that took the kernel under a 256-pair
+    # cutoff run per-pair under the numpy backend, bit for bit as the kernel
+    from cliffcalc import products
+
+    packed_calls = []
+    packed = products._packed
+
+    def recording_packed(*args):
+        packed_calls.append(args[-1])
+        return packed(*args)
+
+    monkeypatch.setattr(products, "_packed", recording_packed)
+    kernels.set_backend("numpy")
+    rng = np.random.default_rng(19)
+    for dimension, coeffs in ((6, None), (10, None), (10, CANCELLING)):
+        indices = np.arange(1, dimension + 1)
+        for na, nb in ((17, 17), (16, 20), (18, 18), (19, 21), (20, 20)):
+            a = float_multivector(rng, indices, na, coeffs)
+            b = float_multivector(rng, indices, nb, coeffs)
+            assert 256 < na * nb <= products._SMALL_CONTRACTION_PAIRS
+            for sig in (euclidean(), Signature(3, 1), Signature(6, 4), grassmann()):
+                for product, filter_mode in ((left_contraction, FILTER_LEFT),
+                                             (right_contraction, FILTER_RIGHT)):
+                    per_pair = list(product(a, b, sig).terms())
+                    assert packed_calls == []
+                    kernel = list(packed(a, b, sig, filter_mode).terms())
+                    assert coefficient_bits(per_pair) == coefficient_bits(kernel)
 
 
 def with_e64(rng, indices, num_terms):
@@ -304,7 +328,7 @@ def with_e64(rng, indices, num_terms):
 
 
 def test_wedges_run_the_kernel_on_bit_63_only_above_their_cutoff(restore_backend, monkeypatch):
-    # up to the wedge's cutoff of 144 pairs the per-pair path runs with index
+    # up to the wedge's cutoff of 256 pairs the per-pair path runs with index
     # 64 present, above it the kernel, and both equal the python backend
     # exactly
     calls = []
@@ -317,14 +341,14 @@ def test_wedges_run_the_kernel_on_bit_63_only_above_their_cutoff(restore_backend
     monkeypatch.setattr(kernels, "pair_table", recording_kernel)
     rng = np.random.default_rng(17)
     indices = np.r_[1:3, 5, 62:65]
-    for na, nb in ((7, 7), (9, 9), (12, 12), (12, 13), (13, 13), (16, 16)):
+    for na, nb in ((7, 7), (9, 9), (14, 15), (16, 16), (16, 17), (17, 17)):
         a, b = with_e64(rng, indices, na), with_e64(rng, indices, nb)
         pairs = a.num_terms() * b.num_terms()
         assert pairs == na * nb
         kernels.set_backend("numpy")
         calls.clear()
         packed = list(wedge(a, b).terms())
-        assert calls == ([FILTER_NONE] if pairs > 144 else [])
+        assert calls == ([FILTER_NONE] if pairs > 256 else [])
         kernels.set_backend("python")
         assert list(wedge(a, b).terms()) == packed
 
@@ -410,17 +434,17 @@ def sum_events(a, b, sig):
 @pytest.mark.parametrize("indices", [np.arange(1, 9), np.r_[1:5, 61:65]], ids=["dense", "sparse"])
 @pytest.mark.parametrize("sig", [euclidean(), Signature(2, 1)])
 def test_sums_that_cancel_or_underflow_match_the_oracles_bit_for_bit(restore_backend, indices, sig):
-    # Both paths sum each blade in pair order from 0.0: the per-pair path
-    # drops exact zeros at the end, the kernel drops ±0.0 pair products
-    # first, and the oracles sum every pair and drop zeros at the end.
+    # Every path sums each blade in pair order from 0.0 and drops exact zeros
+    # at the end: the per-pair path, the kernel (whose bincount sums ±0.0
+    # pair products like any other) and the oracles.
     from cliffcalc import products
     from tests.oracle import contraction_by_rewriting, product_by_rewriting
 
     rng = np.random.default_rng(16)
     seen_revived = seen_underflow = False
     for _ in range(4):
-        a = float_multivector(rng, indices, 18, CANCELLING)
-        b = float_multivector(rng, indices, 18, CANCELLING)
+        a = float_multivector(rng, indices, 21, CANCELLING)
+        b = float_multivector(rng, indices, 21, CANCELLING)
         assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
         expected = [
             list(m.terms())
@@ -450,17 +474,17 @@ def test_overflowing_products_neither_warn_nor_differ_between_backends(restore_b
     from cliffcalc import products
 
     a = Multivector({(i,): 1e300 for i in range(1, left_terms + 1)})
-    b = Multivector({(i,): 1e300 for i in range(1, 9)})
+    b = Multivector({(i,): 1e300 for i in range(1, 16)})
     assert (a.num_terms() * b.num_terms() > products._SMALL_PAIRS) == (left_terms == 7)
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for backend in ("numpy", "python"):
             kernels.set_backend(backend)
-            results.append(list(geometric_product(a, b, Signature(8)).terms()))
+            results.append(list(geometric_product(a, b, Signature(15)).terms()))
     numpy_terms, python_terms = results
     # the scalar, and every e_ij with i <= left_terms (nan when j <= left_terms too)
-    assert len(numpy_terms) == len(python_terms) == 1 + math.comb(8, 2) - math.comb(8 - left_terms, 2)
+    assert len(numpy_terms) == len(python_terms) == 1 + math.comb(15, 2) - math.comb(15 - left_terms, 2)
     assert any(math.isnan(c) for _, c in numpy_terms) and any(math.isinf(c) for _, c in numpy_terms)
     for (blade_n, c_n), (blade_p, c_p) in zip(numpy_terms, python_terms):
         assert blade_n == blade_p
@@ -476,8 +500,9 @@ def kernel_operands(mv):
 
 def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
     pos, neg = region_masks(sig) if sig is not None else (0, 0)
+    width = max(a.max_index(), b.max_index())
     return pair_table_numpy(
-        *kernel_operands(a), *kernel_operands(b), np.uint64(pos), np.uint64(neg), filter_mode
+        *kernel_operands(a), *kernel_operands(b), np.uint64(pos), np.uint64(neg), width, filter_mode
     )
 
 
