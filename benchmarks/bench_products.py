@@ -7,7 +7,9 @@ the packed numpy kernel, end to end, plus the kernel call alone on arrays
 built from the multivectors' blade keys.  The left contraction and the wedge
 are timed end to end under both backends too; under ``numpy`` they take the
 per-pair path up to ``products._SMALL_CONTRACTION_PAIRS`` and
-``products._SMALL_WEDGE_PAIRS`` pairs and the kernel above.
+``products._SMALL_WEDGE_PAIRS`` pairs and the kernel above.  Each repeat
+times every column once, in a shuffled order, and a cell is the median over
+the repeats.
 
 ``--cutoffs`` instead times ``products._per_pair`` against
 ``products._packed`` for the four products, under four signatures, in
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import time
 
 import numpy as np
@@ -69,41 +72,63 @@ def build(num_terms: int, seed: int):
     )
 
 
-def best_time(call, repeats: int) -> float:
-    call()  # warmup: caches
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def time_backend(backend: str, product, a, b, repeats: int) -> float:
-    previous = kernels.set_backend(backend)
-    try:
-        return best_time(lambda: product(a, b, SIG), repeats)
-    finally:
-        kernels.set_backend(previous)
-
-
 def arrays(mv):
     """(keys, coeffs) as the packed path builds them from the blade-key dict."""
     return np.fromiter(mv._terms, np.uint64), np.fromiter(mv._terms.values(), np.float64)
 
 
-def time_kernel(a, b, repeats: int) -> float:
-    """Best time of one ``kernels.pair_table`` call, as ``products._packed`` makes it."""
+def sweep_columns(a, b) -> dict:
+    """The size sweep's columns: name -> (backend, call).
+
+    ``kernel`` is one ``kernels.pair_table`` call as ``products._packed``
+    makes it, on arrays built once from the blade keys.
+    """
     keys_a, coeffs_a = arrays(a)
     keys_b, coeffs_b = arrays(b)
     pos, neg = (np.uint64(m) for m in kernels.region_masks(SIG))
     width = max(a.max_index(), b.max_index())
-    return best_time(
-        lambda: kernels.pair_table(
-            keys_a, coeffs_a, keys_b, coeffs_b, pos, neg, width, kernels.FILTER_NONE
-        ),
-        repeats,
-    )
+
+    def kernel():
+        kernels.pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos, neg, width, kernels.FILTER_NONE)
+
+    def geometric():
+        geometric_product(a, b, SIG)
+
+    def lc():
+        left_contraction(a, b, SIG)
+
+    def wedge_():
+        wedge(a, b)
+
+    return {"python": ("python", geometric), "numpy": ("numpy", geometric),
+            "kernel": ("numpy", kernel),
+            "lc python": ("python", lc), "lc numpy": ("numpy", lc),
+            "wedge python": ("python", wedge_), "wedge numpy": ("numpy", wedge_)}
+
+
+def interleaved_medians(columns: dict, repeats: int) -> dict:
+    """Median seconds per column over ``repeats`` rounds after a warm-up round.
+
+    Each round times every column once, so a slow spell of the machine
+    reaches all the columns alike, in a seeded shuffled order, so that no
+    column always follows the same one (the call before leaves the caches
+    warm or cold).
+    """
+    times = {name: [] for name in columns}
+    order = list(columns.items())
+    shuffle = random.Random(0).shuffle
+    previous = kernels.active_backend()
+    try:
+        for _ in range(repeats + 1):
+            shuffle(order)
+            for name, (backend, call) in order:
+                kernels.set_backend(backend)
+                start = time.perf_counter()
+                call()
+                times[name].append(time.perf_counter() - start)
+    finally:
+        kernels.set_backend(previous)
+    return {name: float(np.median(t[1:])) for name, t in times.items()}
 
 
 def cutoff_ratio(a, b, sig, filter_mode, repeats: int) -> float:
@@ -176,28 +201,18 @@ def cutoff_grid(repeats: int) -> dict:
 
 
 def size_sweep(sizes, repeats: int) -> dict:
-    backends = ("python", "numpy")
-
-    filtered = {"lc": left_contraction, "wedge": lambda a, b, _sig: wedge(a, b)}
-    columns = (*backends, "kernel",
-               *(f"{name} {backend}" for name in filtered for backend in backends))
-    header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in columns)
-    print(header)
-    print("-" * len(header))
+    header = None
     rows = []
     for size in sizes:
         a = build(size, seed=2 * size)
         b = build(size, seed=2 * size + 1)
+        timings = interleaved_medians(sweep_columns(a, b), repeats)
+        if header is None:
+            header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in timings)
+            print(header)
+            print("-" * len(header))
         pairs = a.num_terms() * b.num_terms()
         row = f"{a.num_terms():>7} {pairs:>9}"
-        timings = {
-            backend: time_backend(backend, geometric_product, a, b, repeats)
-            for backend in backends
-        }
-        timings["kernel"] = time_kernel(a, b, repeats)
-        for name, product in filtered.items():
-            for backend in backends:
-                timings[f"{name} {backend}"] = time_backend(backend, product, a, b, repeats)
         row += "".join(f"{t * 1e6:>12.1f}us" for t in timings.values())
         row += f"   numpy {timings['python'] / timings['numpy']:.1f}x vs python"
         print(row)
@@ -207,7 +222,8 @@ def size_sweep(sizes, repeats: int) -> dict:
         "signature": f"Cl({SIG.p},{SIG.q})",
         "dimension": 10,
         "repeats": repeats,
-        "timing": "best of the repeats after one warm-up call, microseconds",
+        "timing": "median of the repeats after one warm-up round; each repeat times every "
+                  "column once, in a seeded shuffled order, microseconds",
         "rows": rows,
     }
 
@@ -215,7 +231,7 @@ def size_sweep(sizes, repeats: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,24,32,128,512", help="comma-separated term counts")
-    parser.add_argument("--repeats", type=int, default=9, help="timed repetitions per cell")
+    parser.add_argument("--repeats", type=int, default=25, help="timed repetitions per cell")
     parser.add_argument("--cutoffs", action="store_true",
                         help="time the per-pair/packed cutoff grid instead of the size sweep")
     parser.add_argument("--json", metavar="PATH", help="also write the run as JSON into PATH")

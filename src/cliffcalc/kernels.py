@@ -29,15 +29,14 @@ Each thread keeps the kernel's three pair tables (float64, uint64, uint8)
 between calls for products of up to ``_HELD_PAIRS`` term pairs, so a call
 writes into memory already mapped; every returned array is a copy.
 
-Backend selection: the ``CLIFFCALC_BACKEND`` environment variable may be set
-to ``numpy`` (the default) or ``python`` (skip the packed kernel entirely;
+Backend selection: :func:`set_backend` switches between ``numpy`` (the
+default) and ``python``, which skips the packed kernel entirely:
 :mod:`cliffcalc.products` then uses the per-pair blade arithmetic, which is
-also what any product with indices above 64 uses).
+also what any product with indices above 64 uses.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from functools import lru_cache
 
@@ -60,7 +59,6 @@ _HELD_PAIRS = 1 << 20
 
 _held = threading.local()
 
-_ENV_VAR = "CLIFFCALC_BACKEND"
 _BACKENDS = ("numpy", "python")
 
 
@@ -95,7 +93,7 @@ def _tables(pairs: int):
     return tuple(table[:pairs] for table in held)
 
 
-def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, filter_mode):
+def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, filter_mode):
     """Product table over all term pairs, summed per result key.
 
     ``width`` (at most ``PACK_LIMIT``) bounds the bit length of every key of
@@ -158,18 +156,7 @@ def pair_table_numpy(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, wid
     return present.view(np.uint64) if keys is None else keys[present], sums[present]
 
 
-def _default_backend() -> str:
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not requested:
-        return "numpy"
-    if requested not in _BACKENDS:
-        raise ValueError(
-            f"{_ENV_VAR}={requested!r} is not one of {', '.join(_BACKENDS)}"
-        )
-    return requested
-
-
-_active = _default_backend()
+_active = "numpy"
 
 
 def active_backend() -> str:
@@ -185,7 +172,3 @@ def set_backend(name: str) -> str:
     previous = _active
     _active = name
     return previous
-
-
-#: The packed kernel (callers guard indices <= 64).
-pair_table = pair_table_numpy

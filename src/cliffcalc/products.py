@@ -18,12 +18,12 @@ Both paths work on blade keys with one sign rule: the
 for the wedge), the keys go into uint64 arrays for the packed numpy kernel
 in :mod:`cliffcalc.kernels`, with the operands' largest index as the keys'
 width.  Smaller products, blades with larger indices and every product
-under ``CLIFFCALC_BACKEND=python`` take the per-pair path, one loop over the
-pairs on Python ints, whose left keys of indices up to 12 read their prefix
-parity from a table.  There the contractions and the wedge drop the pairs
-that cannot contribute (outside the grade filter, or sharing a generator)
-before the sign, so a left key takes its sign factors only once a pair
-survives; a pair takes its key only for a nonzero sign.
+under ``kernels.set_backend("python")`` take the per-pair path, one loop over
+the pairs on Python ints, whose left keys of indices up to 12 read their
+prefix parity from a table.  There the contractions and the wedge drop the
+pairs that cannot contribute (outside the grade filter, or sharing a
+generator) before the sign, so a left key takes its sign factors only once a
+pair survives; a pair takes its key only for a nonzero sign.
 Both paths sum coefficients per result key in pair order and drop exact
 zeros once, at the end: the per-pair path through
 :func:`~cliffcalc.multivector.canonical`, which also orders its keys, and the

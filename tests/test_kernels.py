@@ -1,16 +1,19 @@
 """Backend equivalence: the numpy kernel and the per-pair path must agree exactly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliffcalc import Multivector, Signature, euclidean, grassmann
+from cliffcalc import UNBOUNDED, Multivector, Signature, euclidean, grassmann
 from cliffcalc import kernels
 from cliffcalc.kernels import (
     FILTER_LEFT,
     FILTER_NONE,
     FILTER_RIGHT,
     dense_bins,
-    pair_table_numpy,
+    pair_table,
     region_masks,
 )
 from cliffcalc.products import (
@@ -73,7 +76,7 @@ def test_numpy_table_handles_all_filtered():
     ca = np.array([2.0])
     cb = np.array([3.0])
     all_positive = np.uint64(0xFFFFFFFFFFFFFFFF)
-    keys, coeffs = pair_table_numpy(
+    keys, coeffs = pair_table(
         keys_a, ca, keys_b, cb, all_positive, np.uint64(0), 3, FILTER_LEFT
     )
     assert keys.size == 0 and coeffs.size == 0
@@ -209,7 +212,7 @@ def test_float_sums_keep_pair_order():
         ka = np.array([0b00, 0b01, 0b10], dtype=np.uint64) << np.uint64(shift)
         kb = np.array([0b11, 0b10, 0b01], dtype=np.uint64) << np.uint64(shift)
         assert dense_bins(2 + shift, ka.size * kb.size) == bins
-        keys, coeffs = pair_table_numpy(ka, ca, kb, cb, pos, np.uint64(0), 2 + shift, FILTER_NONE)
+        keys, coeffs = pair_table(ka, ca, kb, cb, pos, np.uint64(0), 2 + shift, FILTER_NONE)
         table = dict(zip(keys.tolist(), coeffs.tolist()))
         assert keys.tolist() == sorted(table)
         assert table[0b11 << shift] == 1e16
@@ -225,13 +228,43 @@ def test_dense_bins_scales_with_pair_count():
     assert dense_bins(20, 1024 * 512) == 1 << 20
 
 
-def test_unknown_backend_env_var_is_rejected(monkeypatch):
-    for name in ("numba", "fortran"):
-        monkeypatch.setenv("CLIFFCALC_BACKEND", name)
-        with pytest.raises(ValueError, match="not one of numpy, python"):
-            kernels._default_backend()
-        with pytest.raises(ValueError):
-            kernels.set_backend(name)
+#: Run in a fresh interpreter: the backend at import, and whether a
+#: 121-pair geometric product (above ``_SMALL_PAIRS``) calls the kernel.
+_IMPORT_PROBE = """
+from cliffcalc import Multivector, Signature, geometric_product, kernels, products
+
+calls = []
+kernel = kernels.pair_table
+
+def recording_kernel(*args):
+    calls.append(args[-1])
+    return kernel(*args)
+
+kernels.pair_table = recording_kernel
+a = Multivector({(i,): 1.0 for i in range(1, 12)})
+assert a.num_terms() ** 2 > products._SMALL_PAIRS
+geometric_product(a, a, Signature(3, 1))
+print(kernels.active_backend(), len(calls))
+"""
+
+
+def test_the_environment_does_not_choose_the_backend():
+    # the backend is chosen by set_backend alone: an environment variable
+    # naming an unknown backend neither breaks the import nor moves a
+    # product off the kernel
+    import os
+    import subprocess
+    import sys
+
+    import cliffcalc
+
+    src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, CLIFFCALC_BACKEND="numba", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["numpy", "1"]
 
 
 @pytest.mark.parametrize("sig", [Signature(10**18, 3), Signature(2, 10**18), Signature(62, 10**18)])
@@ -246,6 +279,51 @@ def test_backends_agree_on_huge_signature_counts(restore_backend, sig):
         a = float_multivector(rng, indices, int(rng.integers(7, 12)))
         b = float_multivector(rng, indices, int(rng.integers(7, 12)))
         assert_backends_agree_exactly(a, b, sig)
+
+
+#: Generator counts around and past 2**64, far too large to shift a mask by.
+HUGE_COUNTS = (2**64 - 1, 2**64, 2**64 + 1, 10**30, UNBOUNDED)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(0, 72) | st.sampled_from(HUGE_COUNTS),
+    q=st.integers(0, 72) | st.sampled_from(HUGE_COUNTS),
+    top=st.sampled_from((10, 64, 70, 200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_huge_signature_counts_match_the_rewriting_oracles(p, q, top, seed):
+    # 21x21 terms over generators 1-5 and the five up to ``top``: more pairs
+    # than any cutoff, so under the numpy backend every product of keys up to
+    # 64 runs the kernel; integer coefficients make every sum exact
+    from cliffcalc import products
+    from tests.oracle import contraction_by_rewriting, product_by_rewriting
+
+    sig = Signature(p, q)
+    rng = np.random.default_rng(seed)
+    indices = np.r_[1:6, top - 4:top + 1]
+    a = float_multivector(rng, indices, 21, INTEGERS)
+    b = float_multivector(rng, indices, 21, INTEGERS)
+    assert a.num_terms() * b.num_terms() > products._SMALL_CONTRACTION_PAIRS
+    packs = max(a.max_index(), b.max_index()) <= kernels.PACK_LIMIT
+    expected = [
+        list(m.terms())
+        for m in (
+            product_by_rewriting(a, b, sig),
+            product_by_rewriting(a, b, grassmann()),
+            contraction_by_rewriting(a, b, sig, "left"),
+            contraction_by_rewriting(a, b, sig, "right"),
+        )
+    ]
+    previous = kernels.active_backend()
+    try:
+        for backend in ("numpy", "python"):
+            kernels.set_backend(backend)
+            with mock.patch.object(kernels, "pair_table", wraps=kernels.pair_table) as kernel:
+                assert all_products(a, b, sig) == expected, backend
+            assert kernel.call_count == (4 if packs and backend == "numpy" else 0)
+    finally:
+        kernels.set_backend(previous)
 
 
 def test_backends_agree_at_the_packing_boundary_above_the_cutoff(restore_backend):
@@ -501,7 +579,7 @@ def kernel_operands(mv):
 def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
     pos, neg = region_masks(sig) if sig is not None else (0, 0)
     width = max(a.max_index(), b.max_index())
-    return pair_table_numpy(
+    return pair_table(
         *kernel_operands(a), *kernel_operands(b), np.uint64(pos), np.uint64(neg), width, filter_mode
     )
 
