@@ -3,12 +3,14 @@
 
 Builds a calculator script from ``random_multivector`` literals (dimension
 12, 2-6 terms, grade <= 3) and binary products, powers and ``grades`` calls
-of six bound variables, then prints the best-of-N microseconds per line for
-each layer on its own: ``tokenize``, ``parse_expr`` (which includes
-``tokenize``), ``eval_expr`` on the parsed trees, and ``render`` of the
-values.  A second table times whole lines through ``run_command`` by kind:
-literal assignments, printed binary products, powers, ``grades`` calls, and
-``:signature``/``:basissep`` commands.  Run from the repository root:
+of six bound variables, then prints the microseconds per line for each layer
+on its own: ``tokenize``, ``parse_expr`` (which includes ``tokenize``),
+``eval_expr`` on the parsed trees, and ``render`` of the values.  A second
+table times whole lines through ``run_command`` by kind: literal
+assignments, printed binary products, powers, ``grades`` calls, and
+``:signature``/``:basissep`` commands.  Each round times one pass of every
+row over its lines, the rows in a seeded shuffled order, and a cell is the
+median over the rounds.  Run from the repository root:
 
     python benchmarks/bench_calc.py
     python benchmarks/bench_calc.py --lines 400 --repeats 15 --seed 7
@@ -16,6 +18,7 @@ literal assignments, printed binary products, powers, ``grades`` calls, and
 
 import argparse
 import random
+import statistics
 import time
 
 from cliffcalc import Signature, render
@@ -71,24 +74,31 @@ def script(lines: int, seed: int) -> list[tuple[str, str]]:
     return out
 
 
-def best_per_item(call, items, repeats: int) -> float:
-    """Best-of-``repeats`` seconds for one pass of ``call`` over ``items``,
-    divided by the number of items."""
-    for item in items:  # warmup
-        call(item)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for item in items:
-            call(item)
-        best = min(best, time.perf_counter() - start)
-    return best / len(items)
+def interleaved_medians(rows: dict, repeats: int) -> dict:
+    """Median seconds per item of each row over ``repeats`` rounds after a
+    warm-up round; a row is (call, items).
+
+    Each round times one pass of every row over its items, so a slow spell
+    of the machine reaches all the rows alike, in a seeded shuffled order,
+    so that no row always follows the same one.
+    """
+    times = {name: [] for name in rows}
+    order = list(rows.items())
+    shuffle = random.Random(0).shuffle
+    for _ in range(repeats + 1):
+        shuffle(order)
+        for name, (call, items) in order:
+            start = time.perf_counter()
+            for item in items:
+                call(item)
+            times[name].append((time.perf_counter() - start) / len(items))
+    return {name: statistics.median(t[1:]) for name, t in times.items()}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lines", type=int, default=200, help="script lines")
-    parser.add_argument("--repeats", type=int, default=9, help="timed passes per layer")
+    parser.add_argument("--repeats", type=int, default=25, help="timed rounds")
     parser.add_argument("--seed", type=int, default=1, help="script seed")
     args = parser.parse_args()
 
@@ -103,32 +113,34 @@ def main() -> int:
     values = [value for value in (eval_expr(tree, session) for tree in trees)
               if isinstance(value, Multivector)]
 
-    chars = sum(map(len, lines)) / len(lines)
-    print(f"{len(lines)} lines, {chars:.1f} chars per line, {len(values)} rendered values")
-    print(f"{'layer':<12}{'us each':>10}")
-    print("-" * 22)
-    layers = (
-        ("tokenize", tokenize, lines),
-        ("parse_expr", parse_expr, lines),
-        ("eval_expr", lambda tree: eval_expr(tree, session), trees),
-        ("render", render, values),
-    )
-    for name, call, items in layers:
-        print(f"{name:<12}{best_per_item(call, items, args.repeats) * 1e6:>10.2f}")
-
+    layers = {
+        "tokenize": (tokenize, lines),
+        "parse_expr": (parse_expr, lines),
+        "eval_expr": (lambda tree: eval_expr(tree, session), trees),
+        "render": (render, values),
+    }
     # whole lines: a literal is assigned, as in a script, to a name no other
     # line reads; commands run in a session of their own
     by_kind = {kind: [] for kind in KINDS}
     for kind, line in kinds_and_lines:
         by_kind[kind].append(f"t = {line}" if kind == "literal" else line)
-    groups = [(kind, session, by_kind[kind]) for kind in KINDS]
-    groups.append(("command", Session(), list(COMMANDS)))
+    kinds = {kind: (lambda line: run_command(line, session), by_kind[kind]) for kind in KINDS}
+    command_session = Session()
+    kinds["command"] = (lambda line: run_command(line, command_session), list(COMMANDS))
+    medians = interleaved_medians({**layers, **kinds}, args.repeats)
+
+    chars = sum(map(len, lines)) / len(lines)
+    print(f"{len(lines)} lines, {chars:.1f} chars per line, {len(values)} rendered values")
+    print(f"median of {args.repeats} interleaved rounds")
+    print(f"{'layer':<12}{'us each':>10}")
+    print("-" * 22)
+    for name in layers:
+        print(f"{name:<12}{medians[name] * 1e6:>10.2f}")
     print()
     print(f"{'run_command':<12}{'lines':>6}{'us each':>10}")
     print("-" * 28)
-    for kind, kind_session, items in groups:
-        per_line = best_per_item(lambda line: run_command(line, kind_session), items, args.repeats)
-        print(f"{kind:<12}{len(items):>6}{per_line * 1e6:>10.2f}")
+    for kind, (_, items) in kinds.items():
+        print(f"{kind:<12}{len(items):>6}{medians[kind] * 1e6:>10.2f}")
     return 0
 
 

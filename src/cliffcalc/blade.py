@@ -2,10 +2,20 @@
 
 A blade is a product of distinct generators e_i1 ... e_ik.  At the public
 boundary it is a canonical tuple: strictly increasing 1-based indices, the
-empty tuple being the unit scalar.  Inside the library it is its blade key,
-an int with bit i-1 set per index i (the bitmap representation of Dorst,
-Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19).  The
-product of keys a and b is the blade ``a ^ b`` with a sign of two factors:
+empty tuple being the unit scalar.
+
+The index rule lives here alone: an index list is valid when its indices are
+ints in 1..MAX_INDEX, strictly increasing.  :func:`index_error` says why one
+index breaks it; :func:`first_bad_index` checks a list a parser read (digits
+converted by :func:`index_value`), and :func:`validate_blade` a list passed
+from Python, returning its key.  Every front end that takes indices goes
+through one of them, and :class:`~cliffcalc.rand.RandomSpec` bounds its
+dimension by MAX_INDEX.
+
+Inside the library a blade is its blade key, an int with bit i-1 set per
+index i (the bitmap representation of Dorst, Fontijne & Mann, *Geometric
+Algebra for Computer Science*, ch. 19).  The product of keys a and b is the
+blade ``a ^ b`` with a sign of two factors:
 
 * (-1) per transposition that sorts the concatenation;
 * the square of each shared generator: 0 if any squares to 0, else (-1) per
@@ -16,6 +26,7 @@ Both read ``b`` only through an AND with the :func:`sign_factors` of ``a``.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -28,6 +39,8 @@ Blade = tuple[int, ...]
 
 #: Largest generator index a blade may carry.
 MAX_INDEX = 65535
+
+_INDEX_DIGITS = len(str(MAX_INDEX))
 
 
 class SignedBlade(NamedTuple):
@@ -54,9 +67,8 @@ def index_error(index: int | str, prev: int) -> str | None:
 
     ``prev`` is the index before it in the blade, 0 for the first.  Every
     front end checks indices with this rule and raises its own error type.
-    A parser passes the digits of a literal with more significant digits
-    than MAX_INDEX as a str, out of range unconverted (``int()`` refuses
-    more than 4300 digits).
+    A str index is one that :func:`index_value` left unconverted, out of
+    range.
     """
     if isinstance(index, str) or index < 1 or index > MAX_INDEX:
         return f"blade index {index} outside 1..{MAX_INDEX}"
@@ -65,8 +77,34 @@ def index_error(index: int | str, prev: int) -> str | None:
     return None
 
 
-def validate_blade(a: Iterable[int]) -> Blade:
-    """Check canonical form and bounds, returning the blade as a tuple."""
+def index_value(digits: str) -> int | str:
+    """An index literal's value, or its significant digits when there are
+    more of them than MAX_INDEX has (out of range, and int() refuses over
+    4300 digits); :func:`index_error` rejects the str."""
+    if len(digits) > _INDEX_DIGITS:
+        digits = digits.lstrip("0")
+        if len(digits) > _INDEX_DIGITS:
+            return digits
+    return int(digits or "0")
+
+
+def first_bad_index(indices: tuple[int | str, ...]) -> tuple[int, str] | None:
+    """(position, error) of the first index that :func:`index_error` rejects,
+    else None.  The list is checked at once, in one chained comparison; only
+    a list that fails it is gone through index by index."""
+    try:
+        if all(map(lt, (0, *indices), (*indices, MAX_INDEX + 1))):
+            return None
+    except TypeError:  # a str index: too many digits
+        pass
+    for position, error in enumerate(map(index_error, indices, (0, *indices))):
+        if error:
+            return position, error
+
+
+def validate_blade(a: Iterable[int]) -> int:
+    """Check an index list passed from Python against the rule, returning
+    its blade key; a non-int index is a TypeError, checked first."""
     blade = tuple(a)
     prev = 0
     for i in blade:
@@ -76,7 +114,7 @@ def validate_blade(a: Iterable[int]) -> Blade:
         if error:
             raise ValueError(f"{error}, got {blade}")
         prev = i
-    return blade
+    return blade_key(blade)
 
 
 def canonicalize(indices: Iterable[int]) -> SignedBlade:
@@ -164,9 +202,10 @@ def mask_product(a: int, b: int, pos: int, neg: int) -> tuple[int, int]:
 def blade_product(a: Blade, b: Blade, sig: Signature) -> SignedBlade:
     """Geometric product of two canonical blades under ``sig``.
 
-    Returns sign 0 when a shared generator squares to 0.
+    Returns sign 0 when a shared generator squares to 0.  The operands are
+    checked as :func:`validate_blade` checks them.
     """
-    ka, kb = blade_key(a), blade_key(b)
+    ka, kb = validate_blade(a), validate_blade(b)
     pos, neg = signature_masks(sig, max(ka, kb).bit_length())
     sign, key = mask_product(ka, kb, pos, neg)
     return SignedBlade(sign, key_blade(key)) if sign else _ZERO
@@ -176,9 +215,10 @@ def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
     """Wedge product of two canonical blades: zero on any shared index.
 
     Signature-independent by construction; the sign is the parity of
-    interleaving b's indices after a's.
+    interleaving b's indices after a's.  The operands are checked as
+    :func:`validate_blade` checks them.
     """
-    sign, key = mask_product(blade_key(a), blade_key(b), 0, 0)
+    sign, key = mask_product(validate_blade(a), validate_blade(b), 0, 0)
     return SignedBlade(sign, key_blade(key)) if sign else _ZERO
 
 
@@ -187,7 +227,9 @@ def blade_key(a: Blade) -> int:
 
     Ascending key order puts the scalar first, then e_1, e_2, e_12, e_3, ...,
     i.e. the lowest index varies fastest.  Python integers are unbounded, so
-    the key works for any index up to MAX_INDEX.
+    the key works for any index up to MAX_INDEX.  It does not check the
+    indices: it keys tuples that :func:`first_bad_index` or
+    :func:`validate_blade` already passed.
     """
     key = 0
     for i in a:

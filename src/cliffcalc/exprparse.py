@@ -35,9 +35,8 @@ alternative per token kind, tried in this order after any whitespace:
 Numbers and indices take the ASCII digits ``0-9`` only, as names take ASCII
 letters, so a digit of another script (``\u0663``) is an unexpected
 character; whitespace between tokens is any Unicode whitespace.  A blade
-literal's index list is checked whole, in 1..MAX_INDEX and strictly
-increasing; only a literal that fails is gone through index by index, so
-the error stands at its first bad index.
+literal's index list is checked by :func:`cliffcalc.blade.first_bad_index`,
+which states the rule, and an error stands at its first bad index.
 
 The table is compiled with and without the comma form, chosen by
 ``depth != 0``: no expression has a comma outside parentheses, so
@@ -58,10 +57,9 @@ from __future__ import annotations
 
 import math
 import re
-from operator import lt
 from typing import NamedTuple, Union
 
-from .blade import MAX_INDEX, Blade, index_error
+from .blade import Blade, first_bad_index, index_value
 
 
 class ExpressionSyntaxError(ValueError):
@@ -134,7 +132,6 @@ IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 
 _DIGIT_RE = re.compile(r"[0-9]")
 _DIGITS_RE = re.compile(r"[0-9]+")
-_INDEX_DIGITS = len(str(MAX_INDEX))
 
 
 def _token_table(run: str) -> re.Pattern[str]:
@@ -161,7 +158,7 @@ def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending with an ``end`` token.
 
     A ``number`` token carries its float, a ``blade`` token its canonical
-    index tuple, checked by :func:`_check_indices`.
+    index tuple, checked by :func:`~cliffcalc.blade.first_bad_index`.
     """
     tokens: list[Token] = []
     pos = 0
@@ -190,7 +187,10 @@ def tokenize(source: str) -> list[Token]:
             else:
                 digits = _DIGITS_RE
                 indices = tuple(map(index_value, digits.findall(source, start, pos)))
-            _check_indices(indices, digits, source, start, pos)
+            bad = first_bad_index(indices)
+            if bad:  # raised at the digits of the bad index
+                at, error = bad
+                raise ExpressionSyntaxError(error, [*digits.finditer(source, start, pos)][at].start())
             tokens.append(Token("blade", indices, start, text))
         elif kind == "zero":
             tokens.append(Token("number", 0.0, start, text))
@@ -205,34 +205,6 @@ def tokenize(source: str) -> list[Token]:
             raise ExpressionSyntaxError("malformed number", start)
         else:
             raise ExpressionSyntaxError(f"unexpected character {text!r}", start)
-
-
-def index_value(digits: str) -> int | str:
-    """An index literal's value, or its significant digits when there are
-    more of them than MAX_INDEX has (out of range, and int() refuses over
-    4300 digits); :func:`~cliffcalc.blade.index_error` rejects the str."""
-    if len(digits) > _INDEX_DIGITS:
-        digits = digits.lstrip("0")
-        if len(digits) > _INDEX_DIGITS:
-            return digits
-    return int(digits or "0")
-
-
-def _check_indices(indices: tuple[int | str, ...], digits: re.Pattern[str],
-                   source: str, start: int, end: int) -> None:
-    """Check a blade literal's indices at once; only a bad literal goes through
-    them, raising at the ``digits`` match of the first that ``index_error`` rejects."""
-    try:
-        if all(map(lt, (0, *indices), (*indices, MAX_INDEX + 1))):
-            return
-    except TypeError:  # an index_value str: too many digits
-        pass
-    prev = 0
-    for index, match in zip(indices, digits.finditer(source, start, end)):
-        error = index_error(index, prev)
-        if error:
-            raise ExpressionSyntaxError(error, match.start())
-        prev = index
 
 
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")

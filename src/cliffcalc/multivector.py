@@ -39,7 +39,7 @@ class Multivector:
 
     def __init__(self, terms: Mapping[Sequence[int], float] = ()):
         self._terms = sum_terms(
-            (blade_key(validate_blade(blade)), _check_coeff(coeff))
+            (validate_blade(blade), _check_coeff(coeff))
             for blade, coeff in dict(terms).items()
         )
 
@@ -67,7 +67,7 @@ class Multivector:
 
     def coefficient(self, blade: Sequence[int]) -> float:
         """Coefficient of a blade, 0.0 when absent."""
-        return self._terms.get(blade_key(validate_blade(blade)), 0.0)
+        return self._terms.get(validate_blade(blade), 0.0)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -226,12 +226,13 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
 
 
 def as_1vector(v: Sequence[float]) -> Multivector:
-    """Coerce a list of reals to the 1-vector sum(v[i] * e_{i+1})."""
+    """Coerce a list of reals to the 1-vector sum(v[i] * e_{i+1}); more than
+    MAX_INDEX entries is a ValueError."""
     return Multivector._wrap(canonical(
-        {1 << (i - 1): _check_coeff(c) for i, c in enumerate(v, start=1)}
+        {validate_blade((i,)): _check_coeff(c) for i, c in enumerate(v, start=1)}
     ))
 
 
 def basis(i: int) -> Multivector:
     """The basis 1-vector e_i."""
-    return Multivector._wrap({blade_key(validate_blade((i,))): 1.0})
+    return Multivector._wrap({validate_blade((i,)): 1.0})

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .blade import MAX_INDEX
 from .multivector import Multivector, canonical
 
 _MASK64 = (1 << 64) - 1
@@ -70,6 +71,8 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.dimension > MAX_INDEX:
+            raise ValueError(f"dimension must be <= {MAX_INDEX}, got {self.dimension}")
         if not 1 <= self.max_grade <= self.dimension:
             raise ValueError(
                 f"max_grade must be in 1..dimension, got {self.max_grade} with dimension {self.dimension}"

@@ -22,7 +22,7 @@ with an empty index list for the scalar term, in canonical order; it
 round-trips exactly (coefficients written with full repr precision).  Load
 reads a coefficient as an optionally signed calculator number and an index as
 ASCII digits, so NaN, infinities, ``_`` digit separators and non-ASCII digits
-are rejected.
+are rejected; a line's index list follows the rule of :mod:`cliffcalc.blade`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blade import blade_key, index_error, key_blade
-from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, index_value, tokenize
+from .blade import blade_key, first_bad_index, index_value, key_blade
+from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, tokenize
 from .multivector import Multivector, from_scalar, sum_terms
 
 
@@ -196,16 +196,14 @@ def load(path: str | os.PathLike) -> Multivector:
                 raise MultivectorFileError(
                     f"coefficient must be finite, got {text!r}", lineno
                 )
-            key = 0
-            prev = 0
-            for token in right.split():
-                if not _INDEX_RE.fullmatch(token):
-                    raise MultivectorFileError(f"bad index {token!r}", lineno)
-                index = index_value(token)
-                error = index_error(index, prev)
-                if error:
-                    raise MultivectorFileError(error, lineno)
-                key |= 1 << (index - 1)
-                prev = index
-            items.append((key, coeff))
+            tokens = right.split()
+            # a token that is not digits stays a str, which fails in its place
+            indices = tuple(index_value(t) if _INDEX_RE.fullmatch(t) else t for t in tokens)
+            bad = first_bad_index(indices)
+            if bad:
+                at, error = bad
+                if not _INDEX_RE.fullmatch(tokens[at]):
+                    error = f"bad index {tokens[at]!r}"
+                raise MultivectorFileError(error, lineno)
+            items.append((blade_key(indices), coeff))
     return Multivector._wrap(sum_terms(items))

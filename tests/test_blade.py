@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from cliffcalc import (
+    Multivector,
     Signature,
     blade_key,
     blade_product,
@@ -206,6 +207,22 @@ def test_index_bounds_enforced():
         canonicalize([65536])
     with pytest.raises(ValueError):
         canonicalize([0])
+    for index in (1.0, True, None):
+        with pytest.raises(TypeError, match="blade index must be int"):
+            canonicalize([2, index])
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    ((2, 1), (1,), (2, 1)), ((1, 1), (1,), (1, 1)), ((0,), (1,), (0,)),
+    ((3,), (70000,), (70000,)), ((1,), (3, 70000), (3, 70000)), ((1,), (1.0,), (1.0,)),
+], ids=["unsorted", "repeated", "zero", "above-max", "above-max-in-pair", "float"])
+def test_blade_products_reject_what_the_constructor_rejects(a, b, bad):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        Multivector({bad: 1.0})
+    for call in (lambda: blade_product(a, b, euclidean()), lambda: blade_wedge(a, b)):
+        with pytest.raises(expected.type) as exc:
+            call()
+        assert str(exc.value) == str(expected.value)
 
 
 # --- sign_factors ---------------------------------------------------------

@@ -70,6 +70,9 @@ def test_constructor_validates_blades():
         Multivector({(0,): 1.0})
     with pytest.raises(TypeError):
         Multivector({(1,): "three"})
+    for index in (1.0, True, "1"):
+        with pytest.raises(TypeError, match="blade index must be int"):
+            Multivector({(index,): 1.0})
 
 
 def test_non_finite_coefficients_are_rejected():
@@ -99,6 +102,18 @@ def test_as_1vector():
     assert dict(v.terms()) == {(i,): float(i) for i in range(1, 8)}
     assert as_1vector([]).is_zero()
     assert dict(as_1vector([0, 5]).terms()) == {(2,): 5.0}
+
+
+def test_as_1vector_stops_at_max_index():
+    # an entry past MAX_INDEX would be a blade that neither render nor save
+    # can make read back; as_1vector rejects it as the constructor does
+    with pytest.raises(ValueError, match="blade index 65536 outside 1..65535"):
+        as_1vector([0.0] * 65535 + [1.0])
+    top = as_1vector([0.0] * 65534 + [1.0])
+    assert top == basis(65535) == Multivector({(65535,): 1.0})
+    assert parse_multivector(render(top)) == top
+    full = as_1vector([1.0] * 65535)
+    assert full.num_terms() == 65535 and full.max_index() == 65535
 
 
 def test_basis():
@@ -248,6 +263,20 @@ def test_grade_parts_sum_back(a):
 def test_equality_is_structural():
     assert from_terms([[1, 2]], [1]) == from_terms([[2, 1]], [-1])
     assert from_scalar(1) != from_scalar(2)
+    assert hash(from_terms([[1, 2]], [1])) == hash(from_terms([[2, 1]], [-1]))
+    assert len({sample_x(), sample_x(), zero(), zero()}) == 2
+
+
+def test_coefficient_str_and_repr():
+    x = sample_x()
+    assert x.coefficient((2, 3)) == 4.0
+    assert x.coefficient([]) == 1.0
+    assert x.coefficient((1, 2)) == 0.0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        x.coefficient((3, 2))
+    assert str(x) == render(x) == "+ 1 + 2e_1 + 3e_2 + 4e_23"
+    assert repr(x) == "Multivector({(): 1.0, (1,): 2.0, (2,): 3.0, (2, 3): 4.0})"
+    assert eval(repr(x)) == x
 
 
 def test_is_zero():

@@ -111,8 +111,15 @@ def test_saturated_spec_generates_all_blades():
         dict(num_terms=0),
         dict(coeff_min=2, coeff_max=1),
         dict(coeff_min=0, coeff_max=0),
+        dict(dimension=65536),  # above MAX_INDEX
     ],
 )
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
         RandomSpec(**kwargs)
+
+
+def test_dimension_may_reach_max_index():
+    mv = random_multivector(RandomSpec(dimension=65535, max_grade=3, seed=5))
+    assert mv.num_terms() == 9
+    assert all(len(blade) == 3 for blade in mv.blades())

@@ -1,6 +1,6 @@
 import pytest
 
-from cliffcalc import Signature, euclidean, from_terms
+from cliffcalc import Signature, euclidean, from_terms, parse_multivector
 from cliffcalc.exprparse import ExpressionSyntaxError, parse_expr
 from cliffcalc.repl import (
     CommandError,
@@ -51,6 +51,9 @@ def test_signature_single_count_leaves_q_unbounded(session):
 def test_contraction_precedence_pitfall_is_designed_away(session):
     assert feed(session, "e(2) _| e(1) * e(2)") == "- 1e_1"
     assert feed(session, "(e(2) _| e(1)) * e(2)") == "the zero clifford element (0)"
+    assert feed(session, "e(1) * e(2) |_ e(2)") == "+ 1e_1"
+    assert feed(session, "e(1) * (e(2) |_ e(2))") == "+ 1e_1"
+    assert feed(session, "e(2) |_ e(1) * e(2)") == "the zero clifford element (0)"
 
 
 def test_wedge_ignores_session_signature(session):
@@ -93,6 +96,13 @@ def test_rand_builtin_is_deterministic(session):
     second = feed(session, "rand(6, 4, 0, 99)")
     assert first == second
     assert feed(session, "rand()") == feed(session, "rand(6, 4, 0, 0)")
+
+
+def test_rand_dimension_is_bounded_by_max_index(session):
+    # indices above MAX_INDEX would print as blades no parser reads back
+    with pytest.raises(EvalError, match="dimension must be <= 65535"):
+        feed(session, "rand(65536, 1)")
+    assert parse_multivector(feed(session, "rand(65535, 1)")).num_terms() == 9
 
 
 def test_blade_literal_forms_agree(session):
