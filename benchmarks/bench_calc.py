@@ -10,7 +10,8 @@ table times whole lines through ``run_command`` by kind: literal
 assignments, printed binary products, powers, ``grades`` calls, and
 ``:signature``/``:basissep`` commands.  Each round times one pass of every
 row over its lines, the rows in a seeded shuffled order, and a cell is the
-median over the rounds.  Run from the repository root:
+median over the rounds, from ``interleaved_medians``, the timer
+``bench_products.py`` imports too.  Run from the repository root:
 
     python benchmarks/bench_calc.py
     python benchmarks/bench_calc.py --lines 400 --repeats 15 --seed 7
@@ -74,13 +75,16 @@ def script(lines: int, seed: int) -> list[tuple[str, str]]:
     return out
 
 
-def interleaved_medians(rows: dict, repeats: int) -> dict:
+def interleaved_medians(rows: dict, repeats: int, before=lambda name: None) -> dict:
     """Median seconds per item of each row over ``repeats`` rounds after a
-    warm-up round; a row is (call, items).
+    warm-up round; a row is (call, items).  Both benchmark scripts time
+    through this function.
 
     Each round times one pass of every row over its items, so a slow spell
     of the machine reaches all the rows alike, in a seeded shuffled order,
-    so that no row always follows the same one.
+    so that no row always follows the same one (the call before leaves the
+    caches warm or cold).  ``before(name)`` runs ahead of each pass of that
+    row, outside its time.
     """
     times = {name: [] for name in rows}
     order = list(rows.items())
@@ -88,6 +92,7 @@ def interleaved_medians(rows: dict, repeats: int) -> dict:
     for _ in range(repeats + 1):
         shuffle(order)
         for name, (call, items) in order:
+            before(name)
             start = time.perf_counter()
             for item in items:
                 call(item)

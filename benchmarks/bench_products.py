@@ -9,7 +9,8 @@ are timed end to end under both backends too; under ``numpy`` they take the
 per-pair path up to ``products._SMALL_CONTRACTION_PAIRS`` and
 ``products._SMALL_WEDGE_PAIRS`` pairs and the kernel above.  Each repeat
 times every column once, in a shuffled order, and a cell is the median over
-the repeats.
+the repeats, from ``bench_calc.interleaved_medians``, the timer both
+benchmark scripts share; a column's backend is set before its call is timed.
 
 ``--cutoffs`` instead times ``products._per_pair`` against
 ``products._packed`` for the four products, under four signatures, in
@@ -34,7 +35,6 @@ import argparse
 import json
 import os
 import platform
-import random
 import time
 
 import numpy as np
@@ -42,6 +42,8 @@ import numpy as np
 from cliffcalc import Signature, euclidean, geometric_product, grassmann, left_contraction, wedge
 from cliffcalc import kernels, products
 from cliffcalc.rand import RandomSpec, random_multivector
+
+from bench_calc import interleaved_medians
 
 SIG = Signature(6, 4)
 
@@ -72,63 +74,22 @@ def build(num_terms: int, seed: int):
     )
 
 
-def arrays(mv):
-    """(keys, coeffs) as the packed path builds them from the blade-key dict."""
-    return np.fromiter(mv._terms, np.uint64), np.fromiter(mv._terms.values(), np.float64)
-
-
 def sweep_columns(a, b) -> dict:
-    """The size sweep's columns: name -> (backend, call).
+    """The size sweep's rows for ``interleaved_medians``: name -> (call, items).
 
     ``kernel`` is one ``kernels.pair_table`` call as ``products._packed``
-    makes it, on arrays built once from the blade keys.
+    makes it, on arrays built once by ``products._operands``.
     """
-    keys_a, coeffs_a = arrays(a)
-    keys_b, coeffs_b = arrays(b)
-    pos, neg = (np.uint64(m) for m in kernels.region_masks(SIG))
-    width = max(a.max_index(), b.max_index())
-
-    def kernel():
-        kernels.pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos, neg, width, kernels.FILTER_NONE)
-
-    def geometric():
-        geometric_product(a, b, SIG)
-
-    def lc():
-        left_contraction(a, b, SIG)
-
-    def wedge_():
-        wedge(a, b)
-
-    return {"python": ("python", geometric), "numpy": ("numpy", geometric),
-            "kernel": ("numpy", kernel),
-            "lc python": ("python", lc), "lc numpy": ("numpy", lc),
-            "wedge python": ("python", wedge_), "wedge numpy": ("numpy", wedge_)}
-
-
-def interleaved_medians(columns: dict, repeats: int) -> dict:
-    """Median seconds per column over ``repeats`` rounds after a warm-up round.
-
-    Each round times every column once, so a slow spell of the machine
-    reaches all the columns alike, in a seeded shuffled order, so that no
-    column always follows the same one (the call before leaves the caches
-    warm or cold).
-    """
-    times = {name: [] for name in columns}
-    order = list(columns.items())
-    shuffle = random.Random(0).shuffle
-    previous = kernels.active_backend()
-    try:
-        for _ in range(repeats + 1):
-            shuffle(order)
-            for name, (backend, call) in order:
-                kernels.set_backend(backend)
-                start = time.perf_counter()
-                call()
-                times[name].append(time.perf_counter() - start)
-    finally:
-        kernels.set_backend(previous)
-    return {name: float(np.median(t[1:])) for name, t in times.items()}
+    pos, neg = kernels.region_masks(SIG)
+    kernel_args = (*products._operands(a), *products._operands(b), np.uint64(pos), np.uint64(neg),
+                   max(a.max_index(), b.max_index()), kernels.FILTER_NONE)
+    pair = [(a, b)]
+    geometric = (lambda ab: geometric_product(*ab, SIG), pair)
+    lc = (lambda ab: left_contraction(*ab, SIG), pair)
+    wedge_ = (lambda ab: wedge(*ab), pair)
+    return {"python": geometric, "numpy": geometric,
+            "kernel": (lambda args: kernels.pair_table(*args), [kernel_args]),
+            "lc python": lc, "lc numpy": lc, "wedge python": wedge_, "wedge numpy": wedge_}
 
 
 def cutoff_ratio(a, b, sig, filter_mode, repeats: int) -> float:
@@ -206,7 +167,13 @@ def size_sweep(sizes, repeats: int) -> dict:
     for size in sizes:
         a = build(size, seed=2 * size)
         b = build(size, seed=2 * size + 1)
-        timings = interleaved_medians(sweep_columns(a, b), repeats)
+        previous = kernels.active_backend()
+        try:  # a column named "... python" runs under that backend, the rest under numpy
+            timings = interleaved_medians(
+                sweep_columns(a, b), repeats,
+                before=lambda name: kernels.set_backend("python" if name.endswith("python") else "numpy"))
+        finally:
+            kernels.set_backend(previous)
         if header is None:
             header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in timings)
             print(header)

@@ -13,21 +13,30 @@ Both paths work on blade keys with one sign rule: the
 :func:`~cliffcalc.blade.sign_factors` of each left key a, then per pair the
 :func:`~cliffcalc.blade.pair_sign` (``dead & b`` and the parity of
 ``parity & b``) and the result key ``a ^ b``.  When every index fits in
-1..64 and the product has more than ``_SMALL_PAIRS`` term pairs
-(``_SMALL_CONTRACTION_PAIRS`` for the contractions, ``_SMALL_WEDGE_PAIRS``
-for the wedge), the keys go into uint64 arrays for the packed numpy kernel
-in :mod:`cliffcalc.kernels`, with the operands' largest index as the keys'
-width.  Smaller products, blades with larger indices and every product
-under ``kernels.set_backend("python")`` take the per-pair path, one loop over
-the pairs on Python ints, whose left keys of indices up to 12 read their
-prefix parity from a table.  There the contractions and the wedge drop the
-pairs that cannot contribute (outside the grade filter, or sharing a
-generator) before the sign, so a left key takes its sign factors only once a
-pair survives; a pair takes its key only for a nonzero sign.
+1..64 and the product has more term pairs than its cutoff, the keys go into
+uint64 arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`, with
+the operands' largest index as the keys' width.  Smaller products, blades
+with larger indices and every product under ``kernels.set_backend("python")``
+take the per-pair path, one loop over the pairs on Python ints, whose left
+keys of indices up to 12 read their prefix parity from a table.  There the
+contractions and the wedge drop the pairs that cannot contribute (outside the
+grade filter, or sharing a generator) before the sign, so a left key takes
+its sign factors only once a pair survives; a pair takes its key only for a
+nonzero sign.
+
 Both paths sum coefficients per result key in pair order and drop exact
 zeros once, at the end: the per-pair path through
 :func:`~cliffcalc.multivector.canonical`, which also orders its keys, and the
 kernel at array level, its keys coming out ascending.
+
+Each product passes its own cutoff to ``_binary``, because the per-pair
+path's cost follows the pairs that pass the product's filter while the
+kernel's barely follows the table size.  The geometric product keeps every
+pair, the wedge drops the overlapping ones and the contractions most of
+theirs, so the committed grid breaks even at about 100-144 pairs for the
+geometric product (``_SMALL_PAIRS``), 256 for the wedge
+(``_SMALL_WEDGE_PAIRS``) and 400-576 for the contractions
+(``_SMALL_CONTRACTION_PAIRS``).
 """
 
 from __future__ import annotations
@@ -40,10 +49,8 @@ from .blade import pair_sign as blade_product, pair_sign as blade_wedge, sign_fa
 from .metric import Signature, signature_masks
 from .multivector import Multivector, canonical, from_scalar
 
-# Products of at most this many term pairs take the per-pair path: the
-# geometric product, the contractions (whose grade filter drops most pairs
-# before the sign) and the wedge (which drops overlapping pairs).  Each is the
-# largest pair count at which the median per-pair over packed time of the
+# Products of at most this many term pairs take the per-pair path.  Each is
+# the largest pair count at which the median per-pair over packed time of the
 # "cutoffs" grid in BENCH_products.json, written by
 # ``benchmarks/bench_products.py --cutoffs``, is below 1; "cutoff_history"
 # there holds the measurements behind the earlier values.
@@ -54,22 +61,22 @@ _SMALL_WEDGE_PAIRS = 256
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
     """The Clifford product of two multivectors under ``sig``."""
-    return _binary(a, b, sig, kernels.FILTER_NONE)
+    return _binary(a, b, sig, kernels.FILTER_NONE, _SMALL_PAIRS)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; signature-free, zero whenever blades overlap."""
-    return _binary(a, b, None, kernels.FILTER_NONE)
+    return _binary(a, b, None, kernels.FILTER_NONE, _SMALL_WEDGE_PAIRS)
 
 
 def left_contraction(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
     """a ⌋ b: keeps the parts of the product lowering b's grade by a's."""
-    return _binary(a, b, sig, kernels.FILTER_LEFT)
+    return _binary(a, b, sig, kernels.FILTER_LEFT, _SMALL_CONTRACTION_PAIRS)
 
 
 def right_contraction(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
     """a ⌊ b: keeps the parts of the product lowering a's grade by b's."""
-    return _binary(a, b, sig, kernels.FILTER_RIGHT)
+    return _binary(a, b, sig, kernels.FILTER_RIGHT, _SMALL_CONTRACTION_PAIRS)
 
 
 def power(a: Multivector, k: int, sig: Signature) -> Multivector:
@@ -87,15 +94,11 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
     return result
 
 
-def _binary(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
+def _binary(
+    a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int, cutoff: int
+) -> Multivector:
     if a.is_zero() or b.is_zero():
         return Multivector._wrap({})
-    if filter_mode:
-        cutoff = _SMALL_CONTRACTION_PAIRS
-    elif sig is None:
-        cutoff = _SMALL_WEDGE_PAIRS
-    else:
-        cutoff = _SMALL_PAIRS
     if (
         a.num_terms() * b.num_terms() > cutoff
         and kernels.active_backend() != "python"
@@ -144,12 +147,13 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
     pos, neg = kernels.region_masks(sig) if sig is not None else (0, 0)
-    keys, coeffs = kernels.pair_table(
-        np.fromiter(a._terms, np.uint64, a.num_terms()),
-        np.fromiter(a._terms.values(), np.float64, a.num_terms()),
-        np.fromiter(b._terms, np.uint64, b.num_terms()),
-        np.fromiter(b._terms.values(), np.float64, b.num_terms()),
-        np.uint64(pos), np.uint64(neg), max(a.max_index(), b.max_index()), filter_mode,
-    )
+    keys, coeffs = kernels.pair_table(*_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg),
+                                      max(a.max_index(), b.max_index()), filter_mode)
     # kernel keys come out ascending, which is canonical order already
     return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))
+
+
+def _operands(mv: Multivector) -> tuple[np.ndarray, np.ndarray]:
+    """``mv``'s blade keys and coefficients as the kernel's uint64 and float64 arrays."""
+    n = mv.num_terms()
+    return np.fromiter(mv._terms, np.uint64, n), np.fromiter(mv._terms.values(), np.float64, n)

@@ -175,7 +175,11 @@ def _call(expr: Call, session: Session) -> Value:
     name = expr.name
     if name == "e":
         _want_arity(expr, args, 1, 1)
-        return basis(_as_int(args[0], "e() index", expr.pos, minimum=1))
+        index = _as_int(args[0], "e() index", expr.pos, minimum=1)
+        try:
+            return basis(index)
+        except ValueError as err:
+            raise EvalError(f"e(): {err}", expr.pos) from None
     if name == "grade":
         _want_arity(expr, args, 2, 2)
         target = _want_mv(args[0], "grade()")
@@ -279,6 +283,10 @@ def _eval_source(source: str, session: Session, offset: int) -> Value:
         if err.position is not None:
             raise EvalError(str(err), err.position + offset) from None
         raise
+    except RecursionError:
+        # the parser and eval_expr recurse once per nesting level; the
+        # session is untouched, since nothing is bound before they return
+        raise EvalError("expression is nested too deeply", offset) from None
 
 
 #: A word of a command line without quotes or backslashes: shlex.split

@@ -4,10 +4,14 @@ The scripts reach into private names of the library (``products._per_pair``,
 ``products._packed``, the ``_SMALL_*`` cutoffs, ``kernels.pair_table``,
 ``kernels.region_masks``, ``kernels.FILTER_*``), so a refactor can break them
 without any other test noticing.  Each run checks the exit code and the
-header the script prints; the timings themselves are not checked.
+header the script prints; the timings themselves are not checked.  The sweep
+also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
+which must keep the file's other keys.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +31,14 @@ def run_script(*args: str) -> str:
     return result.stdout
 
 
+#: Stands in an argument list for the path of the trajectory copy.
+TRAJECTORY = "BENCH_products.json"
+#: The size sweep's columns, in the order it writes them.
+SWEEP_COLUMNS = ["python", "numpy", "kernel", "lc python", "lc numpy", "wedge python", "wedge numpy"]
+
+
 @pytest.mark.parametrize("args, header", [
-    (("benchmarks/bench_products.py", "--sizes", "8,16", "--repeats", "1"),
+    (("benchmarks/bench_products.py", "--sizes", "8,16", "--repeats", "1", "--json", TRAJECTORY),
      ("terms", "pairs", "python", "numpy", "kernel", "lc python", "wedge numpy")),
     (("benchmarks/bench_products.py", "--cutoffs", "--repeats", "1"),
      ("median per-pair/packed over signatures and dimensions",
@@ -36,7 +46,17 @@ def run_script(*args: str) -> str:
     (("benchmarks/bench_calc.py", "--lines", "20", "--repeats", "1"),
      ("20 lines,", "layer", "tokenize", "render", "run_command", "literal", "command")),
 ], ids=["sweep", "cutoffs", "calc"])
-def test_benchmark_script_runs(args, header):
-    out = run_script(*args)
+def test_benchmark_script_runs(args, header, tmp_path):
+    trajectory = tmp_path / TRAJECTORY
+    if TRAJECTORY in args:
+        shutil.copy(ROOT / TRAJECTORY, trajectory)
+    out = run_script(*(str(trajectory) if arg == TRAJECTORY else arg for arg in args))
     for text in header:
         assert text in out
+    if TRAJECTORY in args:
+        committed = json.loads((ROOT / TRAJECTORY).read_text())
+        written = json.loads(trajectory.read_text())
+        assert [row["terms"] for row in written["rows"]] == [8, 16]
+        assert all(list(row["us"]) == SWEEP_COLUMNS for row in written["rows"])
+        for key in ("cutoffs", "cutoff_history"):
+            assert written[key] == committed[key]

@@ -17,6 +17,7 @@ from cliffcalc.kernels import (
     region_masks,
 )
 from cliffcalc.products import (
+    _operands,
     geometric_product,
     left_contraction,
     right_contraction,
@@ -399,6 +400,42 @@ def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(resto
                     assert coefficient_bits(per_pair) == coefficient_bits(kernel)
 
 
+#: Each product, called as the calculator calls it, and the cutoff it passes.
+OWN_CUTOFFS = (
+    (lambda a, b: geometric_product(a, b, Signature(6, 4)), "_SMALL_PAIRS"),
+    (wedge, "_SMALL_WEDGE_PAIRS"),
+    (lambda a, b: left_contraction(a, b, Signature(6, 4)), "_SMALL_CONTRACTION_PAIRS"),
+    (lambda a, b: right_contraction(a, b, Signature(6, 4)), "_SMALL_CONTRACTION_PAIRS"),
+)
+
+
+@pytest.mark.parametrize("product, cutoff", OWN_CUTOFFS, ids=["geometric", "wedge", "left", "right"])
+@pytest.mark.parametrize("over", [0, 1], ids=["at", "above"])
+def test_each_product_packs_just_above_its_own_cutoff(restore_backend, monkeypatch, product,
+                                                      cutoff, over):
+    # 1 x N terms in dimension 9, N the product's cutoff or one more: under
+    # numpy the kernel runs only above the cutoff, under python never, and
+    # the integer coefficients make both backends' sums exact
+    import itertools
+
+    from cliffcalc import products
+
+    n = getattr(products, cutoff) + over
+    blades = [blade for grade in range(1, 10) for blade in itertools.combinations(range(1, 10), grade)]
+    a = Multivector({(1, 2, 3, 4): 3.0})
+    b = Multivector({blade: float((1 + k % 7) * (-1) ** k) for k, blade in enumerate(blades[:n])})
+    assert a.num_terms() * b.num_terms() == n
+    spy = mock.Mock(wraps=kernels.pair_table)
+    monkeypatch.setattr(kernels, "pair_table", spy)
+    results = []
+    for backend, kernel_calls in (("numpy", over), ("python", 0)):
+        kernels.set_backend(backend)
+        spy.reset_mock()
+        results.append(list(product(a, b).terms()))
+        assert spy.call_count == kernel_calls
+    assert results[0] == results[1] != []
+
+
 def with_e64(rng, indices, num_terms):
     """A float multivector of exactly ``num_terms`` terms, one of them e_64."""
     mv = float_multivector(rng, indices[indices < 64], num_terms - 1)
@@ -569,18 +606,11 @@ def test_overflowing_products_neither_warn_nor_differ_between_backends(restore_b
         assert c_n == c_p or (math.isnan(c_n) and math.isnan(c_p))
 
 
-def kernel_operands(mv):
-    return (
-        np.fromiter(mv._terms, np.uint64, mv.num_terms()),
-        np.fromiter(mv._terms.values(), np.float64, mv.num_terms()),
-    )
-
-
 def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
     pos, neg = region_masks(sig) if sig is not None else (0, 0)
     width = max(a.max_index(), b.max_index())
     return pair_table(
-        *kernel_operands(a), *kernel_operands(b), np.uint64(pos), np.uint64(neg), width, filter_mode
+        *_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg), width, filter_mode
     )
 
 
@@ -721,7 +751,7 @@ def test_the_unmasked_kernel_matches_the_python_backend_bit_for_bit(restore_back
         per_pair = list(geometric_product(a, b, sig).terms())
         assert coefficient_bits(packed) == coefficient_bits(per_pair)
         seen_underflow |= any(ca * cb == 0.0 for _, ca in a.terms() for _, cb in b.terms())
-        reached = np.unique(np.bitwise_xor.outer(kernel_operands(a)[0], kernel_operands(b)[0]))
+        reached = np.unique(np.bitwise_xor.outer(_operands(a)[0], _operands(b)[0]))
         seen_cancelled |= len(packed) < reached.size
     assert seen_underflow and seen_cancelled
 

@@ -105,6 +105,40 @@ def test_rand_dimension_is_bounded_by_max_index(session):
     assert parse_multivector(feed(session, "rand(65535, 1)")).num_terms() == 9
 
 
+def test_basis_index_is_bounded_by_max_index(session):
+    # raised at the call, as rand() raises, not as a bare ValueError
+    with pytest.raises(EvalError, match=r"e\(\): blade index 70000 outside 1\.\.65535") as err:
+        feed(session, "e(70000)")
+    assert err.value.position == 0
+    with pytest.raises(EvalError, match="outside 1..65535") as err:
+        feed(session, "x = e(70000)")
+    assert err.value.position == 4
+    assert "x" not in session.variables
+    assert feed(session, "e(65535)") == "+ 1e[65535]"
+
+
+#: Lines about three times deeper than the parser or ``eval_expr`` can
+#: recurse under the default recursion limit.
+DEEP_LINES = {
+    "parentheses": "(" * 990 + "e_1" + ")" * 990,
+    "minus-signs": "-" * 2970 + "e_1",
+    "products": " * ".join(["x"] * 2970),
+}
+
+
+@pytest.mark.parametrize("line", DEEP_LINES.values(), ids=DEEP_LINES)
+def test_deep_lines_are_positioned_errors(session, line):
+    feed(session, "x = e_1", "y = 2")
+    with pytest.raises(EvalError, match="expression is nested too deeply") as err:
+        feed(session, line)
+    assert err.value.position == 0
+    with pytest.raises(EvalError, match="expression is nested too deeply") as err:
+        feed(session, "y = " + line)
+    assert err.value.position == 4
+    assert sorted(session.variables) == ["x", "y"]
+    assert feed(session, "y") == "scalar ( 2 )"
+
+
 def test_blade_literal_forms_agree(session):
     assert feed(session, "e_12 - e[1,2]") == "the zero clifford element (0)"
 
@@ -299,6 +333,15 @@ def test_run_script_reports_a_non_ascii_letter_as_an_error(tmp_path, capsys):
     assert f"{path}:2: error: unexpected character '\u00e9' (at position 5)" in captured.err
 
 
+@pytest.mark.parametrize("line", DEEP_LINES.values(), ids=DEEP_LINES)
+def test_run_script_reports_a_deep_line_as_an_error(tmp_path, capsys, line):
+    path = write_script(tmp_path, f"x = e(1)\n{line}\ne(2)\n")
+    assert run_script(path, Session()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:2: error: expression is nested too deeply" in captured.err
+
+
 def test_run_script_missing_file(capsys):
     assert run_script("/no/such/file.cliff", Session()) == 1
     assert "error" in capsys.readouterr().err
@@ -357,6 +400,26 @@ def test_interactive_loop(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "+ 1e_12" in out
     assert "error:" in out
+
+
+def test_interactive_loop_carries_on_after_a_deep_line(monkeypatch, capsys):
+    lines = iter([DEEP_LINES["parentheses"], "e(1)*e(2)", ":quit", "e(3)"])
+
+    def fake_input(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    from cliffcalc.repl import interactive
+
+    assert interactive(Session()) == 0
+    out = capsys.readouterr().out
+    assert "error: expression is nested too deeply" in out
+    assert "+ 1e_12" in out
+    assert "e_3" not in out
+    assert next(lines) == "e(3)"
 
 
 def test_interactive_eof_exits(monkeypatch):
