@@ -51,6 +51,12 @@ like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an expression.
 
 The AST nodes are NamedTuples, about half the cost of frozen dataclasses to
 build; like any tuples, they compare by their fields alone.
+
+Every error of the lexer and the parser is an :class:`ExpressionSyntaxError`,
+raised once, at an offset in the text passed in: the calculator passes its
+whole line, and :func:`~cliffcalc.textio.parse_multivector` lets the lexer's
+errors through as they are.  Input nested deeper than the parser can recurse
+is an error at its first token.
 """
 
 from __future__ import annotations
@@ -311,9 +317,18 @@ def _describe(tok: Token) -> str:
 
 
 def parse_expr(source: str) -> Expr:
-    """Parse one calculator expression into an AST."""
-    parser = _Parser(tokenize(source))
-    expr = parser.expression(0)
+    """Parse one calculator expression into an AST.
+
+    Positions in its nodes and errors are offsets in ``source``.  The parser
+    recurses once per parenthesis and per unary sign, and a ``RecursionError``
+    becomes "expression is nested too deeply" at the first token.
+    """
+    tokens = tokenize(source)
+    parser = _Parser(tokens)
+    try:
+        expr = parser.expression(0)
+    except RecursionError:
+        raise ExpressionSyntaxError("expression is nested too deeply", tokens[0].pos) from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionSyntaxError(

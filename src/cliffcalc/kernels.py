@@ -138,8 +138,6 @@ def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, fi
         flat_keys, flat_coeffs = table.ravel(), coeffs.ravel()
     else:
         flat_keys, flat_coeffs = table[keep], coeffs[keep]
-        if flat_keys.size == 0:
-            return flat_keys, flat_coeffs
 
     # one bin per possible key while that is cheap, else one per distinct
     # key; a key below the bin count reads as the same int64, so it is its own

@@ -24,7 +24,7 @@ import math
 import numbers
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .blade import Blade, blade_key, canonicalize, key_blade, validate_blade
+from .blade import MAX_INDEX, Blade, blade_key, canonicalize, key_blade, validate_blade
 
 
 class Multivector:
@@ -51,8 +51,8 @@ class Multivector:
         :func:`canonical`: ``__neg__``, ``grade_part``, :func:`basis`,
         :func:`from_scalar`, the packed kernel's output in
         :func:`cliffcalc.products._packed` and the calculator's one-term
-        literals in :func:`cliffcalc.repl.eval_expr`; scalar ``__mul__``
-        keeps the order and drops its own underflowed zeros.
+        literals in :func:`cliffcalc.repl.eval_expr`; scalar ``__mul__`` and
+        :func:`as_1vector` keep the order and drop their own zeros.
         """
         mv = object.__new__(cls)
         mv._terms = terms
@@ -169,16 +169,13 @@ def canonical(acc: dict[int, float]) -> dict[int, float]:
     """The terms of ``acc`` as a :class:`Multivector` stores them.
 
     Drops the keys whose coefficient is exactly 0.0 and orders the rest by
-    ascending key, in one pass; one key is in order already, and is returned
-    as ``acc`` itself unless it is zero.  Builders add all their terms first
-    and call this once: a sum that cancels to ±0.0 and is then added to
-    equals a fresh sum from 0.0, so dropping zeros only at the end gives the
-    same coefficients as dropping them along the way.
+    ascending key, in one pass.  Builders add all their terms first and call
+    this once: a sum that cancels to ±0.0 and is then added to equals a
+    fresh sum from 0.0, so dropping zeros only at the end gives the same
+    coefficients as dropping them along the way.
     """
-    if len(acc) > 1:
-        # sorting the keys alone is cheaper than sorting the items
-        return {key: value for key in sorted(acc) if (value := acc[key])}
-    return {} if 0.0 in acc.values() else acc
+    # sorting the keys alone is cheaper than sorting the items
+    return {key: value for key in sorted(acc) if (value := acc[key])}
 
 
 def sum_terms(
@@ -228,9 +225,12 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
 def as_1vector(v: Sequence[float]) -> Multivector:
     """Coerce a list of reals to the 1-vector sum(v[i] * e_{i+1}); more than
     MAX_INDEX entries is a ValueError."""
-    return Multivector._wrap(canonical(
-        {validate_blade((i,)): _check_coeff(c) for i, c in enumerate(v, start=1)}
-    ))
+    if len(v) > MAX_INDEX:  # entry MAX_INDEX + 1 would have no blade
+        validate_blade((MAX_INDEX + 1,))
+    # enumerate yields the keys in ascending order
+    return Multivector._wrap({
+        blade_key((i,)): c for i, c in enumerate(map(_check_coeff, v), start=1) if c
+    })
 
 
 def basis(i: int) -> Multivector:

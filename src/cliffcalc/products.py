@@ -97,8 +97,6 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(
     a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int, cutoff: int
 ) -> Multivector:
-    if a.is_zero() or b.is_zero():
-        return Multivector._wrap({})
     if (
         a.num_terms() * b.num_terms() > cutoff
         and kernels.active_backend() != "python"

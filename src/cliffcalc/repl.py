@@ -8,6 +8,13 @@ not store a metric.
 Lines are either ``:commands``, assignments ``name = expr`` (bound silently),
 or bare expressions (printed).  ``#`` starts a comment.
 
+Each error is raised once, by the layer that finds it.  The parser reads the
+line itself, with an assignment's ``name =`` blanked to spaces, so the
+position of a syntax error, an unbound name or a bad call is already its
+offset in the line.  The one error made here for another layer is a
+``RecursionError`` of :func:`eval_expr` on a long chain, which becomes an
+:class:`EvalError` at the expression's start; an AST holds no start of its own.
+
 Commands:
 
     :signature p [q]     set the metric; q omitted means unbounded
@@ -33,7 +40,6 @@ from .exprparse import (
     BladeLit,
     Call,
     Expr,
-    ExpressionSyntaxError,
     Neg,
     Num,
     Pow,
@@ -234,59 +240,43 @@ def run_command(line: str, session: Session) -> str | None:
     """Execute one line; returns printable output or None.
 
     Raises QuitRequested for ``:quit`` and a ValueError subclass on any
-    failure, in which case the session is untouched.
+    failure, in which case the session is untouched.  An error's
+    ``position``, where it has one, is an offset in ``line``.
     """
-    body = line.split("#", 1)[0]
-    stripped = body.strip()
+    source = line.split("#", 1)[0].rstrip()
+    stripped = source.lstrip()
     if not stripped:
         return None
-    offset = len(body) - len(body.lstrip())
     if stripped.startswith(":"):
         return _command(stripped, session)
-    name, expr_src, expr_offset = _split_assignment(stripped)
-    if name is not None:
+    start = len(source) - len(stripped)
+    assignment = _ASSIGNMENT_RE.match(source)
+    if assignment:
+        name, rhs = assignment.groups()
+        if not rhs:
+            raise CommandError("assignment needs a right-hand side")
         _check_name(name)
-        value = _eval_source(expr_src, session, offset + expr_offset)
+        start = assignment.start(2)
+        source = " " * start + rhs
+    expr = parse_expr(source)
+    try:
+        value = eval_expr(expr, session)
+    except RecursionError:
+        # eval_expr recurses once per nesting level; the session is
+        # untouched, since nothing is bound before it returns
+        raise EvalError("expression is nested too deeply", start) from None
+    if assignment:
         if isinstance(value, GradesResult):
             raise EvalError("cannot bind a grades(...) result to a variable")
         session.variables[name] = value
         return None
-    value = _eval_source(stripped, session, offset)
     if isinstance(value, GradesResult):
         return str(value)
     return render(value, session.print_options)
 
 
-_ASSIGNMENT_RE = re.compile(rf"({IDENT})\s*=\s*(.*)$")
+_ASSIGNMENT_RE = re.compile(rf"\s*({IDENT})\s*=\s*(.*)$")
 _NAME_RE = re.compile(IDENT)
-
-
-def _split_assignment(text: str) -> tuple[str | None, str, int]:
-    m = _ASSIGNMENT_RE.match(text)
-    if not m:
-        return None, text, 0
-    rhs = m.group(2)
-    if not rhs:
-        raise CommandError("assignment needs a right-hand side")
-    return m.group(1), rhs, m.start(2)
-
-
-def _eval_source(source: str, session: Session, offset: int) -> Value:
-    try:
-        expr = parse_expr(source)
-        return eval_expr(expr, session)
-    except ExpressionSyntaxError as err:
-        raise ExpressionSyntaxError(
-            err.base_message, err.position + offset, err.expected
-        ) from None
-    except EvalError as err:
-        if err.position is not None:
-            raise EvalError(str(err), err.position + offset) from None
-        raise
-    except RecursionError:
-        # the parser and eval_expr recurse once per nesting level; the
-        # session is untouched, since nothing is bound before they return
-        raise EvalError("expression is nested too deeply", offset) from None
 
 
 #: A word of a command line without quotes or backslashes: shlex.split

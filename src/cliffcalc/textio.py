@@ -15,7 +15,10 @@ every index and every finite coefficient.  It reads the tokens of
 the calculator's grammar: exponents (``1e-05e_1``), digit-run, comma and
 bracketed blades (``e_12``, ``e_1,10``, ``e[1, 10]``) and coefficient-less
 blades (``e_12`` meaning ``1e_12``).  A digit run is read digit-by-digit,
-which is why multi-digit indices render in the comma or bracket form.
+which is why multi-digit indices render in the comma or bracket form.  Its
+errors are the lexer's :class:`~cliffcalc.exprparse.ExpressionSyntaxError`,
+raised at their position in the text; :class:`MultivectorParseError` is
+another name for that class.
 
 The ``.mv`` file format is one term per line, ``<coefficient> ; <i1> ... <ik>``
 with an empty index list for the scalar term, in canonical order; it
@@ -38,12 +41,9 @@ from .exprparse import NUMBER, ZERO_FORM, ExpressionSyntaxError, tokenize
 from .multivector import Multivector, from_scalar, sum_terms
 
 
-class MultivectorParseError(ValueError):
-    """Malformed multivector literal; ``position`` is a 0-based offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position + 1})")
-        self.position = position
+#: The error class of :func:`parse_multivector`, under its public name: a
+#: malformed literal is a syntax error of the lexer's grammar.
+MultivectorParseError = ExpressionSyntaxError
 
 
 class MultivectorFileError(ValueError):
@@ -123,18 +123,16 @@ def parse_multivector(text: str) -> Multivector:
     """Parse a rendered multivector back into a value.
 
     Accepts both special whole-value forms and signed term sequences
-    ``[+|-] [number] [blade]`` with any blade literal form.
+    ``[+|-] [number] [blade]`` with any blade literal form.  The lexer's
+    errors pass through as they are, and this parser's own are of their class.
     """
-    try:
-        tokens = tokenize(text)
-    except ExpressionSyntaxError as err:
-        raise MultivectorParseError(err.base_message, err.position) from None
+    tokens = tokenize(text)
     m = _SCALAR_FORM_RE.fullmatch(text.strip())
     if m:
         return from_scalar(float(m.group(1)))
 
     if tokens[0].kind == "end":
-        raise MultivectorParseError("empty multivector literal", tokens[0].pos)
+        raise ExpressionSyntaxError("empty multivector literal", tokens[0].pos)
     items: list[tuple[int, float]] = []
     k = 0
     while tokens[k].kind != "end":
@@ -144,7 +142,7 @@ def parse_multivector(text: str) -> Multivector:
             sign = -1.0 if tok.value == "-" else 1.0
             k += 1
         elif items:
-            raise MultivectorParseError("expected '+' or '-' between terms", tok.pos)
+            raise ExpressionSyntaxError("expected '+' or '-' between terms", tok.pos)
         start = k
         coeff = 1.0
         if tokens[k].kind == "number":
@@ -155,7 +153,7 @@ def parse_multivector(text: str) -> Multivector:
             key = blade_key(tokens[k].value)
             k += 1
         if k == start:
-            raise MultivectorParseError(
+            raise ExpressionSyntaxError(
                 "expected a coefficient or blade literal", tokens[k].pos
             )
         items.append((key, sign * coeff))

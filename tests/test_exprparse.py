@@ -146,6 +146,16 @@ def test_syntax_errors_have_positions_and_expectations():
         parse_expr("")
 
 
+@pytest.mark.parametrize("indent", ["", "   "])
+def test_deep_nesting_is_a_syntax_error_at_the_first_token(indent):
+    # the parser recurses per parenthesis and per sign; far past the
+    # recursion limit it reports the depth, not a RecursionError
+    for text in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "e_1"):
+        with pytest.raises(ExpressionSyntaxError, match="expression is nested too deeply") as exc:
+            parse_expr(indent + text)
+        assert exc.value.position == len(indent)
+
+
 def test_number_forms():
     assert parse_expr("2.5") == Num(2.5)
     assert parse_expr(".5") == Num(0.5)

@@ -126,16 +126,58 @@ DEEP_LINES = {
 }
 
 
-@pytest.mark.parametrize("line", DEEP_LINES.values(), ids=DEEP_LINES)
-def test_deep_lines_are_positioned_errors(session, line):
+#: The layer that finds each line too deep: the parser for nesting, and
+#: ``eval_expr`` for a chain, which parses flat but evaluates recursively.
+DEEP_LINE_ERRORS = {
+    "parentheses": ExpressionSyntaxError,
+    "minus-signs": ExpressionSyntaxError,
+    "products": EvalError,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_LINES)
+def test_deep_lines_are_positioned_errors(session, shape):
+    line, error = DEEP_LINES[shape], DEEP_LINE_ERRORS[shape]
     feed(session, "x = e_1", "y = 2")
-    with pytest.raises(EvalError, match="expression is nested too deeply") as err:
+    with pytest.raises(error, match="expression is nested too deeply") as err:
         feed(session, line)
     assert err.value.position == 0
-    with pytest.raises(EvalError, match="expression is nested too deeply") as err:
+    with pytest.raises(error, match="expression is nested too deeply") as err:
         feed(session, "y = " + line)
     assert err.value.position == 4
     assert sorted(session.variables) == ["x", "y"]
+    assert feed(session, "y") == "scalar ( 2 )"
+
+
+#: An error stands at its position in the line: past leading whitespace, a
+#: ``name =`` of any spacing and a trailing comment, for a lexer error, a
+#: parser error, an unbound name and a bad call.
+POSITIONED_LINES = [
+    ("1 + $", ExpressionSyntaxError, 4),
+    ("   1 + $", ExpressionSyntaxError, 7),
+    ("x=1 + $", ExpressionSyntaxError, 6),
+    ("  x  =   1 + $   # note $", ExpressionSyntaxError, 13),
+    ("\ty =\te[1, # c", ExpressionSyntaxError, 9),
+    ("1 + )", ExpressionSyntaxError, 4),
+    ("  1 +   ", ExpressionSyntaxError, 5),
+    ("y =  1 +   # comment", ExpressionSyntaxError, 8),
+    ("\t z\t=\t(1 + 2", ExpressionSyntaxError, 12),
+    ("   1 + nope", EvalError, 7),
+    ("x=nope", EvalError, 2),
+    ("  x =   2 * nope  # nope", EvalError, 12),
+    ("  1 + e(0)", EvalError, 6),
+    ("y= e(1.5)", EvalError, 3),
+    (" y  =  rand(1, 2, 3, 4, 5)  # too many", EvalError, 7),
+]
+
+
+@pytest.mark.parametrize("line, error, position", POSITIONED_LINES)
+def test_errors_stand_at_their_position_in_the_line(session, line, error, position):
+    feed(session, "y = 2")
+    with pytest.raises(error) as err:
+        feed(session, line)
+    assert type(err.value) is error and err.value.position == position
+    assert sorted(session.variables) == ["y"]
     assert feed(session, "y") == "scalar ( 2 )"
 
 

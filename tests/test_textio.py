@@ -262,6 +262,14 @@ def test_round_trip_corpus(tmp_path):
         assert load(path) == mv
 
 
+def test_parse_errors_are_expression_syntax_errors():
+    # one class for the lexer's errors and the term parser's own
+    for text in ("1 + $", "e[1,", "+ 1e999e_1", "1 2", "", "+ "):
+        with pytest.raises(MultivectorParseError) as exc:
+            parse_multivector(text)
+        assert isinstance(exc.value, ExpressionSyntaxError), text
+
+
 def test_indices_too_long_for_int_are_out_of_range_at_their_position():
     huge = "1" * 5000
     for text, position in (("1 + 2e[" + huge + "]", 7), ("1 + 2e_1," + huge, 9)):
