@@ -1,4 +1,4 @@
-"""Tokenizer, AST and precedence-climbing parser for calculator expressions.
+"""Tokenizer, AST and shunting-yard parser for calculator expressions.
 
 Operator precedence, tightest first:
 
@@ -55,8 +55,9 @@ build; like any tuples, they compare by their fields alone.
 Every error of the lexer and the parser is an :class:`ExpressionSyntaxError`,
 raised once, at an offset in the text passed in: the calculator passes its
 whole line, and :func:`~cliffcalc.textio.parse_multivector` lets the lexer's
-errors through as they are.  Input nested deeper than the parser can recurse
-is an error at its first token.
+errors through as they are.  The parser does not recurse, so any depth of
+nesting parses; but ``==``, ``repr`` and ``hash`` on the AST of a very deep
+line still recurse, and can fail where parsing did not.
 """
 
 from __future__ import annotations
@@ -216,122 +217,91 @@ def tokenize(source: str) -> list[Token]:
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.idx = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != value:
-            raise ExpressionSyntaxError(
-                f"unexpected {_describe(tok)}", tok.pos, (f"'{value}'",)
-            )
-        return self.advance()
-
-    def expression(self, min_prec: int = 0) -> Expr:
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.value not in PRECEDENCE:
-                return left
-            prec = PRECEDENCE[tok.value]
-            if prec < min_prec:
-                return left
-            self.advance()
-            if tok.value == "**":
-                left = Pow(left, self.power_exponent())
-            else:
-                left = BinOp(tok.value, left, self.expression(prec + 1))
-
-    def power_exponent(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or not tok.text.isdigit():
-            raise ExpressionSyntaxError(
-                "power exponent must be a non-negative integer literal",
-                tok.pos,
-                ("an integer",),
-            )
-        self.advance()
-        return int(tok.text)
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.advance()
-            return Neg(self.unary())
-        if tok.kind == "op" and tok.value == "+":
-            self.advance()
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "number":
-            if self.peek().kind == "blade":  # juxtaposed, as rendered: 2e_1, 4e[1,10]
-                return BinOp("*", Num(tok.value), BladeLit(self.advance().value))
-            return Num(tok.value)
-        if tok.kind == "blade":
-            return BladeLit(tok.value)
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.value == "(":
-                return self.call(tok)
-            return Var(tok.value, tok.pos)
-        if tok.kind == "op" and tok.value == "(":
-            inner = self.expression(0)
-            self.expect_op(")")
-            return inner
-        raise ExpressionSyntaxError(f"unexpected {_describe(tok)}", tok.pos, _ATOM_EXPECTED)
-
-    def call(self, name_tok: Token) -> Call:
-        self.advance()  # '('
-        args: list[Expr] = []
-        if not (self.peek().kind == "op" and self.peek().value == ")"):
-            args.append(self.expression(0))
-            while self.peek().kind == "op" and self.peek().value == ",":
-                self.advance()
-                args.append(self.expression(0))
-        self.expect_op(")")
-        return Call(name_tok.value, tuple(args), name_tok.pos)
-
-
-def _describe(tok: Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    if tok.kind == "op":
-        return f"'{tok.value}'"
-    if tok.kind == "number":
-        return f"number {tok.text}"
-    if tok.kind == "blade":
-        return f"blade {tok.text}"
-    return f"name '{tok.value}'"
-
-
 def parse_expr(source: str) -> Expr:
     """Parse one calculator expression into an AST.
 
-    Positions in its nodes and errors are offsets in ``source``.  The parser
-    recurses once per parenthesis and per unary sign, and a ``RecursionError``
-    becomes "expression is nested too deeply" at the first token.
+    Positions in its nodes and errors are offsets in ``source``.  One loop
+    reads the tokens, in turn an operand and then the operators after it,
+    and keeps what is still open on an explicit stack (Dijkstra's
+    shunting-yard; Norvell, "Parsing Expressions by Recursive Descent",
+    1999), so any depth of nesting parses: a binary operator waits there for
+    its right operand until an operator that binds no tighter arrives.
     """
     tokens = tokenize(source)
-    parser = _Parser(tokens)
-    try:
-        expr = parser.expression(0)
-    except RecursionError:
-        raise ExpressionSyntaxError("expression is nested too deeply", tokens[0].pos) from None
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExpressionSyntaxError(
-            f"unexpected {_describe(tail)}", tail.pos, ("an operator", "end of input")
-        )
-    return expr
+    # open frames, innermost last: "-" a unary minus, "(" a parenthesis,
+    # (precedence, operator, left operand) a binary operator and
+    # [name, position, arguments] a call
+    stack: list = []
+    at = 0
+    while True:
+        # an operand, after any signs and opening parentheses or calls
+        tok = tokens[at]
+        kind, value, pos, _ = tok
+        at += 1
+        if kind == "number":
+            if tokens[at].kind == "blade":  # juxtaposed, as rendered: 2e_1, 4e[1,10]
+                operand = BinOp("*", Num(value), BladeLit(tokens[at].value))
+                at += 1
+            else:
+                operand = Num(value)
+        elif kind == "blade":
+            operand = BladeLit(value)
+        elif kind == "ident" and tokens[at].value == "(":
+            if tokens[at + 1].value != ")":
+                stack.append([value, pos, []])
+                at += 1
+                continue
+            operand = Call(value, (), pos)
+            at += 2
+        elif kind == "ident":
+            operand = Var(value, pos)
+        elif kind == "op" and value in ("-", "+", "("):
+            if value != "+":  # a leading '+' is a no-op
+                stack.append(value)
+            continue
+        else:
+            raise ExpressionSyntaxError(f"unexpected {_describe(tok)}", pos, _ATOM_EXPECTED)
+        # the operators after it, until one waits for its right operand
+        while True:
+            while stack and stack[-1] == "-":
+                stack.pop()
+                operand = Neg(operand)
+            tok = tokens[at]
+            kind, value, pos, _ = tok
+            at += 1
+            if value == "**":
+                kind, _, pos, text = tokens[at]
+                if kind != "number" or not text.isdigit():
+                    message = "power exponent must be a non-negative integer literal"
+                    raise ExpressionSyntaxError(message, pos, ("an integer",))
+                operand = Pow(operand, int(text))
+                at += 1
+                continue
+            prec = PRECEDENCE.get(value)
+            while stack and type(stack[-1]) is tuple and (prec is None or stack[-1][0] >= prec):
+                _, op, left = stack.pop()
+                operand = BinOp(op, left, operand)
+            if prec is not None:
+                stack.append((prec, value, operand))
+                break
+            if not stack:
+                if kind == "end":
+                    return operand
+                expected = ("an operator", "end of input")
+                raise ExpressionSyntaxError(f"unexpected {_describe(tok)}", pos, expected)
+            frame = stack[-1]
+            if value == "," and frame != "(":
+                frame[2].append(operand)
+                break
+            if value != ")":
+                raise ExpressionSyntaxError(f"unexpected {_describe(tok)}", pos, ("')'",))
+            stack.pop()
+            if frame != "(":
+                operand = Call(frame[0], (*frame[2], operand), frame[1])
+
+
+def _describe(tok: Token) -> str:
+    kind, value, _, text = tok
+    if kind in ("number", "blade"):
+        return f"{kind} {text}"
+    return {"end": "end of input", "op": f"'{value}'"}.get(kind, f"name '{value}'")

@@ -11,9 +11,8 @@ or bare expressions (printed).  ``#`` starts a comment.
 Each error is raised once, by the layer that finds it.  The parser reads the
 line itself, with an assignment's ``name =`` blanked to spaces, so the
 position of a syntax error, an unbound name or a bad call is already its
-offset in the line.  The one error made here for another layer is a
-``RecursionError`` of :func:`eval_expr` on a long chain, which becomes an
-:class:`EvalError` at the expression's start; an AST holds no start of its own.
+offset in the line.  Neither the parser nor :func:`eval_expr` recurses, so
+how deeply a line nests is bounded only by memory.
 
 Commands:
 
@@ -106,68 +105,116 @@ Value = Multivector | GradesResult
 
 
 def eval_expr(expr: Expr, session: Session) -> Value:
-    """Evaluate an AST bottom-up against the session state."""
-    # the most frequent nodes first: every literal term is a BinOp
-    if isinstance(expr, BinOp):
-        op, left, right = expr
-        if op in ("+", "-"):
-            return _sum_chain(expr, session)
-        if op == "*" and type(left) is Num and type(right) is BladeLit:
-            # a literal term such as 3e_12: the scalar key's sign is +1 under
-            # every signature and c * 1.0 * 1 == c, so this is the product
-            c = left.value
-            return Multivector._wrap({blade_key(right.indices): c} if c else {})
-        left = _want_mv(eval_expr(left, session), f"'{op}'")
-        right = _want_mv(eval_expr(right, session), f"'{op}'")
-        if op == "*":
-            return geometric_product(left, right, session.signature)
-        if op == "^":
-            return wedge(left, right)
-        if op == "_|":
-            return left_contraction(left, right, session.signature)
-        if op == "|_":
-            return right_contraction(left, right, session.signature)
-        raise EvalError(f"unknown operator '{op}'")
-    if isinstance(expr, Var):
-        try:
-            return session.variables[expr.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{expr.name}'", expr.pos) from None
-    if isinstance(expr, Num):
-        return from_scalar(expr.value)
-    if isinstance(expr, BladeLit):
-        return Multivector._wrap({blade_key(expr.indices): 1.0})  # the lexer checked it
-    if isinstance(expr, Neg):
-        return -_want_mv(eval_expr(expr.operand, session), "unary '-'")
-    if isinstance(expr, Pow):
-        base = _want_mv(eval_expr(expr.base, session), "'**'")
-        return power(base, expr.exponent, session.signature)
-    if isinstance(expr, Call):
-        return _call(expr, session)
-    raise EvalError(f"cannot evaluate {expr!r}")
+    """Evaluate an AST against the session state, in one loop.
 
+    Nothing here recurses, so any depth the parser reads evaluates.  The
+    loop visits ``node``, then the next entry of ``todo``.  An entry holds a
+    node, ``user``, the name of the operator that will use its value (None
+    for an argument or the whole expression), and ``signs``: None the first
+    time the node is visited, and the second time True, or a sum's signs.
+    A node with operands is visited twice: first it pushes itself back and
+    its operands, and goes on with the leftmost, so they are evaluated left
+    to right; the second time, their values are the last on ``values``.  A
+    ``grades(...)`` value given to an operator is an error as soon as it is
+    made, before any operand to its right is evaluated.
 
-def _sum_chain(expr: BinOp, session: Session) -> Multivector:
-    """A left-associative chain of ``+`` and ``-`` as one sum.
-
-    The operands are evaluated left to right, as the nested ``+`` and ``-``
-    would, and their terms added into one accumulator (negated after a
-    ``-``) that goes through :func:`~cliffcalc.multivector.canonical` once;
-    its docstring gives why that equals adding pair by pair.
+    A left-associative chain of ``+`` and ``-`` is one node: its operands'
+    terms are added into one accumulator (negated after a ``-``) that goes
+    through :func:`~cliffcalc.multivector.canonical` once; its docstring
+    gives why that equals adding pair by pair.
     """
-    chain = []  # (sign, operator, operand), rightmost first
-    while type(expr) is BinOp and expr.op in ("+", "-"):
-        chain.append((-1.0 if expr.op == "-" else 1.0, expr.op, expr.right))
-        expr = expr.left
-    # the first operand is added, and named with the first operator
-    chain.append((1.0, chain[-1][1], expr))
-    acc: dict[int, float] = {}
-    get = acc.get
-    for sign, op, operand in reversed(chain):
-        value = _want_mv(eval_expr(operand, session), f"'{op}'")
-        for key, c in value._terms.items():
-            acc[key] = get(key, 0.0) + sign * c
-    return Multivector._wrap(canonical(acc))
+    signature, variables = session.signature, session.variables
+    todo: list = []
+    values: list[Value] = []
+    node, user, signs = expr, None, None
+    while True:
+        kind = type(node)
+        if kind is BinOp:
+            op, left, right = node
+            if op == "*" and type(left) is Num and type(right) is BladeLit:
+                # a literal term such as 3e_12: the scalar key's sign is +1 under
+                # every signature and c * 1.0 * 1 == c, so this is the product
+                c = left.value
+                value = Multivector._wrap({blade_key(right.indices): c} if c else {})
+            elif op in ("+", "-") and signs is None:
+                signs = [-1.0 if op == "-" else 1.0]  # rightmost first
+                todo += ((node, None, signs), (right, f"'{op}'", None))
+                while type(left) is BinOp and left.op in ("+", "-"):
+                    op, left, right = left
+                    signs.append(-1.0 if op == "-" else 1.0)
+                    todo.append((right, f"'{op}'", None))
+                signs.append(1.0)  # the first operand, named with the first operator
+                node, user, signs = left, f"'{op}'", None
+                continue
+            elif op in ("+", "-"):
+                acc: dict[int, float] = {}
+                get = acc.get
+                for sign, term in zip(reversed(signs), values[-len(signs):]):
+                    for key, c in term._terms.items():
+                        acc[key] = get(key, 0.0) + sign * c
+                del values[-len(signs):]
+                value = Multivector._wrap(canonical(acc))
+            else:
+                if signs:
+                    right = values.pop()
+                    left = values.pop()
+                elif type(left) is Var and type(right) is Var:  # the most frequent product
+                    left, right = _variable(left, variables), _variable(right, variables)
+                else:
+                    todo += ((node, user, True), (right, f"'{op}'", None))
+                    node, user = left, f"'{op}'"
+                    continue
+                if op == "*":
+                    value = geometric_product(left, right, signature)
+                elif op == "^":
+                    value = wedge(left, right)
+                elif op == "_|":
+                    value = left_contraction(left, right, signature)
+                elif op == "|_":
+                    value = right_contraction(left, right, signature)
+                else:
+                    raise EvalError(f"unknown operator '{op}'")
+        elif kind is Var:
+            value = _variable(node, variables)
+        elif kind is Num:
+            value = from_scalar(node.value)
+        elif kind is BladeLit:
+            value = Multivector._wrap({blade_key(node.indices): 1.0})  # the lexer checked it
+        elif kind is Neg or kind is Pow:
+            operand = node[0]  # a Neg's operand or a Pow's base
+            if signs:
+                operand = values.pop()
+            elif type(operand) is Var:
+                operand = _variable(operand, variables)
+            else:
+                todo.append((node, user, True))
+                node, user = operand, "unary '-'" if kind is Neg else "'**'"
+                continue
+            value = -operand if kind is Neg else power(operand, node.exponent, signature)
+        elif kind is Call and node.args and not signs:
+            todo.append((node, user, True))
+            todo += [(arg, None, None) for arg in reversed(node.args[1:])]
+            node, user = node.args[0], None
+            continue
+        elif kind is Call:
+            count = len(node.args)
+            value = _call(node, values[len(values) - count:])
+            del values[len(values) - count:]
+            if user and isinstance(value, GradesResult):
+                raise EvalError(f"grades(...) result cannot be used with {user}")
+        else:
+            raise EvalError(f"cannot evaluate {node!r}")
+        if not todo:
+            return value
+        values.append(value)
+        node, user, signs = todo.pop()
+
+
+def _variable(node: Var, variables: dict[str, Multivector]) -> Multivector:
+    value = variables.get(node.name)
+    if value is None:
+        raise EvalError(f"unbound variable '{node.name}'", node.pos)
+    return value
 
 
 def _want_mv(value: Value, where: str) -> Multivector:
@@ -176,8 +223,7 @@ def _want_mv(value: Value, where: str) -> Multivector:
     return value
 
 
-def _call(expr: Call, session: Session) -> Value:
-    args = [eval_expr(arg, session) for arg in expr.args]
+def _call(expr: Call, args: list[Value]) -> Value:
     name = expr.name
     if name == "e":
         _want_arity(expr, args, 1, 1)
@@ -206,9 +252,7 @@ def _call(expr: Call, session: Session) -> Value:
         fewer = _as_int(args[2], "rand() fewer flag", expr.pos, 0) if len(args) > 2 else 0
         seed = _as_int(args[3], "rand() seed", expr.pos, 0) if len(args) > 3 else 0
         try:
-            spec = RandomSpec(
-                dimension=d, max_grade=g, include_fewer=bool(fewer), seed=seed
-            )
+            spec = RandomSpec(dimension=d, max_grade=g, include_fewer=bool(fewer), seed=seed)
         except ValueError as err:
             raise EvalError(f"rand(): {err}", expr.pos) from None
         return random_multivector(spec)
@@ -218,9 +262,7 @@ def _call(expr: Call, session: Session) -> Value:
 def _want_arity(expr: Call, args: list, low: int, high: int) -> None:
     if not low <= len(args) <= high:
         span = str(low) if low == high else f"{low}..{high}"
-        raise EvalError(
-            f"{expr.name}() takes {span} argument(s), got {len(args)}", expr.pos
-        )
+        raise EvalError(f"{expr.name}() takes {span} argument(s), got {len(args)}", expr.pos)
 
 
 def _as_int(value: Value, what: str, pos: int, minimum: int) -> int:
@@ -228,7 +270,7 @@ def _as_int(value: Value, what: str, pos: int, minimum: int) -> int:
     scalar = mv.scalar_part()
     if not mv.is_zero() and mv.grades() != [0]:
         raise EvalError(f"{what} must be an integer scalar", pos)
-    if scalar != int(scalar):
+    if not scalar.is_integer():
         raise EvalError(f"{what} must be an integer, got {scalar}", pos)
     n = int(scalar)
     if n < minimum:
@@ -249,22 +291,14 @@ def run_command(line: str, session: Session) -> str | None:
         return None
     if stripped.startswith(":"):
         return _command(stripped, session)
-    start = len(source) - len(stripped)
     assignment = _ASSIGNMENT_RE.match(source)
     if assignment:
         name, rhs = assignment.groups()
         if not rhs:
             raise CommandError("assignment needs a right-hand side")
         _check_name(name)
-        start = assignment.start(2)
-        source = " " * start + rhs
-    expr = parse_expr(source)
-    try:
-        value = eval_expr(expr, session)
-    except RecursionError:
-        # eval_expr recurses once per nesting level; the session is
-        # untouched, since nothing is bound before it returns
-        raise EvalError("expression is nested too deeply", start) from None
+        source = " " * assignment.start(2) + rhs
+    value = eval_expr(parse_expr(source), session)
     if assignment:
         if isinstance(value, GradesResult):
             raise EvalError("cannot bind a grades(...) result to a variable")

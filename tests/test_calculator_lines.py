@@ -148,6 +148,27 @@ def test_a_grades_operand_anywhere_in_a_sum_names_its_operator(line, operator):
     assert exc.value.position is None
 
 
+@pytest.mark.parametrize("line, message, position", [
+    ("grades(x) * nope", "grades(...) result cannot be used with '*'", None),
+    ("nope * grades(x)", "unbound variable 'nope'", 0),
+    ("-grades(x)", "grades(...) result cannot be used with unary '-'", None),
+    ("grades(x) ** 2", "grades(...) result cannot be used with '**'", None),
+    ("x ^ (x _| grades(x))", "grades(...) result cannot be used with '_|'", None),
+    ("scalar(grades(x))", "grades(...) result cannot be used with scalar()", None),
+    ("grade(grades(x), nope)", "unbound variable 'nope'", 17),
+])
+def test_operands_are_evaluated_left_to_right_and_a_grades_operand_names_its_user(
+        line, message, position):
+    # an operator rejects a grades(...) operand as soon as it is made, before
+    # any operand to its right; a call evaluates all its arguments first
+    session = Session()
+    session.variables["x"] = Multivector({(1,): 1.0})
+    with pytest.raises(EvalError) as exc:
+        run_command(line, session)
+    assert str(exc.value) == message
+    assert exc.value.position == position
+
+
 def test_an_unbound_name_in_a_sum_is_reported_before_later_operands():
     session = Session()
     with pytest.raises(EvalError) as exc:

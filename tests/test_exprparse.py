@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffcalc.exprparse import (
@@ -7,6 +7,7 @@ from cliffcalc.exprparse import (
     BladeLit,
     Call,
     ExpressionSyntaxError,
+    PRECEDENCE,
     Neg,
     Num,
     Pow,
@@ -148,12 +149,101 @@ def test_syntax_errors_have_positions_and_expectations():
 
 @pytest.mark.parametrize("indent", ["", "   "])
 def test_deep_nesting_is_a_syntax_error_at_the_first_token(indent):
-    # the parser recurses per parenthesis and per sign; far past the
-    # recursion limit it reports the depth, not a RecursionError
-    for text in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "e_1"):
-        with pytest.raises(ExpressionSyntaxError, match="expression is nested too deeply") as exc:
-            parse_expr(indent + text)
-        assert exc.value.position == len(indent)
+    # The name is kept from when such lines were errors: the parser is one
+    # loop now, and any depth parses.  The trees are walked with a loop,
+    # since == and repr on them would recurse.
+    depth = 100_000
+    assert parse_expr(indent + "(" * depth + "1" + ")" * depth) == Num(1.0)
+    expr = parse_expr(indent + "-" * depth + "e_1")
+    for _ in range(depth):
+        assert type(expr) is Neg
+        expr = expr.operand
+    assert expr == BladeLit((1,))
+
+
+#: Names that read back as names: without an ``e`` none starts a blade literal.
+_NAMES = st.text("abcdxyz0123", min_size=1, max_size=3).filter(lambda name: name[0].isalpha())
+
+_BINARY = [op for op in PRECEDENCE if op != "**"]
+
+
+def _asts():
+    """ASTs of every node kind, positions left at 0."""
+    leaves = st.one_of(
+        # abs: -0.0 would print with a sign, which reads back as Neg
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs).map(Num),
+        st.lists(st.integers(1, 70), min_size=1, max_size=3, unique=True)
+        .map(lambda ids: BladeLit(tuple(sorted(ids)))),
+        _NAMES.map(Var),
+    )
+
+    def nodes(sub):
+        binary = st.tuples(st.sampled_from(_BINARY), sub, sub).map(lambda t: BinOp(*t))
+        return st.one_of(
+            binary, binary, binary,
+            sub.map(Neg),
+            st.tuples(sub, st.integers(0, 12)).map(lambda t: Pow(*t)),
+            st.tuples(_NAMES, st.lists(sub, max_size=3)).map(lambda t: Call(t[0], tuple(t[1]))),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=16)
+
+
+def _text(expr) -> str:
+    """``expr`` printed with the fewest parentheses that PRECEDENCE and left
+    associativity allow."""
+    kind = type(expr)
+    if kind is Num:
+        return repr(expr.value)
+    if kind is BladeLit:
+        return "e[" + ", ".join(map(str, expr.indices)) + "]"
+    if kind is Var:
+        return expr.name
+    if kind is Call:
+        return f"{expr.name}({', '.join(map(_text, expr.args))})"
+    if kind is Neg:  # binds tightest: a power or binary operand needs parentheses
+        operand = _text(expr.operand)
+        return f"-({operand})" if type(expr.operand) in (Pow, BinOp) else f"-{operand}"
+    if kind is Pow:  # a power of a power chains left
+        base = _text(expr.base)
+        if type(expr.base) is BinOp:
+            base = f"({base})"
+        return f"{base} ** {expr.exponent}"
+    prec = PRECEDENCE[expr.op]
+    left, right = _text(expr.left), _text(expr.right)
+    if type(expr.left) is BinOp and PRECEDENCE[expr.left.op] < prec:
+        left = f"({left})"
+    if type(expr.right) is BinOp and PRECEDENCE[expr.right.op] <= prec:
+        right = f"({right})"
+    return f"{left} {expr.op} {right}"
+
+
+def _placed(expr, text):
+    """``expr`` with every name's position checked against ``text``, then set to 0."""
+    kind = type(expr)
+    if kind is Var:
+        assert text.startswith(expr.name, expr.pos)
+        return Var(expr.name)
+    if kind is Call:
+        assert text.startswith(expr.name + "(", expr.pos)
+        return Call(expr.name, tuple(_placed(arg, text) for arg in expr.args))
+    if kind is Neg:
+        return Neg(_placed(expr.operand, text))
+    if kind is Pow:
+        return Pow(_placed(expr.base, text), expr.exponent)
+    if kind is BinOp:
+        return BinOp(expr.op, _placed(expr.left, text), _placed(expr.right, text))
+    return expr
+
+
+@settings(max_examples=300)
+@given(expr=_asts())
+@example(expr=BinOp("-", BinOp("-", Var("a"), Var("b")), Var("c")))  # a - b - c
+@example(expr=BinOp("_|", Var("a"), BinOp("|_", Var("b"), Var("c"))))  # a _| (b |_ c)
+@example(expr=Pow(Neg(Pow(Var("a"), 2)), 3))  # -(a ** 2) ** 3
+def test_fewest_parentheses_parse_back_to_the_same_tree(expr):
+    text = _text(expr)
+    assert _placed(parse_expr(text), text) == expr, text
 
 
 def test_number_forms():

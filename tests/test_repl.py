@@ -1,7 +1,16 @@
+import functools
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from cliffcalc import Signature, euclidean, from_terms, parse_multivector
+import cliffcalc
+from cliffcalc import Multivector, Signature, euclidean, from_terms, parse_multivector
 from cliffcalc.exprparse import ExpressionSyntaxError, parse_expr
+from cliffcalc.multivector import basis, from_scalar
+from cliffcalc.products import geometric_product
 from cliffcalc.repl import (
     CommandError,
     EvalError,
@@ -13,6 +22,7 @@ from cliffcalc.repl import (
     run_command,
     run_script,
 )
+from cliffcalc.textio import render
 
 
 @pytest.fixture
@@ -117,36 +127,76 @@ def test_basis_index_is_bounded_by_max_index(session):
     assert feed(session, "e(65535)") == "+ 1e[65535]"
 
 
-#: Lines about three times deeper than the parser or ``eval_expr`` can
-#: recurse under the default recursion limit.
+#: How deep the deep lines nest: far past any recursion limit.
+DEEP = 100_000
+
+#: ``x`` and ``y`` of the deep lines: a product of ``x`` with itself keeps
+#: two finite, nonzero terms at any length.
+DEEP_BINDINGS = ("x = 0.6 + 0.8e_12", "y = 2")
+
+#: A line of each shape that once recursed, ``DEEP`` levels deep.
 DEEP_LINES = {
-    "parentheses": "(" * 990 + "e_1" + ")" * 990,
-    "minus-signs": "-" * 2970 + "e_1",
-    "products": " * ".join(["x"] * 2970),
+    "parentheses": "(" * DEEP + "e_1" + ")" * DEEP,
+    "minus-signs": "-" * DEEP + "e_1",
+    "products": " * ".join(["x"] * DEEP),
+    "right-products": "x * (" * (DEEP - 1) + "x" + ")" * (DEEP - 1),
+    "calls": "scalar(" * DEEP + "y" + ")" * DEEP,
 }
 
 
-#: The layer that finds each line too deep: the parser for nesting, and
-#: ``eval_expr`` for a chain, which parses flat but evaluates recursively.
-DEEP_LINE_ERRORS = {
-    "parentheses": ExpressionSyntaxError,
-    "minus-signs": ExpressionSyntaxError,
-    "products": EvalError,
-}
+@functools.cache
+def deep_value(shape):
+    """The value of ``DEEP_LINES[shape]``, built by a Python loop."""
+    if shape == "parentheses":
+        return basis(1)
+    if shape == "calls":
+        return from_scalar(2.0)
+    if shape == "minus-signs":
+        value = basis(1)
+        for _ in range(DEEP):
+            value = -value
+        return value
+    x = value = Multivector({(): 0.6, (1, 2): 0.8})
+    for _ in range(DEEP - 1):
+        if shape == "products":
+            value = geometric_product(value, x, euclidean())
+        else:
+            value = geometric_product(x, value, euclidean())
+    return value
 
 
 @pytest.mark.parametrize("shape", DEEP_LINES)
 def test_deep_lines_are_positioned_errors(session, shape):
-    line, error = DEEP_LINES[shape], DEEP_LINE_ERRORS[shape]
-    feed(session, "x = e_1", "y = 2")
-    with pytest.raises(error, match="expression is nested too deeply") as err:
-        feed(session, line)
-    assert err.value.position == 0
-    with pytest.raises(error, match="expression is nested too deeply") as err:
-        feed(session, "y = " + line)
-    assert err.value.position == 4
-    assert sorted(session.variables) == ["x", "y"]
-    assert feed(session, "y") == "scalar ( 2 )"
+    # The name is kept from when such lines were errors; now the parser and
+    # eval_expr are loops, and a line of any depth evaluates and binds.
+    feed(session, *DEEP_BINDINGS)
+    assert feed(session, "z = " + DEEP_LINES[shape]) is None
+    assert session.variables["z"] == deep_value(shape)
+    assert sorted(session.variables) == ["x", "y", "z"]
+
+
+def test_deep_lines_evaluate_under_a_recursion_limit_of_100():
+    # through the library path, parse_expr and eval_expr, in a process whose
+    # recursion limit is far below the depth of every line
+    probe = (
+        "import json, sys\n"
+        "from cliffcalc.exprparse import parse_expr\n"
+        "from cliffcalc.repl import Session, eval_expr, run_command\n"
+        "from cliffcalc.textio import render\n"
+        "lines, bindings = json.load(sys.stdin)\n"
+        "sys.setrecursionlimit(100)\n"
+        "for line in lines:\n"
+        "    session = Session()\n"
+        "    for binding in bindings:\n"
+        "        run_command(binding, session)\n"
+        "    print(render(eval_expr(parse_expr(line), session)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", probe], input=json.dumps([list(DEEP_LINES.values()), DEEP_BINDINGS]),
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.splitlines() == [render(deep_value(shape)) for shape in DEEP_LINES]
 
 
 #: An error stands at its position in the line: past leading whitespace, a
@@ -375,13 +425,48 @@ def test_run_script_reports_a_non_ascii_letter_as_an_error(tmp_path, capsys):
     assert f"{path}:2: error: unexpected character '\u00e9' (at position 5)" in captured.err
 
 
-@pytest.mark.parametrize("line", DEEP_LINES.values(), ids=DEEP_LINES)
-def test_run_script_reports_a_deep_line_as_an_error(tmp_path, capsys, line):
-    path = write_script(tmp_path, f"x = e(1)\n{line}\ne(2)\n")
+@pytest.mark.parametrize("shape", ["parentheses", "minus-signs", "products"])
+def test_run_script_reports_a_deep_line_as_an_error(tmp_path, capsys, shape):
+    # The name is kept from when such lines were errors; now the script
+    # prints the deep line's value and carries on.
+    path = write_script(tmp_path, "\n".join([*DEEP_BINDINGS, DEEP_LINES[shape], "e(2)", ""]))
+    assert run_script(path, Session()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{render(deep_value(shape))}\n+ 1e_2\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e(1e200*1e200)", "e() index must be an integer, got inf"),
+    ("rand(1e200*1e200)", "rand() dimension must be an integer, got inf"),
+    ("grade(x, -1e200*1e200)", "grade() grade must be an integer, got -inf"),
+    ("e(1e200*1e200 - 1e200*1e200)", "e() index must be an integer, got nan"),
+], ids=["e-inf", "rand-inf", "grade-minus-inf", "e-nan"])
+def test_a_non_finite_integer_argument_is_an_error_at_its_call(
+        tmp_path, capsys, monkeypatch, line, message):
+    # int(inf) raises OverflowError and int(nan) ValueError; both are an
+    # EvalError at the call, which scripts report and the REPL survives
+    session = Session()
+    feed(session, "x = e_1")
+    with pytest.raises(EvalError) as err:
+        feed(session, "  y = " + line)
+    assert str(err.value) == message
+    assert err.value.position == 6
+    assert sorted(session.variables) == ["x"]
+
+    path = write_script(tmp_path, f"x = e_1\n{line}\ne(2)\n")
     assert run_script(path, Session()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{path}:2: error: expression is nested too deeply" in captured.err
+    assert captured.err == f"{path}:2: error: {message}\n"
+
+    lines = iter(["x = e_1", line, "e(1)*e(2)", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    from cliffcalc.repl import interactive
+
+    assert interactive(Session()) == 0
+    out = capsys.readouterr().out
+    assert f"  {line}\n  ^\nerror: {message}\n+ 1e_12\n" in out
 
 
 def test_run_script_missing_file(capsys):
@@ -458,8 +543,8 @@ def test_interactive_loop_carries_on_after_a_deep_line(monkeypatch, capsys):
 
     assert interactive(Session()) == 0
     out = capsys.readouterr().out
-    assert "error: expression is nested too deeply" in out
-    assert "+ 1e_12" in out
+    assert "error" not in out
+    assert "+ 1e_1\n+ 1e_12\n" in out
     assert "e_3" not in out
     assert next(lines) == "e(3)"
 
