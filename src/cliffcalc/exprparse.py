@@ -301,7 +301,12 @@ def parse_expr(source: str) -> Expr:
 
 
 def _describe(tok: Token) -> str:
-    kind, value, _, text = tok
-    if kind in ("number", "blade"):
-        return f"{kind} {text}"
-    return {"end": "end of input", "op": f"'{value}'"}.get(kind, f"name '{value}'")
+    if tok.kind == "end":
+        return "end of input"
+    if tok.kind == "op":
+        return f"'{tok.value}'"
+    if tok.kind == "number":
+        return f"number {tok.text}"
+    if tok.kind == "blade":
+        return f"blade {tok.text}"
+    return f"name '{tok.value}'"

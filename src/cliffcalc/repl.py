@@ -159,7 +159,9 @@ def eval_expr(expr: Expr, session: Session) -> Value:
                     right = values.pop()
                     left = values.pop()
                 elif type(left) is Var and type(right) is Var:  # the most frequent product
-                    left, right = _variable(left, variables), _variable(right, variables)
+                    where = f"'{op}'"
+                    left = _variable(left, variables, where)
+                    right = _variable(right, variables, where)
                 else:
                     todo += ((node, user, True), (right, f"'{op}'", None))
                     node, user = left, f"'{op}'"
@@ -175,33 +177,30 @@ def eval_expr(expr: Expr, session: Session) -> Value:
                 else:
                     raise EvalError(f"unknown operator '{op}'")
         elif kind is Var:
-            value = _variable(node, variables)
+            value = _variable(node, variables, user)
         elif kind is Num:
             value = from_scalar(node.value)
         elif kind is BladeLit:
             value = Multivector._wrap({blade_key(node.indices): 1.0})  # the lexer checked it
-        elif kind is Neg or kind is Pow:
-            operand = node[0]  # a Neg's operand or a Pow's base
-            if signs:
-                operand = values.pop()
-            elif type(operand) is Var:
-                operand = _variable(operand, variables)
-            else:
-                todo.append((node, user, True))
-                node, user = operand, "unary '-'" if kind is Neg else "'**'"
-                continue
-            value = -operand if kind is Neg else power(operand, node.exponent, signature)
-        elif kind is Call and node.args and not signs:
+        elif (kind is Neg or kind is Pow) and not signs:
             todo.append((node, user, True))
-            todo += [(arg, None, None) for arg in reversed(node.args[1:])]
-            node, user = node.args[0], None
+            node, user = node[0], "unary '-'" if kind is Neg else "'**'"  # operand or base
+            continue
+        elif kind is Neg:
+            value = -values.pop()
+        elif kind is Pow:
+            value = power(values.pop(), node.exponent, signature)
+        elif kind is Call and not signs:
+            todo.append((node, user, True))
+            todo += [(arg, None, None) for arg in reversed(node.args)]
+            node, user, signs = todo.pop()
             continue
         elif kind is Call:
             count = len(node.args)
             value = _call(node, values[len(values) - count:])
             del values[len(values) - count:]
-            if user and isinstance(value, GradesResult):
-                raise EvalError(f"grades(...) result cannot be used with {user}")
+            if user:
+                _want_mv(value, user)
         else:
             raise EvalError(f"cannot evaluate {node!r}")
         if not todo:
@@ -210,10 +209,12 @@ def eval_expr(expr: Expr, session: Session) -> Value:
         node, user, signs = todo.pop()
 
 
-def _variable(node: Var, variables: dict[str, Multivector]) -> Multivector:
+def _variable(node: Var, variables: dict[str, Multivector], user: str | None) -> Value:
     value = variables.get(node.name)
     if value is None:
         raise EvalError(f"unbound variable '{node.name}'", node.pos)
+    if user and isinstance(value, GradesResult):  # bound by a library caller
+        raise EvalError(f"grades(...) result cannot be used with {user}")
     return value
 
 
@@ -252,7 +253,9 @@ def _call(expr: Call, args: list[Value]) -> Value:
         fewer = _as_int(args[2], "rand() fewer flag", expr.pos, 0) if len(args) > 2 else 0
         seed = _as_int(args[3], "rand() seed", expr.pos, 0) if len(args) > 3 else 0
         try:
-            spec = RandomSpec(dimension=d, max_grade=g, include_fewer=bool(fewer), seed=seed)
+            spec = RandomSpec(
+                dimension=d, max_grade=g, include_fewer=bool(fewer), seed=seed
+            )
         except ValueError as err:
             raise EvalError(f"rand(): {err}", expr.pos) from None
         return random_multivector(spec)
@@ -262,7 +265,9 @@ def _call(expr: Call, args: list[Value]) -> Value:
 def _want_arity(expr: Call, args: list, low: int, high: int) -> None:
     if not low <= len(args) <= high:
         span = str(low) if low == high else f"{low}..{high}"
-        raise EvalError(f"{expr.name}() takes {span} argument(s), got {len(args)}", expr.pos)
+        raise EvalError(
+            f"{expr.name}() takes {span} argument(s), got {len(args)}", expr.pos
+        )
 
 
 def _as_int(value: Value, what: str, pos: int, minimum: int) -> int:

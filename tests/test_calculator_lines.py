@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cliffcalc import MAX_INDEX, UNBOUNDED, Multivector, Signature, from_scalar
 from cliffcalc.exprparse import ExpressionSyntaxError
 from cliffcalc.products import geometric_product
-from cliffcalc.repl import CommandError, EvalError, Session, run_command
+from cliffcalc.repl import CommandError, EvalError, GradesResult, Session, run_command
 from cliffcalc.textio import PrintOptions, format_coefficient, parse_multivector, render
 from tests.strategies import FINITE_COEFFS
 
@@ -167,6 +167,27 @@ def test_operands_are_evaluated_left_to_right_and_a_grades_operand_names_its_use
         run_command(line, session)
     assert str(exc.value) == message
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("line, user", [
+    ("g + 1", "'+'"),
+    ("1 - g", "'-'"),
+    ("-g", "unary '-'"),
+    ("g ** 2", "'**'"),
+    ("x * g", "'*'"),
+    ("g * nope", "'*'"),
+    ("(x ^ x) _| g", "'_|'"),
+])
+def test_a_grades_value_bound_by_a_library_caller_names_its_user(line, user):
+    # no line binds a grades(...) value, but Session.variables is a plain
+    # dict; a name bound to one is rejected like the call that made it
+    session = Session()
+    session.variables["x"] = Multivector({(1,): 1.0})
+    session.variables["g"] = GradesResult([1])
+    with pytest.raises(EvalError) as exc:
+        run_command(line, session)
+    assert str(exc.value) == f"grades(...) result cannot be used with {user}"
+    assert run_command("g", session) == "1"  # printed, as the call's value is
 
 
 def test_an_unbound_name_in_a_sum_is_reported_before_later_operands():
