@@ -1,6 +1,6 @@
-"""Golden digest of the calculator: a seeded corpus of lines and what each does.
+"""Golden digests of the calculator and of the products.
 
-The corpus is ~5,000 calculator lines, well-formed and mutated, run through
+The calculator corpus is ~5,000 calculator lines, well-formed and mutated, run through
 ``run_command`` in sessions of 40 lines.  A SHA-256 covers each line's
 output, or its error type, message, ``position`` and ``expected``, and after
 each line the bindings' names, blade keys and coefficient bits.  A change
@@ -10,12 +10,42 @@ that alters any of these fails the test; one that does so on purpose updates
 Every value the corpus makes is finite: variables are bound only from lines
 that read no variable, and coefficients stay small, so no line overflows.
 Parentheses nest at most four deep.
+
+The products corpus is seeded multivectors under seven signatures, with
+indices up to 10, 64 and 200 and integer, mixed-magnitude, cancelling and
+underflowing coefficients.  A SHA-256 covers the blade keys, term order and
+coefficient bits of the four products under both backends, of sums,
+differences and scalar multiples, of ``parse_multivector(render(x))`` and
+``load(save(x))``, and the results or errors of the tuple-level
+``blade_product``, ``blade_wedge`` and ``canonicalize``.  No coefficient
+overflows, so every result is finite.
 """
 
 import hashlib
 import math
 import random
 
+import pytest
+
+from cliffcalc import (
+    UNBOUNDED,
+    Multivector,
+    Signature,
+    blade_product,
+    blade_wedge,
+    canonicalize,
+    euclidean,
+    geometric_product,
+    grassmann,
+    left_contraction,
+    load,
+    parse_multivector,
+    render,
+    right_contraction,
+    save,
+    wedge,
+)
+from cliffcalc import kernels
 from cliffcalc.repl import Session, run_command
 
 #: SHA-256 of :func:`calculator_records` over :data:`SEEDS`.
@@ -151,3 +181,101 @@ def test_calculator_digest(tmp_path, monkeypatch):
     # the corpus exercises both outcomes in earnest
     assert 0.25 < errors / (len(SEEDS) * SESSION_LINES) < 0.75
     assert digest.hexdigest() == CALCULATOR_DIGEST
+
+
+#: SHA-256 of :func:`products_records` over :data:`PRODUCT_SEEDS`.
+PRODUCTS_DIGEST = "e9f675952aeb81d0bdfa6a16dacb401d4b8ef0f8349e5818776c19c862432a70"
+
+PRODUCT_SEEDS = range(5)
+
+SIGNATURES = (euclidean(), Signature(7), Signature(UNBOUNDED, 5), Signature(3, 1),
+              Signature(6, 4), grassmann(), Signature(100, 60))
+#: Largest index a corpus blade may carry.  At most 64 the numpy backend
+#: takes products past their cutoff to the packed kernel.
+INDEX_BOUNDS = (10, 64, 200)
+#: Terms per operand: 24 × 24 pairs is past every product's cutoff.
+OPERAND_TERMS = (1, 3, 9, 16, 24)
+#: Scalars the corpus multiplies by; 1e-300 underflows most coefficients.
+SCALARS = (0.0, -0.0, 1, -3, 2.5, -0.1, 1e-300)
+
+
+def coefficient(rng: random.Random, kind: str) -> float:
+    """A nonzero coefficient of the given kind; no product of two overflows."""
+    if kind == "integer":
+        return float(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+    if kind == "mixed":
+        return rng.uniform(-1, 1) * 10.0 ** rng.randrange(-30, 31) or 1.0
+    if kind == "cancelling":
+        return rng.choice((1.0, -1.0))
+    # underflowing: the product of two of these is ±0.0
+    return rng.choice((-1, 1)) * rng.uniform(1, 10) * 1e-170
+
+
+def blade(rng: random.Random, bound: int) -> tuple[int, ...]:
+    """A canonical blade of at most six indices in 1..bound."""
+    return tuple(sorted(rng.sample(range(1, bound + 1), rng.randrange(min(bound, 6) + 1))))
+
+
+def operand(rng: random.Random, bound: int, terms: int, kind: str) -> Multivector:
+    """A multivector of at most ``terms`` terms; a repeated blade keeps its
+    last coefficient."""
+    return Multivector(dict((blade(rng, bound), coefficient(rng, kind)) for _ in range(terms)))
+
+
+def record(mv: Multivector) -> tuple:
+    """A multivector's blade keys, in stored order, with coefficient bits."""
+    return tuple((key, c.hex()) for key, c in mv._terms.items())
+
+
+def outcome(call, *args):
+    """What a call returned, or the type and message of what it raised."""
+    try:
+        return "ok", call(*args)
+    except (TypeError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def products_records(seeds, tmp_path):
+    """Records of every operation of the products corpus, in order."""
+    path = tmp_path / "x.mv"
+    for seed in seeds:
+        rng = random.Random(seed)
+        for sig in SIGNATURES:
+            for bound in INDEX_BOUNDS:
+                for terms in OPERAND_TERMS:
+                    kind = rng.choice(("integer", "mixed", "cancelling", "underflowing"))
+                    a = operand(rng, bound, terms, kind)
+                    b = operand(rng, bound, rng.choice(OPERAND_TERMS), kind)
+                    if kind == "cancelling":
+                        b = b - a * rng.choice((1, -1))
+                    for backend in ("numpy", "python"):
+                        kernels.set_backend(backend)
+                        yield (backend, record(geometric_product(a, b, sig)), record(wedge(a, b)),
+                               record(left_contraction(a, b, sig)),
+                               record(right_contraction(a, b, sig)))
+                    kernels.set_backend("numpy")
+                    scalar = rng.choice(SCALARS)
+                    yield (record(a + b), record(a - b), record(a - a), record(a * scalar),
+                           record(scalar * b), record(-a))
+                    save(a, path)
+                    yield record(parse_multivector(render(a))), record(load(path))
+                    x, y = blade(rng, bound), blade(rng, bound)
+                    raw = list(x + y)
+                    rng.shuffle(raw)
+                    yield (blade_product(x, y, sig), blade_wedge(x, y), outcome(canonicalize, raw))
+    # the tuple-level checks, in the order they run
+    for x, y in (((2, 1), (3,)), ((1,), (0,)), ((1,), (65536,)), ((1.0,), (2,)),
+                 ((True,), (2,)), ((1, 1), (2,)), ((3,), ("4",)), ((), ())):
+        yield (outcome(blade_product, x, y, euclidean()), outcome(blade_wedge, x, y),
+               outcome(canonicalize, x + y))
+
+
+def test_products_digest(tmp_path):
+    digest = hashlib.sha256()
+    previous = kernels.active_backend()
+    try:
+        for item in products_records(PRODUCT_SEEDS, tmp_path):
+            digest.update(repr(item).encode())
+    finally:
+        kernels.set_backend(previous)
+    assert digest.hexdigest() == PRODUCTS_DIGEST
