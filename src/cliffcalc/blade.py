@@ -29,10 +29,8 @@ from __future__ import annotations
 from operator import lt
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 # generator_square is not used here; perfbench/spans.py patches it by name
-from .metric import Signature, generator_square, signature_masks  # noqa: F401
+from .metric import Signature, generator_square, grassmann, signature_masks  # noqa: F401
 
 #: Canonical blade: strictly increasing tuple of generator indices.
 Blade = tuple[int, ...]
@@ -159,7 +157,7 @@ def sign_factors(a, pos, neg, width: int):
     :func:`~cliffcalc.metric.signature_masks`); 0 and 0 give the wedge.
     ``width`` bounds the bit length of ``a``.  An int key below
     ``_PREFIX_BOUND`` reads its prefix parity from a table; wider keys, and
-    numpy uint64 arrays (elementwise, which is how the packed kernel takes
+    uint64 arrays of keys (elementwise, which is how the packed kernel takes
     the same sign), take one shift-xor round per doubling of ``width``.
     """
     if type(a) is int and a < _PREFIX_BOUND:
@@ -173,11 +171,11 @@ def sign_factors(a, pos, neg, width: int):
     return parity ^ (a & neg), a & ~(pos | neg)
 
 
-#: The prefix parity of every key below ``_PREFIX_BOUND``, taken by the
-#: shift-xor rounds of :func:`sign_factors` on an array of those keys.
-_PREFIX_PARITY = tuple(
-    sign_factors(np.arange(_PREFIX_BOUND, dtype=np.uint64), np.uint64(0), np.uint64(0), 12)[0].tolist()
-)
+#: The prefix parity of every key below ``_PREFIX_BOUND``: that of ``a`` is
+#: ``a >> 1`` (the bits above each bit) xor-ed with that of ``a >> 1``.
+_PREFIX_PARITY = [0]
+for _key in range(1, _PREFIX_BOUND):
+    _PREFIX_PARITY.append((_key >> 1) ^ _PREFIX_PARITY[_key >> 1])
 
 
 def pair_sign(parity: int, dead: int, b: int) -> int:
@@ -214,12 +212,12 @@ def blade_product(a: Blade, b: Blade, sig: Signature) -> SignedBlade:
 def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
     """Wedge product of two canonical blades: zero on any shared index.
 
-    Signature-independent by construction; the sign is the parity of
+    It is the product under the null metric, :func:`~cliffcalc.metric.grassmann`,
+    where every generator squares to 0: the sign is the parity of
     interleaving b's indices after a's.  The operands are checked as
     :func:`validate_blade` checks them.
     """
-    sign, key = mask_product(validate_blade(a), validate_blade(b), 0, 0)
-    return SignedBlade(sign, key_blade(key)) if sign else _ZERO
+    return blade_product(a, b, grassmann())
 
 
 def blade_key(a: Blade) -> int:

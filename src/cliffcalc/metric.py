@@ -2,10 +2,12 @@
 
 A :class:`Signature` fixes the square of every generator: the first ``p``
 generators square to +1, the next ``q`` to -1, and anything beyond ``p+q``
-squares to 0.  Either count may be :data:`UNBOUNDED`, so ``Signature(UNBOUNDED, 0)``
-is the positive-definite (Euclidean) metric on arbitrarily many generators
-and ``Signature(p)`` (with ``q`` defaulting to unbounded) makes every
-generator past ``p`` square to -1.
+squares to 0.  Either count may be :data:`UNBOUNDED`, which is ``math.inf``:
+it compares above every int, so the region rules need no case of their own.
+``Signature(UNBOUNDED, 0)`` is the positive-definite (Euclidean) metric on
+arbitrarily many generators and ``Signature(p)`` (with ``q`` defaulting to
+unbounded) makes every generator past ``p`` square to -1.  An unbounded count
+shows as ``inf``: ``Signature(7)`` is ``Signature(p=7, q=inf)``.
 
 Multivectors never carry a signature; all metric-dependent products take one
 explicitly.
@@ -13,30 +15,19 @@ explicitly.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-
-class _Unbounded(enum.Enum):
-    """Singleton marker for an unbounded generator count."""
-
-    UNBOUNDED = "unbounded"
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded.UNBOUNDED
+#: An unbounded generator count.  A :class:`Signature` normalizes every
+#: infinite count to this one object, so an identity check finds it.
+UNBOUNDED = math.inf
 
 #: A generator count: a finite non-negative integer or UNBOUNDED.
-Count = int | _Unbounded
+Count = int | float
 
 
 def _normalize_count(value, name: str) -> Count:
-    if value is UNBOUNDED:
-        return UNBOUNDED
-    if isinstance(value, float) and math.isinf(value) and value > 0:
+    if isinstance(value, float) and value == UNBOUNDED:
         return UNBOUNDED
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be a non-negative int or UNBOUNDED, got {value!r}")
@@ -82,9 +73,10 @@ def generator_square(sig: Signature, i: int) -> int:
     """
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
-    if sig.p is UNBOUNDED or i <= sig.p:
+    if i <= sig.p:
         return 1
-    if sig.q is UNBOUNDED or i <= sig.p + sig.q:
+    # i - p, not p + q: an int past the float range plus inf overflows
+    if i - sig.p <= sig.q:
         return -1
     return 0
 
@@ -97,8 +89,8 @@ def signature_masks(sig: Signature, width: int) -> tuple[int, int]:
     costs no more than ``width`` bits.
     """
     p, q = sig.p, sig.q
-    if p is UNBOUNDED or p > width:
+    if p > width:
         p = width
-    end = width if q is UNBOUNDED or p + q > width else p + q
+    end = width if p + q > width else p + q
     pos = (1 << p) - 1
     return pos, ((1 << end) - 1) ^ pos

@@ -126,9 +126,8 @@ class Multivector:
         s = float(scalar)
         if not math.isfinite(s):
             raise ValueError(f"scalar must be finite, got {s!r}")
-        if s == 0.0:
-            return Multivector._wrap({})
-        # c * s can underflow to 0.0; the keys keep their order
+        # c * s is ±0.0 when s is, and can underflow to it; the keys keep
+        # their order
         return Multivector._wrap(
             {key: v for key, c in self._terms.items() if (v := c * s)}
         )

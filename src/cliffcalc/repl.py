@@ -27,6 +27,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import shlex
 import sys
@@ -46,7 +47,7 @@ from .exprparse import (
     parse_expr,
 )
 from .metric import UNBOUNDED, Signature, euclidean
-from .blade import blade_key
+from .blade import MAX_INDEX, blade_key
 from .multivector import Multivector, basis, canonical, from_scalar
 from .products import (
     geometric_product,
@@ -56,7 +57,7 @@ from .products import (
     wedge,
 )
 from .rand import RandomSpec, random_multivector
-from .textio import PrintOptions, load, render, save
+from .textio import PrintOptions, format_coefficient, load, render, save
 
 RESERVED_NAMES = frozenset({"e", "rand", "grades", "grade", "scalar"})
 
@@ -228,7 +229,7 @@ def _call(expr: Call, args: list[Value]) -> Value:
     name = expr.name
     if name == "e":
         _want_arity(expr, args, 1, 1)
-        index = _as_int(args[0], "e() index", expr.pos, minimum=1)
+        index = _as_int(args[0], "e() index", expr.pos, minimum=1, maximum=MAX_INDEX)
         try:
             return basis(index)
         except ValueError as err:
@@ -248,8 +249,8 @@ def _call(expr: Call, args: list[Value]) -> Value:
         return value
     if name == "rand":
         _want_arity(expr, args, 0, 4)
-        d = _as_int(args[0], "rand() dimension", expr.pos, 1) if len(args) > 0 else 6
-        g = _as_int(args[1], "rand() grade", expr.pos, 1) if len(args) > 1 else 4
+        d = _as_int(args[0], "rand() dimension", expr.pos, 1, MAX_INDEX) if len(args) > 0 else 6
+        g = _as_int(args[1], "rand() grade", expr.pos, 1, d) if len(args) > 1 else 4
         fewer = _as_int(args[2], "rand() fewer flag", expr.pos, 0) if len(args) > 2 else 0
         seed = _as_int(args[3], "rand() seed", expr.pos, 0) if len(args) > 3 else 0
         try:
@@ -270,7 +271,11 @@ def _want_arity(expr: Call, args: list, low: int, high: int) -> None:
         )
 
 
-def _as_int(value: Value, what: str, pos: int, minimum: int) -> int:
+def _as_int(value: Value, what: str, pos: int, minimum: int, maximum: float = math.inf) -> int:
+    """The integer value of an argument of at least ``minimum``.  One past
+    ``maximum`` is rejected here only from 1e16 on, where the argument shows
+    in exponent form; below that the callee's range check prints the same
+    digits."""
     mv = _want_mv(value, what)
     scalar = mv.scalar_part()
     if not mv.is_zero() and mv.grades() != [0]:
@@ -279,7 +284,9 @@ def _as_int(value: Value, what: str, pos: int, minimum: int) -> int:
         raise EvalError(f"{what} must be an integer, got {scalar}", pos)
     n = int(scalar)
     if n < minimum:
-        raise EvalError(f"{what} must be >= {minimum}, got {n}", pos)
+        raise EvalError(f"{what} must be >= {minimum}, got {format_coefficient(scalar)}", pos)
+    if n > maximum and scalar >= 1e16:
+        raise EvalError(f"{what} must be <= {maximum}, got {format_coefficient(scalar)}", pos)
     return n
 
 
@@ -394,12 +401,10 @@ def _parse_signature(tokens: list[str]) -> Signature:
         if value < 0:
             raise CommandError(f"signature counts must be non-negative, got {value}")
         counts.append(value)
-    if len(counts) == 1:
+    if counts == [UNBOUNDED]:
         # bare ":signature inf" is the positive-definite metric
-        if counts[0] is UNBOUNDED:
-            return Signature(UNBOUNDED, 0)
-        return Signature(counts[0])
-    return Signature(counts[0], counts[1])
+        counts.append(0)
+    return Signature(*counts)
 
 
 def run_script(path: str, session: Session, out=None) -> int:

@@ -151,8 +151,9 @@ def test_syntax_errors_have_positions_and_expectations():
 def test_deep_nesting_is_a_syntax_error_at_the_first_token(indent):
     # The name is kept from when such lines were errors: the parser is one
     # loop now, and any depth parses.  The trees are walked with a loop,
-    # since == and repr on them would recurse.
-    depth = 100_000
+    # since == and repr on them would recurse.  The depth is past the default
+    # recursion limit; test_repl runs lines 100,000 deep.
+    depth = 5_000
     assert parse_expr(indent + "(" * depth + "1" + ")" * depth) == Num(1.0)
     expr = parse_expr(indent + "-" * depth + "e_1")
     for _ in range(depth):

@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +31,9 @@ def test_finite_p_unbounded_q():
     assert generator_square(sig, 7) == 1
     assert generator_square(sig, 10) == -1
     assert generator_square(sig, 10_000) == -1
+    # a count past the float range, and an index past it
+    assert generator_square(Signature(10**400), 10**401) == -1
+    assert generator_square(Signature(10**400, 1), 10**400 + 2) == 0
 
 
 def test_euclidean_is_unbounded_positive():
@@ -43,12 +50,18 @@ def test_grassmann_is_all_null():
 def test_infinity_normalizes_to_unbounded():
     assert Signature(float("inf"), 0).p is UNBOUNDED
     assert Signature(2, float("inf")).q is UNBOUNDED
+    assert Signature(math.inf, np.float64("inf")).q is UNBOUNDED
+    assert Signature(np.float64("inf")).p is UNBOUNDED
+    assert Signature(UNBOUNDED, 0) == euclidean()
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", None, -math.inf, math.nan, Decimal("Infinity"),
+                                 1.0, True])
 def test_invalid_counts_rejected(bad):
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(ValueError if bad == -1 else TypeError) as err:
         Signature(bad, 0)
+    if bad != -1:
+        assert str(err.value) == f"p must be a non-negative int or UNBOUNDED, got {bad!r}"
 
 
 def test_index_below_one_rejected():
@@ -85,7 +98,8 @@ HUGE = 10**18
 @pytest.mark.parametrize(
     "sig",
     [euclidean(), grassmann(), Signature(3, 1), Signature(7), Signature(0), Signature(60, 6),
-     Signature(HUGE, 3), Signature(2, HUGE), Signature(HUGE, HUGE), Signature(HUGE), Signature(UNBOUNDED, 5)],
+     Signature(HUGE, 3), Signature(2, HUGE), Signature(HUGE, HUGE), Signature(HUGE), Signature(UNBOUNDED, 5),
+     Signature(UNBOUNDED, UNBOUNDED), Signature(10**400), Signature(UNBOUNDED, HUGE)],
 )
 @pytest.mark.parametrize("width", [0, 1, 5, 64, 70])
 def test_signature_masks_match_generator_square(sig, width):
@@ -105,3 +119,11 @@ def test_signature_masks_clamp_huge_counts_to_the_width():
     assert signature_masks(Signature(2, HUGE), width) == (0b11, full ^ 0b11)
     assert signature_masks(Signature(65530, HUGE), width) == ((1 << 65530) - 1, full >> 65530 << 65530)
     assert signature_masks(Signature(65530, 3), width) == ((1 << 65530) - 1, 0b111 << 65530)
+    # and an unbounded count in either place
+    assert signature_masks(Signature(UNBOUNDED, 3), width) == (full, 0)
+    assert signature_masks(Signature(UNBOUNDED, UNBOUNDED), width) == (full, 0)
+    assert signature_masks(Signature(2), width) == (0b11, full ^ 0b11)
+    assert signature_masks(Signature(65535), width) == (full, 0)
+    assert signature_masks(Signature(HUGE, UNBOUNDED), width) == (full, 0)
+    assert [generator_square(sig, i) for sig in (euclidean(), Signature(2), Signature(65534))
+            for i in (1, 65534, 65535)] == [1, 1, 1, 1, -1, -1, 1, 1, -1]

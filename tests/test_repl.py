@@ -127,37 +127,42 @@ def test_basis_index_is_bounded_by_max_index(session):
     assert feed(session, "e(65535)") == "+ 1e[65535]"
 
 
-#: How deep the deep lines nest: far past any recursion limit.
+#: How deep the deep lines of ``run_command`` nest: far past any recursion
+#: limit.
 DEEP = 100_000
+
+#: How deep the deep lines of the other entry points nest: past the default
+#: recursion limit of 1,000, at a twentieth of the cost.
+PAST_LIMIT = 5_000
 
 #: ``x`` and ``y`` of the deep lines: a product of ``x`` with itself keeps
 #: two finite, nonzero terms at any length.
 DEEP_BINDINGS = ("x = 0.6 + 0.8e_12", "y = 2")
 
-#: A line of each shape that once recursed, ``DEEP`` levels deep.
+#: The line of each shape that once recursed, given how deep it nests.
 DEEP_LINES = {
-    "parentheses": "(" * DEEP + "e_1" + ")" * DEEP,
-    "minus-signs": "-" * DEEP + "e_1",
-    "products": " * ".join(["x"] * DEEP),
-    "right-products": "x * (" * (DEEP - 1) + "x" + ")" * (DEEP - 1),
-    "calls": "scalar(" * DEEP + "y" + ")" * DEEP,
+    "parentheses": lambda depth: "(" * depth + "e_1" + ")" * depth,
+    "minus-signs": lambda depth: "-" * depth + "e_1",
+    "products": lambda depth: " * ".join(["x"] * depth),
+    "right-products": lambda depth: "x * (" * (depth - 1) + "x" + ")" * (depth - 1),
+    "calls": lambda depth: "scalar(" * depth + "y" + ")" * depth,
 }
 
 
 @functools.cache
-def deep_value(shape):
-    """The value of ``DEEP_LINES[shape]``, built by a Python loop."""
+def deep_value(shape, depth=DEEP):
+    """The value of ``DEEP_LINES[shape](depth)``, built by a Python loop."""
     if shape == "parentheses":
         return basis(1)
     if shape == "calls":
         return from_scalar(2.0)
     if shape == "minus-signs":
         value = basis(1)
-        for _ in range(DEEP):
+        for _ in range(depth):
             value = -value
         return value
     x = value = Multivector({(): 0.6, (1, 2): 0.8})
-    for _ in range(DEEP - 1):
+    for _ in range(depth - 1):
         if shape == "products":
             value = geometric_product(value, x, euclidean())
         else:
@@ -170,7 +175,7 @@ def test_deep_lines_are_positioned_errors(session, shape):
     # The name is kept from when such lines were errors; now the parser and
     # eval_expr are loops, and a line of any depth evaluates and binds.
     feed(session, *DEEP_BINDINGS)
-    assert feed(session, "z = " + DEEP_LINES[shape]) is None
+    assert feed(session, "z = " + DEEP_LINES[shape](DEEP)) is None
     assert session.variables["z"] == deep_value(shape)
     assert sorted(session.variables) == ["x", "y", "z"]
 
@@ -193,7 +198,8 @@ def test_deep_lines_evaluate_under_a_recursion_limit_of_100():
     )
     src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", probe], input=json.dumps([list(DEEP_LINES.values()), DEEP_BINDINGS]),
+    lines = [line(DEEP) for line in DEEP_LINES.values()]
+    run = subprocess.run([sys.executable, "-c", probe], input=json.dumps([lines, DEEP_BINDINGS]),
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     assert run.stdout.splitlines() == [render(deep_value(shape)) for shape in DEEP_LINES]
@@ -429,10 +435,10 @@ def test_run_script_reports_a_non_ascii_letter_as_an_error(tmp_path, capsys):
 def test_run_script_reports_a_deep_line_as_an_error(tmp_path, capsys, shape):
     # The name is kept from when such lines were errors; now the script
     # prints the deep line's value and carries on.
-    path = write_script(tmp_path, "\n".join([*DEEP_BINDINGS, DEEP_LINES[shape], "e(2)", ""]))
+    path = write_script(tmp_path, "\n".join([*DEEP_BINDINGS, DEEP_LINES[shape](PAST_LIMIT), "e(2)", ""]))
     assert run_script(path, Session()) == 0
     captured = capsys.readouterr()
-    assert captured.out == f"{render(deep_value(shape))}\n+ 1e_2\n"
+    assert captured.out == f"{render(deep_value(shape, PAST_LIMIT))}\n+ 1e_2\n"
     assert captured.err == ""
 
 
@@ -467,6 +473,30 @@ def test_a_non_finite_integer_argument_is_an_error_at_its_call(
     assert interactive(Session()) == 0
     out = capsys.readouterr().out
     assert f"  {line}\n  ^\nerror: {message}\n+ 1e_12\n" in out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e(1e300)", "e() index must be <= 65535, got 1e+300"),
+    ("e(-1e300)", "e() index must be >= 1, got -1e+300"),
+    ("rand(1e300)", "rand() dimension must be <= 65535, got 1e+300"),
+    ("rand(6, 1e300)", "rand() grade must be <= 6, got 1e+300"),
+    ("rand(6, 4, 0, -1e20)", "rand() seed must be >= 0, got -1e+20"),
+    ("grade(x, -1e16)", "grade() grade must be >= 0, got -1e+16"),
+    ("e(1e15)", "e(): blade index 1000000000000000 outside 1..65535, got (1000000000000000,)"),
+    ("e(-9999999999999998)", "e() index must be >= 1, got -9999999999999998"),
+], ids=["e", "e-negative", "rand-dimension", "rand-grade", "rand-seed", "grade", "e-below-1e16",
+        "e-negative-below-1e16"])
+def test_a_huge_integer_argument_shows_as_a_coefficient(session, line, message):
+    # from 1e16 on an argument shows as format_coefficient prints it, not
+    # as the hundreds of digits of its integer value; below, as an integer
+    feed(session, "x = e_1")
+    with pytest.raises(EvalError) as err:
+        feed(session, "y = 1 + " + line)
+    assert str(err.value) == message
+    assert err.value.position == 8
+    # a huge grade or seed is no error
+    assert feed(session, "grade(x, 1e300)") == "the zero clifford element (0)"
+    assert feed(session, "rand(3, 2, 1e300, 1e300)") == feed(session, "rand(3, 2, 1, 1e300)")
 
 
 def test_run_script_missing_file(capsys):
@@ -530,7 +560,7 @@ def test_interactive_loop(monkeypatch, capsys):
 
 
 def test_interactive_loop_carries_on_after_a_deep_line(monkeypatch, capsys):
-    lines = iter([DEEP_LINES["parentheses"], "e(1)*e(2)", ":quit", "e(3)"])
+    lines = iter([DEEP_LINES["parentheses"](PAST_LIMIT), "e(1)*e(2)", ":quit", "e(3)"])
 
     def fake_input(prompt=""):
         try:
