@@ -11,17 +11,25 @@ assignments, printed binary products, powers, ``grades`` calls, and
 ``:signature``/``:basissep`` commands.  Each round times one pass of every
 row over its lines, the rows in a seeded shuffled order, and a cell is the
 median over the rounds, from ``interleaved_medians``, the timer
-``bench_products.py`` imports too.  Run from the repository root:
+``bench_products.py`` imports too.  A third table, "start-up", times fresh
+interpreters the same way, one of each per round: ``python -c pass``,
+``python -c "import cliffcalc"`` and a two-line ``cliffcalc --script``.
+Run from the repository root:
 
     python benchmarks/bench_calc.py
     python benchmarks/bench_calc.py --lines 400 --repeats 15 --seed 7
 """
 
 import argparse
+import os
 import random
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
+import cliffcalc
 from cliffcalc import Signature, render
 from cliffcalc.exprparse import parse_expr, tokenize
 from cliffcalc.multivector import Multivector
@@ -100,6 +108,28 @@ def interleaved_medians(rows: dict, repeats: int, before=lambda name: None) -> d
     return {name: statistics.median(t[1:]) for name, t in times.items()}
 
 
+def startup_medians(repeats: int) -> dict:
+    """Median seconds of a fresh interpreter that does nothing, imports
+    cliffcalc, or runs a two-line calculator script, over ``repeats`` rounds
+    of one of each.  The interpreters import the cliffcalc this script does."""
+    src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "two_lines.cliff")
+        with open(path, "w") as f:
+            f.write("x = e_1 * e_2\nx * x\n")
+        commands = {
+            "python -c pass": ["-c", "pass"],
+            "import cliffcalc": ["-c", "import cliffcalc"],
+            "cliffcalc --script": ["-m", "cliffcalc", "--script", path],
+        }
+
+        def run(args):
+            subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+
+        return interleaved_medians({name: (run, [args]) for name, args in commands.items()}, repeats)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lines", type=int, default=200, help="script lines")
@@ -146,6 +176,11 @@ def main() -> int:
     print("-" * 28)
     for kind, (_, items) in kinds.items():
         print(f"{kind:<12}{len(items):>6}{medians[kind] * 1e6:>10.2f}")
+    print()
+    print(f"{'start-up':<20}{'ms each':>10}")
+    print("-" * 30)
+    for name, seconds in startup_medians(args.repeats).items():
+        print(f"{name:<20}{seconds * 1e3:>10.1f}")
     return 0
 
 

@@ -33,14 +33,17 @@ Backend selection: :func:`set_backend` switches between ``numpy`` (the
 default) and ``python``, which skips the packed kernel entirely:
 :mod:`cliffcalc.products` then uses the per-pair blade arithmetic, which is
 also what any product with indices above 64 uses.
+
+numpy is imported inside :func:`pair_table` and :func:`_tables`, not at the
+top of the module, so ``import cliffcalc`` and every product that never takes
+the packed path run without loading it; after the first packed product the
+import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-
-import numpy as np
 
 from .blade import sign_factors
 # generator_square is not used here; perfbench/spans.py patches it by name
@@ -85,6 +88,8 @@ def _tables(pairs: int):
     Up to ``_HELD_PAIRS`` pairs they are slices of this thread's held
     buffers, which grow only when a call needs more than they hold.
     """
+    import numpy as np
+
     held = getattr(_held, "tables", None)
     if held is None or held[0].size < pairs:
         held = (np.empty(pairs), np.empty(pairs, np.uint64), np.empty(pairs, np.uint8))
@@ -100,6 +105,8 @@ def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, fi
     both operands: it sets the rounds of the left keys' prefix parity and the
     choice between dense and sparse bins.
     """
+    import numpy as np
+
     na, nb = keys_a.size, keys_b.size
     if na * nb == 0:
         return np.empty(0, np.uint64), np.empty(0)

@@ -16,6 +16,7 @@ explicitly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 #: An unbounded generator count.  A :class:`Signature` normalizes every
@@ -29,11 +30,14 @@ Count = int | float
 def _normalize_count(value, name: str) -> Count:
     if isinstance(value, float) and value == UNBOUNDED:
         return UNBOUNDED
-    if isinstance(value, bool) or not isinstance(value, int):
+    # any integer type but bool counts (numpy's too), stored as a plain int so
+    # that repr, hash and == match the same count given as an int
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be a non-negative int or UNBOUNDED, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
+    count = operator.index(value)
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,8 @@ class Signature:
     ``Signature(p)`` leaves ``q`` unbounded, so every generator beyond ``p``
     squares to -1; ``Signature(p, q)`` makes generators beyond ``p+q`` square
     to 0.  ``float('inf')`` is accepted for either count and normalized to
-    :data:`UNBOUNDED`.
+    :data:`UNBOUNDED`; a count of any integer type (``numpy.int64`` too, but
+    not ``bool``) is stored as a plain ``int``.
     """
 
     p: Count

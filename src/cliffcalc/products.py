@@ -37,11 +37,13 @@ theirs, so the committed grid breaks even at about 100-144 pairs for the
 geometric product (``_SMALL_PAIRS``), 256 for the wedge
 (``_SMALL_WEDGE_PAIRS``) and 400-576 for the contractions
 (``_SMALL_CONTRACTION_PAIRS``).
+
+numpy is imported inside the packed path's two functions, ``_packed`` and
+``_operands``, so that a product which stays on the per-pair path never loads
+it: most calculator lines, and every product with an index above 64.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import kernels
 # perfbench/spans.py times the per-pair calls through these two names
@@ -144,6 +146,8 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
+    import numpy as np
+
     pos, neg = kernels.region_masks(sig) if sig is not None else (0, 0)
     keys, coeffs = kernels.pair_table(*_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg),
                                       max(a.max_index(), b.max_index()), filter_mode)
@@ -151,7 +155,9 @@ def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: 
     return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))
 
 
-def _operands(mv: Multivector) -> tuple[np.ndarray, np.ndarray]:
+def _operands(mv: Multivector) -> tuple:
     """``mv``'s blade keys and coefficients as the kernel's uint64 and float64 arrays."""
+    import numpy as np
+
     n = mv.num_terms()
     return np.fromiter(mv._terms, np.uint64, n), np.fromiter(mv._terms.values(), np.float64, n)

@@ -44,7 +44,8 @@ SWEEP_COLUMNS = ["python", "numpy", "kernel", "lc python", "lc numpy", "wedge py
      ("median per-pair/packed over signatures and dimensions",
       "_SMALL_PAIRS (now", "_SMALL_WEDGE_PAIRS (now", "_SMALL_CONTRACTION_PAIRS (now")),
     (("benchmarks/bench_calc.py", "--lines", "20", "--repeats", "1"),
-     ("20 lines,", "layer", "tokenize", "render", "run_command", "literal", "command")),
+     ("20 lines,", "layer", "tokenize", "render", "run_command", "literal", "command",
+      "start-up")),
 ], ids=["sweep", "cutoffs", "calc"])
 def test_benchmark_script_runs(args, header, tmp_path):
     trajectory = tmp_path / TRAJECTORY

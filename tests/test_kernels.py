@@ -268,6 +268,62 @@ def test_the_environment_does_not_choose_the_backend():
     assert run.stdout.split() == ["numpy", "1"]
 
 
+#: Run in a fresh interpreter, with numpy blocked when argv[1] is "block":
+#: the products that stay on the per-pair path (a 100-pair geometric product,
+#: a 256-pair wedge, a product with an index above 64, a calculator line and
+#: a two-line script, whose path is argv[2]) never import numpy; printed is
+#: whether numpy is loaded after them and, unblocked, after a 101-pair
+#: geometric product at dimension 15.
+_NUMPY_PROBE = """
+import itertools
+import sys
+
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy raises ImportError
+assert sys.modules.get("numpy") is None
+
+from cliffcalc import Multivector, Signature, euclidean, geometric_product, products, wedge
+from cliffcalc.repl import Session, main, run_command
+
+a = Multivector({(i,): 1.0 for i in range(1, 11)})
+assert a.num_terms() ** 2 == products._SMALL_PAIRS
+geometric_product(a, a, Signature(3, 1))
+w = Multivector({(i,): 1.0 for i in range(1, 17)})
+assert w.num_terms() ** 2 == products._SMALL_WEDGE_PAIRS
+wedge(w, w)
+high = Multivector({(i,): 1.0 for i in range(60, 80)})
+assert high.num_terms() ** 2 > products._SMALL_PAIRS
+assert geometric_product(high, high, euclidean()) == Multivector({(): 20.0})
+assert run_command("x = e_1 * e_2", Session()) is None
+assert main(["--script", sys.argv[2]]) == 0
+print(sys.modules.get("numpy") is not None)
+if sys.argv[1] != "block":
+    wide = Multivector({pair: 1.0 for pair in itertools.islice(itertools.combinations(range(1, 16), 2), 101)})
+    geometric_product(Multivector({(): 1.0}), wide, euclidean())
+    print(sys.modules.get("numpy") is not None)
+"""
+
+
+@pytest.mark.parametrize("numpy_mode, loaded", [("allow", ["False", "True"]), ("block", ["False"])])
+def test_numpy_is_imported_by_the_first_packed_product(tmp_path, numpy_mode, loaded):
+    # a fresh interpreter, since pytest and hypothesis may have numpy loaded
+    import os
+    import subprocess
+    import sys
+
+    import cliffcalc
+
+    script = tmp_path / "two_lines.cliff"
+    script.write_text("x = e_1 * e_2\nx * x\n")
+    src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, numpy_mode, str(script)],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["scalar", "(", "-1", ")", *loaded]
+
+
 @pytest.mark.parametrize("sig", [Signature(10**18, 3), Signature(2, 10**18), Signature(62, 10**18)])
 def test_backends_agree_on_huge_signature_counts(restore_backend, sig):
     mvs = big_corpus()

@@ -55,12 +55,23 @@ def test_infinity_normalizes_to_unbounded():
     assert Signature(UNBOUNDED, 0) == euclidean()
 
 
+@pytest.mark.parametrize("count", [3, np.int64(3), np.uint8(3), np.int8(3), np.uint64(3)])
+def test_integer_counts_are_stored_as_int(count):
+    sig = Signature(count, count)
+    assert type(sig.p) is int and type(sig.q) is int
+    assert sig == Signature(3, 3)
+    assert hash(sig) == hash(Signature(3, 3))
+    assert repr(sig) == "Signature(p=3, q=3)"
+
+
 @pytest.mark.parametrize("bad", [-1, 2.5, "3", None, -math.inf, math.nan, Decimal("Infinity"),
-                                 1.0, True])
+                                 1.0, True, np.int64(-1), np.True_, np.float64(3.0)])
 def test_invalid_counts_rejected(bad):
     with pytest.raises(ValueError if bad == -1 else TypeError) as err:
         Signature(bad, 0)
-    if bad != -1:
+    if bad == -1:
+        assert str(err.value) == "p must be non-negative, got -1"
+    else:
         assert str(err.value) == f"p must be a non-negative int or UNBOUNDED, got {bad!r}"
 
 
