@@ -11,7 +11,8 @@ assignments, printed binary products, powers, ``grades`` calls, and
 ``:signature``/``:basissep`` commands.  Each round times one pass of every
 row over its lines, the rows in a seeded shuffled order, and a cell is the
 median over the rounds, from ``interleaved_medians``, the timer
-``bench_products.py`` imports too.  A third table, "start-up", times fresh
+``bench_products.py`` imports too (``ab.py`` takes each round's time from
+``interleaved_rounds`` beneath it).  A third table, "start-up", times fresh
 interpreters the same way, one of each per round: ``python -c pass``,
 ``python -c "import cliffcalc"`` and a two-line ``cliffcalc --script``.
 Run from the repository root:
@@ -85,8 +86,15 @@ def script(lines: int, seed: int) -> list[tuple[str, str]]:
 
 def interleaved_medians(rows: dict, repeats: int, before=lambda name: None) -> dict:
     """Median seconds per item of each row over ``repeats`` rounds after a
-    warm-up round; a row is (call, items).  Both benchmark scripts time
-    through this function.
+    warm-up round; a row is (call, items).  The benchmark scripts time
+    through this function, or through :func:`interleaved_rounds` where they
+    need each round's time."""
+    return {name: statistics.median(t) for name, t in interleaved_rounds(rows, repeats, before).items()}
+
+
+def interleaved_rounds(rows: dict, repeats: int, before=lambda name: None) -> dict:
+    """Seconds per item of each row in each of ``repeats`` rounds, after a
+    warm-up round that is dropped; a row is (call, items).
 
     Each round times one pass of every row over its items, so a slow spell
     of the machine reaches all the rows alike, in a seeded shuffled order,
@@ -105,7 +113,7 @@ def interleaved_medians(rows: dict, repeats: int, before=lambda name: None) -> d
             for item in items:
                 call(item)
             times[name].append((time.perf_counter() - start) / len(items))
-    return {name: statistics.median(t[1:]) for name, t in times.items()}
+    return {name: t[1:] for name, t in times.items()}
 
 
 def startup_medians(repeats: int) -> dict:

@@ -4,7 +4,9 @@ The scripts reach into private names of the library (``products._per_pair``,
 ``products._packed``, the ``_SMALL_*`` cutoffs, ``kernels.pair_table``,
 ``kernels.region_masks``, ``kernels.FILTER_*``), so a refactor can break them
 without any other test noticing.  Each run checks the exit code and the
-header the script prints; the timings themselves are not checked.  The sweep
+header the script prints; the timings themselves are not checked.
+``benchmarks/ab.py`` compares the working tree with ``HEAD``, which it
+exports with ``git archive``, so that run needs the repository's history.  The sweep
 also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
 which must keep the file's other keys.
 """
@@ -61,3 +63,19 @@ def test_benchmark_script_runs(args, header, tmp_path):
         assert all(list(row["us"]) == SWEEP_COLUMNS for row in written["rows"])
         for key in ("cutoffs", "cutoff_history"):
             assert written[key] == committed[key]
+
+
+def has_history() -> bool:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not has_history(), reason="needs a git checkout to export HEAD from")
+def test_ab_times_the_working_tree_against_a_revision():
+    out = run_script("benchmarks/ab.py", "--parent", "HEAD", "--time", "--repeats", "1")
+    assert "parent HEAD against the working tree" in out
+    for text in ("change/parent", "faster", "1x1 Cl(3,1)", "9x9 Cl(3,1)", "criterion 7",
+                 "high_index 45x45", "calc line"):
+        assert text in out
+    # one row per op, each ending in its rounds won of the one timed
+    assert sum(line.endswith(("0/1", "1/1")) for line in out.splitlines()) == 7

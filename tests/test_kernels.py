@@ -562,17 +562,19 @@ def test_wedge_takes_no_sign_factors_for_a_left_key_whose_pairs_all_overlap(monk
         return sign_factors(a, *args)
 
     monkeypatch.setattr(products, "sign_factors", recording_sign_factors)
-    b = Multivector({(1,): 1.0, (1, 2, 3): -2.0, (1, 4): 0.5})
-    # every blade here shares e_1 with every blade of b
-    overlapping = Multivector({(1, 2): 3.0, (1, 3): 1.0, (1, 2, 4): -1.0})
+    # indices above products._TABLE_WIDTH, so that the wedges take the
+    # general loop, not the sign table
+    b = Multivector({(7,): 1.0, (7, 8, 9): -2.0, (7, 10): 0.5})
+    # every blade here shares e_7 with every blade of b
+    overlapping = Multivector({(7, 8): 3.0, (7, 9): 1.0, (7, 8, 10): -1.0})
     assert wedge(overlapping, b).is_zero()
     assert left_keys == []
-    # e_4 and e_5 have disjoint partners in b, e_1 and e_12 none
-    mixed = Multivector({(1,): 2.0, (4,): 1.0, (1, 2): 3.0, (5,): -1.0})
+    # e_10 and e_11 have disjoint partners in b, e_7 and e_78 none
+    mixed = Multivector({(7,): 2.0, (10,): 1.0, (7, 8): 3.0, (11,): -1.0})
     product = wedge(mixed, b)
     assert list(product.terms()) == list(product_by_rewriting(mixed, b, grassmann()).terms())
     assert product.num_terms() == 5
-    assert left_keys == [0b1000, 0b10000]
+    assert left_keys == [0b1000 << 6, 0b10000 << 6]
 
 
 #: Coefficients whose products cancel exactly, leave rounding residues

@@ -329,3 +329,117 @@ def test_per_pair_products_match_the_oracles(indices, sig, floats):
                     assert got == expected
     finally:
         kernels.set_backend(previous)
+
+
+# --- the sign table of narrow products --------------------------------------
+
+TABLE_SIGNATURES = [euclidean(), Signature(3, 1), Signature(2, 1), grassmann(), Signature(HUGE, 3)]
+
+
+def cancelling_multivector(rng, width, num_terms):
+    """Up to ``num_terms`` distinct blades over the indices 1..width, one of
+    them e_width, with coefficients that cancel, round or underflow."""
+    from cliffcalc.blade import key_blade
+    from tests.test_kernels import CANCELLING
+
+    keys = set(rng.sample(range(1 << width), min(num_terms, 1 << width)))
+    if width:
+        keys.add(1 << (width - 1))
+    return Multivector({key_blade(key): rng.choice(CANCELLING) for key in keys})
+
+
+def terms_bits(mv):
+    """Keys, order and coefficient bits of ``mv``'s terms."""
+    import struct
+
+    return [(blade, struct.pack("<d", c)) for blade, c in mv.terms()]
+
+
+@pytest.mark.parametrize("sig", TABLE_SIGNATURES, ids=str)
+@pytest.mark.parametrize("width", range(8))
+def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeypatch, sig, width):
+    import random
+
+    from cliffcalc import kernels, products
+    from tests.oracle import contraction_by_rewriting
+    from tests.test_kernels import sum_events
+
+    sign_calls = []
+
+    def recording(original):
+        def sign(*args):
+            sign_calls.append(args)
+            return original(*args)
+        return sign
+
+    monkeypatch.setattr(products, "blade_product", recording(products.blade_product))
+    monkeypatch.setattr(products, "blade_wedge", recording(products.blade_wedge))
+    cases = (
+        (sig, kernels.FILTER_NONE, lambda a, b: product_by_rewriting(a, b, sig)),
+        (None, kernels.FILTER_NONE, lambda a, b: product_by_rewriting(a, b, grassmann())),
+        (sig, kernels.FILTER_LEFT, lambda a, b: contraction_by_rewriting(a, b, sig, "left")),
+        (sig, kernels.FILTER_RIGHT, lambda a, b: contraction_by_rewriting(a, b, sig, "right")),
+    )
+    rng = random.Random(f"{sig}:{width}")
+    underflows = 0
+    for _ in range(12):
+        a = cancelling_multivector(rng, width, rng.randint(1, 12))
+        b = cancelling_multivector(rng, width, rng.randint(1, 12))
+        underflows += sum_events(a, b, sig)[1]
+        for product_sig, filter_mode, oracle in cases:
+            del sign_calls[:]
+            table = products._per_pair(a, b, product_sig, filter_mode)
+            if width <= products._TABLE_WIDTH:
+                assert sign_calls == []
+            elif product_sig is not None and filter_mode == kernels.FILTER_NONE:
+                assert len(sign_calls) == a.num_terms() * b.num_terms()
+            with monkeypatch.context() as general:
+                # below every product's width, the scalar ones' (0) too
+                general.setattr(products, "_TABLE_WIDTH", -1)
+                loop = products._per_pair(a, b, product_sig, filter_mode)
+            packed = products._packed(a, b, product_sig, filter_mode)
+            expected = terms_bits(oracle(a, b))
+            assert terms_bits(table) == terms_bits(loop) == terms_bits(packed) == expected
+    # pair products of 1e-200 reach the sums as ±0.0 in some cases
+    assert width < 2 or underflows
+
+
+def test_a_seven_index_product_takes_one_sign_call_per_surviving_pair(monkeypatch):
+    """perfbench counts one ``products.blade_product`` call per term pair of
+    its high_index products: a product past the table width still makes them."""
+    from cliffcalc import kernels, products
+
+    calls = {"blade_product": 0, "blade_wedge": 0}
+
+    def counting(name):
+        original = getattr(products, name)
+
+        def sign(*args):
+            calls[name] += 1
+            return original(*args)
+        return sign
+
+    for name in calls:
+        monkeypatch.setattr(products, name, counting(name))
+    previous = kernels.set_backend("python")
+    try:
+        a = Multivector({(): 1.0, (1,): 2.0, (2, 7): -1.0, (1, 3, 5): 0.5})
+        b = Multivector({(2,): 3.0, (7,): 1.0, (1, 2, 7): -2.0})
+        assert max(a.max_index(), b.max_index()) == products._TABLE_WIDTH + 1
+        keys_a, keys_b = list(a._terms), list(b._terms)
+        geometric_product(a, b, Signature(3, 1))
+        assert calls == {"blade_product": len(keys_a) * len(keys_b), "blade_wedge": 0}
+        left_contraction(a, b, euclidean())
+        kept = sum(ka & kb == ka for ka in keys_a for kb in keys_b)
+        assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": 0}
+        wedge(a, b)
+        disjoint = sum(not ka & kb for ka in keys_a for kb in keys_b)
+        assert calls["blade_wedge"] == disjoint
+        # indices up to the table width take no call at all
+        narrow = Multivector({(1,): 1.0, (2, 6): 2.0})
+        geometric_product(narrow, narrow, Signature(3, 1))
+        wedge(narrow, narrow)
+        assert calls["blade_wedge"] == disjoint
+        assert calls["blade_product"] == len(keys_a) * len(keys_b) + kept
+    finally:
+        kernels.set_backend(previous)
