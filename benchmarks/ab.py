@@ -3,26 +3,26 @@
 
 ``--parent REV`` exports that revision's ``src/cliffcalc`` with
 ``git archive`` into a temporary directory and imports it as the package
-``cliffcalc_parent``, beside the working tree's ``cliffcalc``.  ``--time``
-then times named micro-ops on both, in interleaved rounds through
+``cliffcalc_parent``, beside the working tree's ``cliffcalc``, and times
+named micro-ops on both, in interleaved rounds through
 ``bench_calc.interleaved_rounds``, the timer both other benchmark scripts
 use: each round times one pass of every op under each tree, in a seeded
 shuffled order, so a slow spell of the machine reaches both trees alike.
 The ops are 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension 6,
-a 4x4 left contraction in Cl(6,4) at dimension 12, one
+a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
 acceptance-criterion-7 identity, a high_index-sized product (45x45 terms,
 indices up to 200, Cl(100,60)) and calculator lines through
-``run_command`` on values with indices up to 12.  Both trees get the same operands, built once by the
-working tree's ``random_multivector`` and passed to each ``Multivector`` as
-index tuples.
+``run_command`` on values with indices up to 12.  Both trees get the same
+operands, built once by the working tree's ``random_multivector`` and
+passed to each ``Multivector`` as index tuples.
 
 For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
 and in how many rounds the working tree was faster.  Run from the repository
 root:
 
-    PYTHONPATH=src python benchmarks/ab.py --parent HEAD --time
-    PYTHONPATH=src python benchmarks/ab.py --parent HEAD~3 --time --repeats 31
+    PYTHONPATH=src python benchmarks/ab.py --parent HEAD
+    PYTHONPATH=src python benchmarks/ab.py --parent HEAD~3 --repeats 31
 """
 
 import argparse
@@ -50,7 +50,9 @@ def import_revision(rev: str, into: str):
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src/cliffcalc"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        # Python releases without extraction filters ignore this attribute
+        tar.extraction_filter = getattr(tarfile, "data_filter", None)
+        tar.extractall(into)
     package = os.path.join(into, "src", "cliffcalc")
     spec = importlib.util.spec_from_file_location(
         PARENT_PACKAGE, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
@@ -99,6 +101,7 @@ def micro_ops(cc) -> dict:
         "4x4 Cl(3,1)": products(4),
         "9x9 Cl(3,1)": products(9),
         "4x4 Cl(6,4) dim 12": (lambda ab: cc.left_contraction(*ab, cl64), wide),
+        "4x4 wedge dim 12": (lambda ab: cc.wedge(*ab), wide),
         "criterion 7": (identity, triples),
         "high_index 45x45": (lambda ab: cc.geometric_product(*ab, high_sig), high),
         "calc line": (lambda line: cc.repl.run_command(line, session), lines),
@@ -126,11 +129,8 @@ def compare_times(parent, repeats: int) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, metavar="REV", help="git revision to compare against")
-    parser.add_argument("--time", action="store_true", help="time the micro-ops under both trees")
     parser.add_argument("--repeats", type=int, default=15, help="timed rounds")
     args = parser.parse_args()
-    if not args.time:
-        parser.error("nothing to compare: pass --time")
 
     with tempfile.TemporaryDirectory() as tmp:
         parent = import_revision(args.parent, tmp)

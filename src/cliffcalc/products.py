@@ -17,18 +17,17 @@ Both paths work on blade keys with one sign rule: the
 uint64 arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`, with
 the operands' largest index as the keys' width.  Smaller products, blades
 with larger indices and every product under ``kernels.set_backend("python")``
-take the per-pair path, one loop over the pairs on Python ints.  Each
-product's filter is one rule, :func:`_pair_filter`: the contractions and the
-wedge drop the pairs that cannot contribute (outside the grade filter, or
-sharing a generator).  When every index of both operands is at most
+take the per-pair path, one loop over the pairs on Python ints,
+:func:`_pairs`.  There the contractions and the wedge drop the pairs that
+cannot contribute (outside the grade filter, or sharing a generator) before
+the sign, so a left key takes its sign factors (indices up to 12 read their
+prefix parity from a table) only once a pair survives; a pair takes its key
+only for a nonzero sign.  When every index of both operands is at most
 ``_TABLE_WIDTH`` (6), which covers 3-D vectors, Cl(3,1) and calculator
-lines on such values, all four products read each pair's sign from a table,
-``_sign_table``, built once per signature masks and filter from
-``sign_factors`` and ``pair_sign``, with 0 where the filter drops the pair,
-and make no call per pair.  Wider products test each pair against the
-filter before the sign, so a left key takes its sign factors (indices up to
-12 read their prefix parity from a table) only once a pair survives.  A
-pair takes its key only for a nonzero sign.
+lines on such values, all four products instead read each pair's sign from
+``_sign_table``, 0 where the filter drops the pair, and make no call per
+pair.  The table is built once per signature masks and filter by that same
+loop, so there is one filter rule and one sign rule.
 
 Both paths sum coefficients per result key in pair order and drop exact
 zeros once, at the end: the per-pair path through
@@ -75,12 +74,12 @@ _SMALL_WEDGE_PAIRS = 256
 
 # Per-pair products whose operands' largest index is at most this read each
 # pair's sign, with the product's filter folded in, from ``_sign_table``.  A
-# table has 4**width entries: at 6 it builds in 0.3-0.7 ms and holds ~35 KiB
+# table has 4**width entries: at 6 it builds in 0.7-1.6 ms and holds ~35 KiB
 # of tuples.  In-process against the loop that filters and signs each pair,
 # a 9x9 Cl(3,1) product took 0.51-0.57 of the time, a criterion-7 identity
-# 0.70-0.75 and a 1x1 product 0.83-0.93 (benchmarks/ab.py --time, 21 rounds,
+# 0.70-0.75 and a 1x1 product 0.83-0.93 (benchmarks/ab.py, 21 rounds,
 # each faster in at least 17 of them).  At 8 a table would hold ~0.55 MiB
-# and take ~6 ms to build.
+# and take 13-25 ms to build.
 _TABLE_WIDTH = 6
 # Tables held at once, least recently used dropped first (~0.6 MiB): each is
 # one (pos, neg) at width 6 and one filter, and 16 cover five signatures'
@@ -136,40 +135,20 @@ def _binary(
     return _per_pair(a, b, sig, filter_mode)
 
 
-def _pair_filter(filter_mode: int, wedge: bool) -> tuple[int, int, int]:
-    """(flip, on, keep): the product keeps the pairs of blade keys ka, kb with
-    ``kb & mask == want``, where ``mask = (ka ^ flip) & on`` and
-    ``want = ka & keep``.
-
-    Left keeps a ⊆ b (mask = want = ka) and right b ⊆ a (mask = ~ka,
-    want = 0), exactly the pairs whose product has grade |b| - |a| or
-    |a| - |b|; the wedge keeps the pairs that share no generator (mask = ka,
-    want = 0), and the geometric product every pair (mask = want = 0).
-    Three constants per product, not a call per left key, keep the loop as
-    fast as a filter written out in it.
-    """
-    if filter_mode == kernels.FILTER_LEFT:
-        return 0, -1, -1
-    if filter_mode:
-        return -1, -1, 0
-    if wedge:
-        return 0, -1, 0
-    return 0, 0, 0
-
-
 @lru_cache(maxsize=_TABLES_HELD)
 def _sign_table(pos: int, neg: int, filter_mode: int) -> tuple[tuple[int, ...], ...]:
     """``rows[ka][kb]``: the sign of every pair of keys below ``1 << _TABLE_WIDTH``
     under the masks ``pos``/``neg`` (at that width), 0 where the product's
-    filter drops the pair.  The wedge is the product under the null masks
-    (0, 0), whose sign is already 0 on the pairs that its filter drops."""
-    keys = range(1 << _TABLE_WIDTH)
-    flip, on, keep = _pair_filter(filter_mode, False)
+    filter drops the pair.  Row ``ka`` is what :func:`_pairs` makes of ``ka``
+    and every key, all coefficients 1, so the table holds that loop's filter
+    and sign rule.  The wedge is the product under the null masks (0, 0),
+    whose sign is already 0 on the pairs that its filter drops."""
+    units = [(kb, 1.0) for kb in range(1 << _TABLE_WIDTH)]
     rows = []
-    for ka in keys:
-        parity, dead = sign_factors(ka, pos, neg, _TABLE_WIDTH)
-        mask, want = (ka ^ flip) & on, ka & keep
-        rows.append(tuple([pair_sign(parity, dead, kb) if kb & mask == want else 0 for kb in keys]))
+    for ka, _ in units:
+        # kb -> ka ^ kb is one to one, so each sum is one pair's sign
+        signs = _pairs([(ka, 1.0)], units, pos, neg, filter_mode, False, pair_sign)
+        rows.append(tuple([int(signs.get(ka ^ kb, 0)) for kb, _ in units]))
     # tuples: every caller of the cache shares the one table
     return tuple(rows)
 
@@ -178,29 +157,47 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     # the operands' largest index, as max_index() takes it (a key dict's last
     # key is its largest) but without two method calls
     width = (next(reversed(a._terms), 0) | next(reversed(b._terms), 0)).bit_length()
+    if width > _TABLE_WIDTH:
+        if sig is None:
+            acc = _pairs(a._terms.items(), b._terms.items(), 0, 0, filter_mode, True, blade_wedge)
+        else:
+            pos, neg = signature_masks(sig, width)
+            acc = _pairs(a._terms.items(), b._terms.items(), pos, neg, filter_mode, False, blade_product)
+        return Multivector._wrap(canonical(acc))
+    pos, neg = signature_masks(sig, _TABLE_WIDTH) if sig is not None else (0, 0)
+    rows = _sign_table(pos, neg, filter_mode)
     right = b._terms.items()
+    acc = {}
+    get = acc.get
+    for ka, ca in a._terms.items():
+        row = rows[ka]
+        for kb, cb in right:
+            sign = row[kb]
+            if sign:
+                key = ka ^ kb
+                acc[key] = get(key, 0.0) + ca * cb * sign
+    return Multivector._wrap(canonical(acc))
+
+
+def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_of) -> dict[int, float]:
+    """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
+    pairs of the terms ``left`` and ``right`` that the product's filter keeps
+    and ``sign_of`` gives a nonzero sign; exact zeros are kept."""
     acc: dict[int, float] = {}
     get = acc.get
-    if width <= _TABLE_WIDTH:
-        pos, neg = signature_masks(sig, _TABLE_WIDTH) if sig is not None else (0, 0)
-        rows = _sign_table(pos, neg, filter_mode)
-        for ka, ca in a._terms.items():
-            row = rows[ka]
-            for kb, cb in right:
-                sign = row[kb]
-                if sign:
-                    key = ka ^ kb
-                    acc[key] = get(key, 0.0) + ca * cb * sign
-        return Multivector._wrap(canonical(acc))
-    if sig is None:
-        pos = neg = 0
-        sign_of = blade_wedge
-    else:
-        pos, neg = signature_masks(sig, width)
-        sign_of = blade_product
-    flip, on, keep = _pair_filter(filter_mode, sig is None)
-    for ka, ca in a._terms.items():
-        mask, want = (ka ^ flip) & on, ka & keep
+    for ka, ca in left:
+        # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
+        # b ⊆ a, exactly the pairs whose product has grade |b| - |a| or
+        # |a| - |b|; the wedge keeps the pairs that share no generator, and
+        # the geometric product (mask = want = 0) keeps every pair
+        if filter_mode == kernels.FILTER_LEFT:
+            mask = want = ka
+        elif filter_mode:
+            mask, want = ~ka, 0
+        elif wedge:
+            mask, want = ka, 0
+        else:
+            mask = want = 0
         parity = None
         for kb, cb in right:
             if kb & mask != want:
@@ -211,7 +208,7 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
             if sign:
                 key = ka ^ kb
                 acc[key] = get(key, 0.0) + ca * cb * sign
-    return Multivector._wrap(canonical(acc))
+    return acc
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
