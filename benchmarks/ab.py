@@ -10,11 +10,12 @@ use: each round times one pass of every op under each tree, in a seeded
 shuffled order, so a slow spell of the machine reaches both trees alike.
 The ops are 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension 6,
 a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
-acceptance-criterion-7 identity, a high_index-sized product (45x45 terms,
-indices up to 200, Cl(100,60)) and calculator lines through
-``run_command`` on values with indices up to 12.  Both trees get the same
-operands, built once by the working tree's ``random_multivector`` and
-passed to each ``Multivector`` as index tuples.
+acceptance-criterion-7 identity, a high_index-sized geometric product, left
+contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), a
+512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel)
+and calculator lines through ``run_command`` on values with indices up to
+12.  Both trees get the same operands, built once by the working tree's
+``random_multivector`` and passed to each ``Multivector`` as index tuples.
 
 For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
@@ -92,6 +93,8 @@ def micro_ops(cc) -> dict:
     high = [(mv(terms(45, 100 + k, dimension=200, include_fewer=True)),
              mv(terms(45, 200 + k, dimension=200, include_fewer=True))) for k in range(2)]
     high_sig = cc.Signature(100, 60)
+    large = [(mv(terms(512, 400 + 2 * k, dimension=10)), mv(terms(512, 401 + 2 * k, dimension=10)))
+             for k in range(2)]
     session = cc.repl.Session(signature=cl31)
     for line in ("x = 1 + 2e_1 - 3e[2,11] + 0.5e[1,3,12]", "y = 4e_2 + e[7,12] - 2e_345 + 3e_9"):
         cc.repl.run_command(line, session)
@@ -104,6 +107,9 @@ def micro_ops(cc) -> dict:
         "4x4 wedge dim 12": (lambda ab: cc.wedge(*ab), wide),
         "criterion 7": (identity, triples),
         "high_index 45x45": (lambda ab: cc.geometric_product(*ab, high_sig), high),
+        "high_index 45x45 _|": (lambda ab: cc.left_contraction(*ab, high_sig), high),
+        "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
+        "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
         "calc line": (lambda line: cc.repl.run_command(line, session), lines),
     }
 
@@ -115,14 +121,14 @@ def compare_times(parent, repeats: int) -> None:
     rounds = interleaved_rounds(rows, repeats)
     names = dict.fromkeys(name for _, name in rows)
     print(f"median of {repeats} interleaved rounds, microseconds per item")
-    header = f"{'op':<20}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'faster':>9}"
+    header = f"{'op':<22}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'faster':>9}"
     print(header)
     print("-" * len(header))
     for name in names:
         before, after = rounds[("parent", name)], rounds[("change", name)]
         ratio = statistics.median(b / a for a, b in zip(before, after))
         faster = sum(b < a for a, b in zip(before, after))
-        print(f"{name:<20}{statistics.median(before) * 1e6:>11.2f}{statistics.median(after) * 1e6:>11.2f}"
+        print(f"{name:<22}{statistics.median(before) * 1e6:>11.2f}{statistics.median(after) * 1e6:>11.2f}"
               f"{ratio:>15.3f}{f'{faster}/{repeats}':>9}")
 
 

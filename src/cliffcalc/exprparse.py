@@ -45,9 +45,10 @@ depth is negative and the comma form stays off.
 
 Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
 20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
-non-negative integer literal.  A number directly followed by a blade
-literal multiplies it, and a leading ``+`` is a no-op, so rendered output
-like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an expression.
+non-negative integer literal, at most :data:`MAX_EXPONENT`.  A number
+directly followed by a blade literal multiplies it, and a leading ``+`` is
+a no-op, so rendered output like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an
+expression.
 
 The AST nodes are NamedTuples, about half the cost of frozen dataclasses to
 build; like any tuples, they compare by their fields alone.
@@ -127,6 +128,11 @@ class Call(NamedTuple):
 Expr = Union[Num, BladeLit, Var, Neg, BinOp, Pow, Call]
 
 PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
+
+#: The largest exponent of ``**``.  ``x ** k`` takes k - 1 geometric
+#: products, so a short line such as ``e_1 ** 1000000000`` would otherwise
+#: run for about an hour; a larger exponent is a syntax error at its position.
+MAX_EXPONENT = 1024
 
 #: How the zero multivector renders; the lexer reads it as the number 0.
 ZERO_FORM = "the zero clifford element (0)"
@@ -274,7 +280,11 @@ def parse_expr(source: str) -> Expr:
                 if kind != "number" or not text.isdigit():
                     message = "power exponent must be a non-negative integer literal"
                     raise ExpressionSyntaxError(message, pos, ("an integer",))
-                operand = Pow(operand, int(text))
+                exponent = int(text)
+                if exponent > MAX_EXPONENT:
+                    message = f"power exponent must be at most {MAX_EXPONENT}"
+                    raise ExpressionSyntaxError(message, pos, (f"an integer up to {MAX_EXPONENT}",))
+                operand = Pow(operand, exponent)
                 at += 1
                 continue
             prec = PRECEDENCE.get(value)

@@ -52,7 +52,9 @@ class Multivector:
         :func:`from_scalar`, the packed kernel's output in
         :func:`cliffcalc.products._packed` and the calculator's one-term
         literals in :func:`cliffcalc.repl.eval_expr`; scalar ``__mul__`` and
-        :func:`as_1vector` keep the order and drop their own zeros.
+        :func:`as_1vector` keep the order and drop their own zeros, and the
+        per-pair products' :func:`cliffcalc.products._sum_by_key` orders its
+        keys by a sort and drops its own zeros.
         """
         mv = object.__new__(cls)
         mv._terms = terms

@@ -30,9 +30,10 @@ pair.  The table is built once per signature masks and filter by that same
 loop, so there is one filter rule and one sign rule.
 
 Both paths sum coefficients per result key in pair order and drop exact
-zeros once, at the end: the per-pair path through
-:func:`~cliffcalc.multivector.canonical`, which also orders its keys, and the
-kernel at array level, its keys coming out ascending.
+zeros once, at the end: the per-pair path lists each pair's (key, value) and
+:func:`_sum_by_key` sums them after a stable sort by key, which also orders
+the keys, so no key is hashed before the result dict stores it; the kernel
+does the same at array level, its keys coming out ascending.
 
 Each product passes its own cutoff to ``_binary``, because the per-pair
 path's cost follows the pairs that pass the product's filter while the
@@ -52,6 +53,7 @@ it: most calculator lines, and every product with an index above 64.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from . import kernels
 # perfbench/spans.py times the per-pair calls through the two aliases; the
@@ -59,7 +61,7 @@ from . import kernels
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, signature_masks
-from .multivector import Multivector, canonical, from_scalar
+from .multivector import Multivector, from_scalar
 
 # Products of at most this many term pairs take the per-pair path.  Each was
 # the largest pair count at which the median per-pair over packed time of the
@@ -86,6 +88,15 @@ _TABLE_WIDTH = 6
 # three filters, the wedge sharing the Grassmann geometric product's.
 _TABLES_HELD = 16
 
+# the sort key of a (key, value) pair of the per-pair path
+_KEY = itemgetter(0)
+# Pairs that _pairs lists before it folds them into one per key (~1 MiB of
+# wide keys).  A dict held only the result's keys; the list holds every pair,
+# so without the fold a 512x512 product at dimension 10 under the python
+# backend (262,144 pairs, at most 1,024 keys) held ~30 MiB.  high_index
+# products (at most 72x72 pairs) never fold.
+_PAIRS_HELD = 1 << 13
+
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
     """The Clifford product of two multivectors under ``sig``."""
@@ -108,7 +119,8 @@ def right_contraction(a: Multivector, b: Multivector, sig: Signature) -> Multive
 
 
 def power(a: Multivector, k: int, sig: Signature) -> Multivector:
-    """Repeated geometric product; k = 0 gives the unit scalar."""
+    """Repeated geometric product; k = 0 gives the unit scalar, and k > 0
+    takes k - 1 products, so the time grows linearly in k."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"exponent must be an int, got {k!r}")
     if k < 0:
@@ -136,14 +148,16 @@ def _binary(
 
 
 @lru_cache(maxsize=_TABLES_HELD)
-def _sign_table(pos: int, neg: int, filter_mode: int) -> tuple[tuple[int, ...], ...]:
-    """``rows[ka][kb]``: the sign of every pair of keys below ``1 << _TABLE_WIDTH``
+def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """``rows[ka][kb]``: the sign of every pair of keys below ``1 << width``
     under the masks ``pos``/``neg`` (at that width), 0 where the product's
     filter drops the pair.  Row ``ka`` is what :func:`_pairs` makes of ``ka``
     and every key, all coefficients 1, so the table holds that loop's filter
     and sign rule.  The wedge is the product under the null masks (0, 0),
-    whose sign is already 0 on the pairs that its filter drops."""
-    units = [(kb, 1.0) for kb in range(1 << _TABLE_WIDTH)]
+    whose sign is already 0 on the pairs that its filter drops.  ``width``
+    is an argument, not read from ``_TABLE_WIDTH``, so that tables of one
+    width are never served for another."""
+    units = [(kb, 1.0) for kb in range(1 << width)]
     rows = []
     for ka, _ in units:
         # kb -> ka ^ kb is one to one, so each sum is one pair's sign
@@ -163,29 +177,31 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
         else:
             pos, neg = signature_masks(sig, width)
             acc = _pairs(a._terms.items(), b._terms.items(), pos, neg, filter_mode, False, blade_product)
-        return Multivector._wrap(canonical(acc))
+        return Multivector._wrap(acc)
     pos, neg = signature_masks(sig, _TABLE_WIDTH) if sig is not None else (0, 0)
-    rows = _sign_table(pos, neg, filter_mode)
+    rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
     right = b._terms.items()
-    acc = {}
-    get = acc.get
-    for ka, ca in a._terms.items():
-        row = rows[ka]
-        for kb, cb in right:
-            sign = row[kb]
-            if sign:
-                key = ka ^ kb
-                acc[key] = get(key, 0.0) + ca * cb * sign
-    return Multivector._wrap(canonical(acc))
+    return Multivector._wrap(_sum_by_key([
+        (ka ^ kb, ca * cb * sign)
+        for ka, ca in a._terms.items() for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
+    ]))
 
 
 def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_of) -> dict[int, float]:
     """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
     pairs of the terms ``left`` and ``right`` that the product's filter keeps
-    and ``sign_of`` gives a nonzero sign; exact zeros are kept."""
-    acc: dict[int, float] = {}
-    get = acc.get
+    and ``sign_of`` gives a nonzero sign, as :func:`_sum_by_key` returns it."""
+    pairs: list[tuple[int, float]] = []
+    add = pairs.append
+    held = _PAIRS_HELD
     for ka, ca in left:
+        if len(pairs) > held:
+            # fold the list into one pair per key: each key's run goes on
+            # from its sum so far, the same chain, so the list stays within
+            # twice the result's size or _PAIRS_HELD, plus one row
+            pairs = list(_sum_by_key(pairs).items())
+            add = pairs.append
+            held = max(_PAIRS_HELD, 2 * len(pairs))
         # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
         # b ⊆ a, exactly the pairs whose product has grade |b| - |a| or
         # |a| - |b|; the wedge keeps the pairs that share no generator, and
@@ -206,9 +222,29 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
                 parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
             sign = sign_of(parity, dead, kb)
             if sign:
-                key = ka ^ kb
-                acc[key] = get(key, 0.0) + ca * cb * sign
-    return acc
+                add((ka ^ kb, ca * cb * sign))
+    return _sum_by_key(pairs)
+
+
+def _sum_by_key(pairs: list[tuple[int, float]]) -> dict[int, float]:
+    """Per distinct key of the (key, value) ``pairs``, the sum from 0.0 of its
+    values in list order, in :func:`~cliffcalc.multivector.canonical` form:
+    exact zeros dropped, keys ascending.  A stable sort by key puts each
+    key's values together in list order, so each run's sum is bit for bit a
+    dict's ``get(key, 0.0) + value`` chain, and no key is hashed until the
+    result dict stores it."""
+    out: dict[int, float] = {}
+    last = None
+    total = 0.0
+    for key, value in sorted(pairs, key=_KEY):
+        if key != last:
+            if total:
+                out[last] = total
+            last, total = key, 0.0
+        total += value
+    if total:
+        out[last] = total
+    return out
 
 
 def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:

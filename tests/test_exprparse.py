@@ -7,6 +7,7 @@ from cliffcalc.exprparse import (
     BladeLit,
     Call,
     ExpressionSyntaxError,
+    MAX_EXPONENT,
     PRECEDENCE,
     Neg,
     Num,
@@ -70,6 +71,20 @@ def test_power_requires_integer_literal():
         with pytest.raises(ExpressionSyntaxError, match="exponent"):
             parse_expr(bad)
     assert parse_expr("a ** 0") == Pow(Var("a", 0), 0)
+
+
+def test_power_exponent_is_bounded():
+    """``x ** k`` takes k - 1 products: a short line cannot ask for a billion."""
+    assert parse_expr(f"a ** {MAX_EXPONENT}") == Pow(Var("a", 0), MAX_EXPONENT)
+    for line in (f"a ** {MAX_EXPONENT + 1}", "e_1 ** 1000000000", "a ** 2 ** 99999"):
+        with pytest.raises(ExpressionSyntaxError, match="exponent") as err:
+            parse_expr(line)
+        assert err.value.position == line.rindex(" ") + 1
+        assert err.value.expected == (f"an integer up to {MAX_EXPONENT}",)
+    session = Session()
+    with pytest.raises(ExpressionSyntaxError) as err:
+        run_command("x = e_1 ** 1000000000", session)
+    assert err.value.position == 11 and "x" not in session.variables
 
 
 def test_blade_literals():

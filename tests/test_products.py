@@ -443,3 +443,140 @@ def test_a_seven_index_product_takes_one_sign_call_per_surviving_pair(monkeypatc
         assert calls["blade_product"] == len(keys_a) * len(keys_b) + kept
     finally:
         kernels.set_backend(previous)
+
+
+def test_the_sign_table_cache_holds_each_width_apart(monkeypatch):
+    """A table built at one ``_TABLE_WIDTH`` is never read at another: the
+    null masks (0, 0) are the same at widths 0 and 6, so before the width was
+    part of the cache key a 6-index product read the 1x1 table."""
+    from cliffcalc import products
+
+    with monkeypatch.context() as narrow:
+        narrow.setattr(products, "_TABLE_WIDTH", 0)
+        assert wedge(from_scalar(2.0), from_scalar(3.0)) == from_scalar(6.0)
+        assert geometric_product(from_scalar(2.0), from_scalar(3.0), grassmann()) == from_scalar(6.0)
+    a = Multivector({(1,): 1.0, (2, 6): 2.0, (3, 4, 5): -1.5})
+    b = Multivector({(): 0.5, (4,): 3.0, (1, 6): -2.0})
+    assert wedge(a, b) == product_by_rewriting(a, b, grassmann())
+    assert geometric_product(a, b, grassmann()) == product_by_rewriting(a, b, grassmann())
+
+
+# --- sums in pair order -----------------------------------------------------
+
+# 1e16 + 1.0 + 1.0 - 1e16 is 0.0 in this order and 2.0 in another; 1e-200
+# squared underflows to ±0.0
+ORDER_DEPENDENT = (1e16, -1e16, 1.0, 1.0, -1.0, 1e-200, -1e-200)
+
+PAIR_ORDER_BINS = {
+    # indices, and a signature with positive, negative and null generators
+    # among them
+    "narrow": ((1, 2, 3, 4, 5, 6), Signature(3, 2)),
+    "word": ((1, 2, 7, 33, 63, 64), Signature(33, 30)),
+    # 1, 62, 123 and 184 agree modulo 61, so the keys of e_1, e_62, e_123 and
+    # e_184 all hash to 1
+    "wide": ((1, 2, 62, 65, 123, 184), Signature(123, 60)),
+}
+
+
+@pytest.mark.parametrize("product", ["geometric", "wedge", "left", "right"])
+@pytest.mark.parametrize("bin_name", PAIR_ORDER_BINS)
+def test_per_pair_sums_run_in_pair_order(monkeypatch, bin_name, product):
+    """Keys, order and coefficient bits of each product equal the pairs'
+    values added in pair order by ``sum_terms``, and the rewriting oracle's
+    result, on sums that depend on the order, collide in hash or cancel."""
+    import random
+
+    from cliffcalc import kernels, products
+    from cliffcalc.blade import blade_key
+    from cliffcalc.multivector import sum_terms
+    from tests.oracle import contraction_by_rewriting, rewrite_blade_product
+
+    indices, sig = PAIR_ORDER_BINS[bin_name]
+    run, oracle, pair_sig, keep = {
+        "geometric": (lambda a, b: geometric_product(a, b, sig),
+                      lambda a, b: product_by_rewriting(a, b, sig), sig, lambda x, y: True),
+        "wedge": (wedge, lambda a, b: product_by_rewriting(a, b, grassmann()), grassmann(),
+                  lambda x, y: True),
+        "left": (lambda a, b: left_contraction(a, b, sig),
+                 lambda a, b: contraction_by_rewriting(a, b, sig, "left"), sig, lambda x, y: set(x) <= set(y)),
+        "right": (lambda a, b: right_contraction(a, b, sig),
+                  lambda a, b: contraction_by_rewriting(a, b, sig, "right"), sig, lambda x, y: set(y) <= set(x)),
+    }[product]
+
+    def chain(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    # one key's pairs in pair order are 1e16, 1.0, 1.0, -1e16: 0.0, where
+    # 1.0 + 1.0 + 1e16 - 1e16 is 2.0 (i, j and k square to +1 in every bin)
+    i, j, k, l = indices[:4]
+    ladder = Multivector({(): 1e16, (i,): 1.0, (j,): 1.0, (k,): -1e16})
+    uppers = Multivector({(i, j, k): 1.0, (j, k): 1.0, (i, k): -1.0, (i, j): 1.0})
+    cases = [{
+        "geometric": (ladder, uppers),
+        "wedge": (ladder, uppers),
+        "left": (ladder, Multivector({(l,): 1.0, (i, l): 1.0, (j, l): 1.0, (k, l): 1.0})),
+        "right": (Multivector({(l,): 1.0, (i, l): -1.0, (j, l): -1.0, (k, l): -1.0}), ladder),
+    }[product]]
+    rng = random.Random(f"{bin_name}:{product}")
+    for _ in range(80):
+        cases.append(tuple(Multivector({tuple(sorted(rng.sample(indices, rng.randint(0, 3)))): rng.choice(ORDER_DEPENDENT)
+                                        for _ in range(rng.randint(1, 16))}) for _ in range(2)))
+    seen = {"order": 0, "zero": 0, "collision": 0}
+    previous = kernels.set_backend("python")
+    try:
+        for a, b in cases:
+            pairs = []
+            for blade_a, ca in a.terms():
+                for blade_b, cb in b.terms():
+                    sign, blade = rewrite_blade_product(blade_a, blade_b, pair_sig)
+                    if sign and keep(blade_a, blade_b):
+                        pairs.append((blade_key(blade), ca * cb * sign))
+            runs = {}
+            for key, value in pairs:
+                runs.setdefault(key, []).append(value)
+            seen["order"] += sum(chain(values) != chain(sorted(values, key=abs)) for values in runs.values())
+            seen["zero"] += sum(chain(values) == 0.0 for values in runs.values())
+            seen["collision"] += len(runs) - len(set(map(hash, runs)))
+            expected = terms_bits(Multivector._wrap(sum_terms(pairs)))
+            assert terms_bits(run(a, b)) == expected == terms_bits(oracle(a, b))
+            with monkeypatch.context() as folding:
+                # fold the pair list before every left term
+                folding.setattr(products, "_PAIRS_HELD", 0)
+                assert terms_bits(run(a, b)) == expected
+    finally:
+        kernels.set_backend(previous)
+    assert seen["order"] and seen["zero"]
+    assert bin_name != "wide" or seen["collision"]
+
+
+def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
+    """Past ``_PAIRS_HELD`` pairs ``_pairs`` folds its list into one pair per
+    key, so it holds about the result's size, and the sums stay the same
+    chains: equal bit for bit to the oracle's."""
+    import random
+
+    from cliffcalc import kernels, products
+
+    sizes = []
+    original = products._sum_by_key
+
+    def recording(pairs):
+        sizes.append(len(pairs))
+        return original(pairs)
+
+    monkeypatch.setattr(products, "_sum_by_key", recording)
+    monkeypatch.setattr(products, "_PAIRS_HELD", 64)
+    rng = random.Random(20)
+    a, b = (cancelling_multivector(rng, 8, 40) for _ in range(2))
+    sig = Signature(5, 2)
+    previous = kernels.set_backend("python")
+    try:
+        got = geometric_product(a, b, sig)
+    finally:
+        kernels.set_backend(previous)
+    assert terms_bits(got) == terms_bits(product_by_rewriting(a, b, sig))
+    assert a.num_terms() * b.num_terms() > 10 * 64 and len(sizes) > 3
+    assert max(sizes) <= max(64, 2 * got.num_terms()) + b.num_terms()
