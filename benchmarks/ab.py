@@ -12,10 +12,14 @@ The ops are 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension 6,
 a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
 acceptance-criterion-7 identity, a high_index-sized geometric product, left
 contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), a
-512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel)
-and calculator lines through ``run_command`` on values with indices up to
-12.  Both trees get the same operands, built once by the working tree's
-``random_multivector`` and passed to each ``Multivector`` as index tuples.
+512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel),
+calculator lines through ``run_command`` on values with indices up to 12,
+and the other callers of ``multivector.sum_terms``, the finisher that every
+builder of terms ends in: ``+`` of 4+4 terms at dimension 6, of 45+45 terms
+with indices up to 200 and of 512+512 terms at dimension 10, and
+``parse_multivector`` on a 6-term literal line.  Both trees get the same
+operands, built once by the working tree's ``random_multivector`` and
+passed to each ``Multivector`` as index tuples.
 
 For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
@@ -75,9 +79,14 @@ def micro_ops(cc) -> dict:
     mv = cc.Multivector
     cl31 = cc.Signature(3, 1)
 
+    def product_pairs(num_terms: int) -> list:
+        return [(mv(terms(num_terms, 2 * k)), mv(terms(num_terms, 2 * k + 1))) for k in range(20)]
+
     def products(num_terms: int) -> tuple:
-        pairs = [(mv(terms(num_terms, 2 * k)), mv(terms(num_terms, 2 * k + 1))) for k in range(20)]
-        return lambda ab: cc.geometric_product(*ab, cl31), pairs
+        return lambda ab: cc.geometric_product(*ab, cl31), product_pairs(num_terms)
+
+    def add(ab):
+        return ab[0] + ab[1]
 
     triples = [tuple(mv(terms(9, 3 * k + side, include_fewer=True)) for side in range(3))
                for k in range(20)]
@@ -93,8 +102,9 @@ def micro_ops(cc) -> dict:
     high = [(mv(terms(45, 100 + k, dimension=200, include_fewer=True)),
              mv(terms(45, 200 + k, dimension=200, include_fewer=True))) for k in range(2)]
     high_sig = cc.Signature(100, 60)
-    large = [(mv(terms(512, 400 + 2 * k, dimension=10)), mv(terms(512, 401 + 2 * k, dimension=10)))
-             for k in range(2)]
+    # include_fewer: grade 5 alone holds only 252 blades at dimension 10
+    large = [(mv(terms(512, 400 + 2 * k, dimension=10, include_fewer=True)),
+              mv(terms(512, 401 + 2 * k, dimension=10, include_fewer=True))) for k in range(2)]
     session = cc.repl.Session(signature=cl31)
     for line in ("x = 1 + 2e_1 - 3e[2,11] + 0.5e[1,3,12]", "y = 4e_2 + e[7,12] - 2e_345 + 3e_9"):
         cc.repl.run_command(line, session)
@@ -111,6 +121,10 @@ def micro_ops(cc) -> dict:
         "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
         "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
         "calc line": (lambda line: cc.repl.run_command(line, session), lines),
+        "4+4 dim 6": (add, product_pairs(4)),
+        "high_index 45+45": (add, high),
+        "512+512 dim 10": (add, large),
+        "parse 6 terms": (cc.parse_multivector, ["+ 1 + 2e_1 - 3e[2, 11] + 0.5e[1, 3, 12] - 4e_2 + e[7, 12]"]),
     }
 
 

@@ -95,13 +95,14 @@ def sweep_columns(a, b) -> dict:
 def cutoff_ratio(a, b, sig, filter_mode, repeats: int) -> float:
     """Per-pair over packed time of one product, best of ``repeats`` each."""
     per_pair = packed = float("inf")
-    products._per_pair(a, b, sig, filter_mode)
-    products._packed(a, b, sig, filter_mode)
+    width = max(a.max_index(), b.max_index())
+    products._per_pair(a, b, sig, filter_mode, width)
+    products._packed(a, b, sig, filter_mode, width)
     for _ in range(repeats):
         start = time.perf_counter()
-        products._per_pair(a, b, sig, filter_mode)
+        products._per_pair(a, b, sig, filter_mode, width)
         middle = time.perf_counter()
-        products._packed(a, b, sig, filter_mode)
+        products._packed(a, b, sig, filter_mode, width)
         per_pair = min(per_pair, middle - start)
         packed = min(packed, time.perf_counter() - middle)
     return per_pair / packed

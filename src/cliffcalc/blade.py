@@ -30,7 +30,7 @@ from operator import lt
 from typing import Iterable, NamedTuple
 
 # generator_square is not used here; perfbench/spans.py patches it by name
-from .metric import Signature, generator_square, grassmann, signature_masks  # noqa: F401
+from .metric import Signature, generator_square, signature_masks  # noqa: F401
 
 #: Canonical blade: strictly increasing tuple of generator indices.
 Blade = tuple[int, ...]
@@ -213,11 +213,12 @@ def blade_wedge(a: Blade, b: Blade) -> SignedBlade:
     """Wedge product of two canonical blades: zero on any shared index.
 
     It is the product under the null metric, :func:`~cliffcalc.metric.grassmann`,
-    where every generator squares to 0: the sign is the parity of
-    interleaving b's indices after a's.  The operands are checked as
-    :func:`validate_blade` checks them.
+    where every generator squares to 0, so its masks are the null ones
+    (0, 0): the sign is the parity of interleaving b's indices after a's.
+    The operands are checked as :func:`validate_blade` checks them.
     """
-    return blade_product(a, b, grassmann())
+    sign, key = mask_product(validate_blade(a), validate_blade(b), 0, 0)
+    return SignedBlade(sign, key_blade(key)) if sign else _ZERO
 
 
 def blade_key(a: Blade) -> int:

@@ -2,9 +2,11 @@
 
 A :class:`Multivector` stores only nonzero terms, keyed by blade key (see
 :func:`cliffcalc.blade.blade_key`) in ascending order, which is canonical
-order; index tuples appear only at its public methods.  :func:`canonical` is
-the one rule that puts a dict of terms in that form, and every builder that
-can make a zero or break the order ends in it.  Everything here is
+order; index tuples appear only at its public methods.  :func:`sum_terms` is
+the one rule that puts (blade key, coefficient) pairs in that form, and every
+builder that can make a zero or break the order ends in it: the constructors,
+``+``, the per-pair products, the text and file readers, the calculator's
+``+``/``-`` chains and the random generator.  Everything here is
 metric-free: construction, addition, negation, scalar multiplication and the
 grade machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blade import MAX_INDEX, Blade, blade_key, canonicalize, key_blade, validate_blade
@@ -45,16 +48,15 @@ class Multivector:
 
     @classmethod
     def _wrap(cls, terms: dict[int, float]) -> "Multivector":
-        """Adopt a blade-key dict that is already in :func:`canonical` form.
+        """Adopt a blade-key dict that is already in stored form.
 
-        Only builders that keep the order and cannot make a zero skip
-        :func:`canonical`: ``__neg__``, ``grade_part``, :func:`basis`,
-        :func:`from_scalar`, the packed kernel's output in
-        :func:`cliffcalc.products._packed` and the calculator's one-term
-        literals in :func:`cliffcalc.repl.eval_expr`; scalar ``__mul__`` and
-        :func:`as_1vector` keep the order and drop their own zeros, and the
-        per-pair products' :func:`cliffcalc.products._sum_by_key` orders its
-        keys by a sort and drops its own zeros.
+        Every builder that sums terms passes :func:`sum_terms`'s result.  Only
+        builders that keep the order and cannot make a zero skip it:
+        ``__neg__``, ``grade_part``, :func:`basis`, :func:`from_scalar`, the
+        packed kernel's output in :func:`cliffcalc.products._packed` and the
+        calculator's one-term literals in :func:`cliffcalc.repl.eval_expr`;
+        scalar ``__mul__`` and :func:`as_1vector` keep the order and drop
+        their own zeros.
         """
         mv = object.__new__(cls)
         mv._terms = terms
@@ -107,7 +109,7 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector._wrap(sum_terms(other._terms.items(), dict(self._terms)))
+        return Multivector._wrap(sum_terms([*self._terms.items(), *other._terms.items()]))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -166,29 +168,34 @@ def _check_coeff(value) -> float:
     return value
 
 
-def canonical(acc: dict[int, float]) -> dict[int, float]:
-    """The terms of ``acc`` as a :class:`Multivector` stores them.
+# the sort key of a (key, value) pair
+_KEY = itemgetter(0)
 
-    Drops the keys whose coefficient is exactly 0.0 and orders the rest by
-    ascending key, in one pass.  Builders add all their terms first and call
-    this once: a sum that cancels to ±0.0 and is then added to equals a
-    fresh sum from 0.0, so dropping zeros only at the end gives the same
-    coefficients as dropping them along the way.
+
+def sum_terms(pairs: Iterable[tuple[int, float]]) -> dict[int, float]:
+    """The (blade key, coefficient) ``pairs`` as a :class:`Multivector` stores
+    them, ready for ``_wrap``: per distinct key, the sum from 0.0 of its values
+    in the order given, exact zeros dropped, keys ascending.
+
+    A stable sort by key puts each key's values together in that order, so
+    each run's sum is bit for bit a dict's ``get(key, 0.0) + value`` chain, and
+    no key is hashed until the result dict stores it.  Builders list all their
+    terms first and call this once: a sum that cancels to ±0.0 and is then
+    added to equals a fresh sum from 0.0, so dropping zeros only at the end
+    gives the same coefficients as dropping them along the way.
     """
-    # sorting the keys alone is cheaper than sorting the items
-    return {key: value for key in sorted(acc) if (value := acc[key])}
-
-
-def sum_terms(
-    items: Iterable[tuple[int, float]], out: dict[int, float] | None = None
-) -> dict[int, float]:
-    """Add (blade key, coefficient) pairs in order into ``out`` (default
-    empty) and return the sums in :func:`canonical` form, ready for ``_wrap``."""
-    acc = {} if out is None else out
-    get = acc.get
-    for key, c in items:
-        acc[key] = get(key, 0.0) + c
-    return canonical(acc)
+    out: dict[int, float] = {}
+    last = None
+    total = 0.0
+    for key, value in sorted(pairs, key=_KEY):
+        if key != last:
+            if total:
+                out[last] = total
+            last, total = key, 0.0
+        total += value
+    if total:
+        out[last] = total
+    return out
 
 
 def zero() -> Multivector:

@@ -31,9 +31,9 @@ loop, so there is one filter rule and one sign rule.
 
 Both paths sum coefficients per result key in pair order and drop exact
 zeros once, at the end: the per-pair path lists each pair's (key, value) and
-:func:`_sum_by_key` sums them after a stable sort by key, which also orders
-the keys, so no key is hashed before the result dict stores it; the kernel
-does the same at array level, its keys coming out ascending.
+passes the list to :func:`~cliffcalc.multivector.sum_terms`, the finisher of
+every builder of terms; the kernel does the same at array level, its keys
+coming out ascending.
 
 Each product passes its own cutoff to ``_binary``, because the per-pair
 path's cost follows the pairs that pass the product's filter while the
@@ -53,7 +53,6 @@ it: most calculator lines, and every product with an index above 64.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 
 from . import kernels
 # perfbench/spans.py times the per-pair calls through the two aliases; the
@@ -61,7 +60,7 @@ from . import kernels
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, signature_masks
-from .multivector import Multivector, from_scalar
+from .multivector import Multivector, from_scalar, sum_terms
 
 # Products of at most this many term pairs take the per-pair path.  Each was
 # the largest pair count at which the median per-pair over packed time of the
@@ -88,8 +87,6 @@ _TABLE_WIDTH = 6
 # three filters, the wedge sharing the Grassmann geometric product's.
 _TABLES_HELD = 16
 
-# the sort key of a (key, value) pair of the per-pair path
-_KEY = itemgetter(0)
 # Pairs that _pairs lists before it folds them into one per key (~1 MiB of
 # wide keys).  A dict held only the result's keys; the list holds every pair,
 # so without the fold a 512x512 product at dimension 10 under the python
@@ -137,14 +134,16 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(
     a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int, cutoff: int
 ) -> Multivector:
+    # the operands' largest index, as max_index() takes it (a key dict's last
+    # key is its largest), once for both paths
+    width = (next(reversed(a._terms), 0) | next(reversed(b._terms), 0)).bit_length()
     if (
-        a.num_terms() * b.num_terms() > cutoff
+        len(a._terms) * len(b._terms) > cutoff
+        and width <= kernels.PACK_LIMIT
         and kernels.active_backend() != "python"
-        and a.max_index() <= kernels.PACK_LIMIT
-        and b.max_index() <= kernels.PACK_LIMIT
     ):
-        return _packed(a, b, sig, filter_mode)
-    return _per_pair(a, b, sig, filter_mode)
+        return _packed(a, b, sig, filter_mode, width)
+    return _per_pair(a, b, sig, filter_mode, width)
 
 
 @lru_cache(maxsize=_TABLES_HELD)
@@ -167,10 +166,8 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
     return tuple(rows)
 
 
-def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
-    # the operands' largest index, as max_index() takes it (a key dict's last
-    # key is its largest) but without two method calls
-    width = (next(reversed(a._terms), 0) | next(reversed(b._terms), 0)).bit_length()
+def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int,
+              width: int) -> Multivector:
     if width > _TABLE_WIDTH:
         if sig is None:
             acc = _pairs(a._terms.items(), b._terms.items(), 0, 0, filter_mode, True, blade_wedge)
@@ -181,7 +178,7 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     pos, neg = signature_masks(sig, _TABLE_WIDTH) if sig is not None else (0, 0)
     rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
     right = b._terms.items()
-    return Multivector._wrap(_sum_by_key([
+    return Multivector._wrap(sum_terms([
         (ka ^ kb, ca * cb * sign)
         for ka, ca in a._terms.items() for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
     ]))
@@ -190,7 +187,8 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
 def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_of) -> dict[int, float]:
     """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
     pairs of the terms ``left`` and ``right`` that the product's filter keeps
-    and ``sign_of`` gives a nonzero sign, as :func:`_sum_by_key` returns it."""
+    and ``sign_of`` gives a nonzero sign, as
+    :func:`~cliffcalc.multivector.sum_terms` returns it."""
     pairs: list[tuple[int, float]] = []
     add = pairs.append
     held = _PAIRS_HELD
@@ -199,7 +197,7 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
             # fold the list into one pair per key: each key's run goes on
             # from its sum so far, the same chain, so the list stays within
             # twice the result's size or _PAIRS_HELD, plus one row
-            pairs = list(_sum_by_key(pairs).items())
+            pairs = list(sum_terms(pairs).items())
             add = pairs.append
             held = max(_PAIRS_HELD, 2 * len(pairs))
         # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
@@ -223,36 +221,16 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
             sign = sign_of(parity, dead, kb)
             if sign:
                 add((ka ^ kb, ca * cb * sign))
-    return _sum_by_key(pairs)
+    return sum_terms(pairs)
 
 
-def _sum_by_key(pairs: list[tuple[int, float]]) -> dict[int, float]:
-    """Per distinct key of the (key, value) ``pairs``, the sum from 0.0 of its
-    values in list order, in :func:`~cliffcalc.multivector.canonical` form:
-    exact zeros dropped, keys ascending.  A stable sort by key puts each
-    key's values together in list order, so each run's sum is bit for bit a
-    dict's ``get(key, 0.0) + value`` chain, and no key is hashed until the
-    result dict stores it."""
-    out: dict[int, float] = {}
-    last = None
-    total = 0.0
-    for key, value in sorted(pairs, key=_KEY):
-        if key != last:
-            if total:
-                out[last] = total
-            last, total = key, 0.0
-        total += value
-    if total:
-        out[last] = total
-    return out
-
-
-def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int) -> Multivector:
+def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int,
+            width: int) -> Multivector:
     import numpy as np
 
     pos, neg = kernels.region_masks(sig) if sig is not None else (0, 0)
     keys, coeffs = kernels.pair_table(*_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg),
-                                      max(a.max_index(), b.max_index()), filter_mode)
+                                      width, filter_mode)
     # kernel keys come out ascending, which is canonical order already
     return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))
 

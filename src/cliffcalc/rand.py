@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .blade import MAX_INDEX
-from .multivector import Multivector, canonical
+from .multivector import Multivector, sum_terms
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,4 +109,4 @@ def random_multivector(spec: RandomSpec = RandomSpec()) -> Multivector:
         if key in terms:
             continue
         terms[key] = float(coeff_values[rng.next_below(len(coeff_values))])
-    return Multivector._wrap(canonical(terms))
+    return Multivector._wrap(sum_terms(terms.items()))

@@ -48,7 +48,7 @@ from .exprparse import (
 )
 from .metric import UNBOUNDED, Signature, euclidean
 from .blade import MAX_INDEX, blade_key
-from .multivector import Multivector, basis, canonical, from_scalar
+from .multivector import Multivector, basis, from_scalar, sum_terms
 from .products import (
     geometric_product,
     left_contraction,
@@ -120,9 +120,9 @@ def eval_expr(expr: Expr, session: Session) -> Value:
     made, before any operand to its right is evaluated.
 
     A left-associative chain of ``+`` and ``-`` is one node: its operands'
-    terms are added into one accumulator (negated after a ``-``) that goes
-    through :func:`~cliffcalc.multivector.canonical` once; its docstring
-    gives why that equals adding pair by pair.
+    terms (negated after a ``-``) are listed in order and summed by
+    :func:`~cliffcalc.multivector.sum_terms` once; its docstring gives why
+    that equals adding pair by pair.
     """
     signature, variables = session.signature, session.variables
     todo: list = []
@@ -148,13 +148,12 @@ def eval_expr(expr: Expr, session: Session) -> Value:
                 node, user, signs = left, f"'{op}'", None
                 continue
             elif op in ("+", "-"):
-                acc: dict[int, float] = {}
-                get = acc.get
-                for sign, term in zip(reversed(signs), values[-len(signs):]):
-                    for key, c in term._terms.items():
-                        acc[key] = get(key, 0.0) + sign * c
+                value = Multivector._wrap(sum_terms([
+                    (key, sign * c)
+                    for sign, term in zip(reversed(signs), values[-len(signs):])
+                    for key, c in term._terms.items()
+                ]))
                 del values[-len(signs):]
-                value = Multivector._wrap(canonical(acc))
             else:
                 if signs:
                     right = values.pop()

@@ -76,7 +76,8 @@ def test_ab_times_the_working_tree_against_a_revision():
     assert "parent HEAD against the working tree" in out
     for text in ("change/parent", "faster", "1x1 Cl(3,1)", "9x9 Cl(3,1)", "4x4 wedge dim 12",
                  "criterion 7", "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
-                 "512x512 dim 10", "calc line"):
+                 "512x512 dim 10", "calc line", "4+4 dim 6", "high_index 45+45", "512+512 dim 10",
+                 "parse 6 terms"):
         assert text in out
     # one row per op, each ending in its rounds won of the one timed
-    assert sum(line.endswith(("0/1", "1/1")) for line in out.splitlines()) == 11
+    assert sum(line.endswith(("0/1", "1/1")) for line in out.splitlines()) == 15

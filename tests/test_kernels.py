@@ -452,7 +452,7 @@ def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(resto
                                              (right_contraction, FILTER_RIGHT)):
                     per_pair = list(product(a, b, sig).terms())
                     assert packed_calls == []
-                    kernel = list(packed(a, b, sig, filter_mode).terms())
+                    kernel = list(packed(a, b, sig, filter_mode, max(a.max_index(), b.max_index())).terms())
                     assert coefficient_bits(per_pair) == coefficient_bits(kernel)
 
 
@@ -544,7 +544,7 @@ def test_per_pair_wedges_match_the_kernel_and_the_oracle(restore_backend, dimens
         b = float_multivector(rng, indices, nb, coeffs)
         assert 49 <= a.num_terms() * b.num_terms() <= 256
         expected = list(product_by_rewriting(a, b, grassmann()).terms())
-        assert list(products._packed(a, b, None, FILTER_NONE).terms()) == expected
+        assert list(products._packed(a, b, None, FILTER_NONE, max(a.max_index(), b.max_index())).terms()) == expected
         for backend in ("numpy", "python"):
             kernels.set_backend(backend)
             assert list(wedge(a, b).terms()) == expected, backend

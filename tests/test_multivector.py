@@ -196,10 +196,11 @@ def test_every_result_stores_canonical_terms(a, b, s, sig, raw):
     finally:
         kernels.set_backend(previous)
     if a and b:  # the kernel itself, below the cutoffs too
-        results += [products._packed(a, b, sig, kernels.FILTER_NONE),
-                    products._packed(a, b, None, kernels.FILTER_NONE),
-                    products._packed(a, b, sig, kernels.FILTER_LEFT),
-                    products._packed(a, b, sig, kernels.FILTER_RIGHT)]
+        width = max(a.max_index(), b.max_index())
+        results += [products._packed(a, b, sig, kernels.FILTER_NONE, width),
+                    products._packed(a, b, None, kernels.FILTER_NONE, width),
+                    products._packed(a, b, sig, kernels.FILTER_LEFT, width),
+                    products._packed(a, b, sig, kernels.FILTER_RIGHT, width)]
     for mv in results:
         assert_canonical_terms(mv)
     with tempfile.TemporaryDirectory() as tmp:

@@ -388,7 +388,7 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
         underflows += sum_events(a, b, sig)[1]
         for product_sig, filter_mode, oracle in cases:
             del sign_calls[:]
-            table = products._per_pair(a, b, product_sig, filter_mode)
+            table = products._per_pair(a, b, product_sig, filter_mode, width)
             if width <= products._TABLE_WIDTH:
                 assert sign_calls == []
             elif product_sig is not None and filter_mode == kernels.FILTER_NONE:
@@ -396,8 +396,8 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
             with monkeypatch.context() as general:
                 # below every product's width, the scalar ones' (0) too
                 general.setattr(products, "_TABLE_WIDTH", -1)
-                loop = products._per_pair(a, b, product_sig, filter_mode)
-            packed = products._packed(a, b, product_sig, filter_mode)
+                loop = products._per_pair(a, b, product_sig, filter_mode, width)
+            packed = products._packed(a, b, product_sig, filter_mode, width)
             expected = terms_bits(oracle(a, b))
             assert terms_bits(table) == terms_bits(loop) == terms_bits(packed) == expected
     # pair products of 1e-200 reach the sums as ±0.0 in some cases
@@ -467,6 +467,35 @@ def test_the_sign_table_cache_holds_each_width_apart(monkeypatch):
 # squared underflows to ±0.0
 ORDER_DEPENDENT = (1e16, -1e16, 1.0, 1.0, -1.0, 1e-200, -1e-200)
 
+
+def chain(values):
+    """The sum from 0.0 of ``values`` in the order given."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def runs_of(pairs):
+    """Per key of the (key, value) ``pairs``, its values in pair order."""
+    runs = {}
+    for key, value in pairs:
+        runs.setdefault(key, []).append(value)
+    return runs
+
+
+def summed_bits(runs):
+    """The sum rule, written apart from the library: each key's run summed
+    by :func:`chain`, exact zeros dropped, keys ascending, as
+    :func:`terms_bits` reads a result."""
+    import struct
+
+    from cliffcalc.blade import key_blade
+
+    return [(key_blade(key), struct.pack("<d", total))
+            for key in sorted(runs) if (total := chain(runs[key]))]
+
+
 PAIR_ORDER_BINS = {
     # indices, and a signature with positive, negative and null generators
     # among them
@@ -482,13 +511,13 @@ PAIR_ORDER_BINS = {
 @pytest.mark.parametrize("bin_name", PAIR_ORDER_BINS)
 def test_per_pair_sums_run_in_pair_order(monkeypatch, bin_name, product):
     """Keys, order and coefficient bits of each product equal the pairs'
-    values added in pair order by ``sum_terms``, and the rewriting oracle's
-    result, on sums that depend on the order, collide in hash or cancel."""
+    values added in pair order (:func:`summed_bits`), and the rewriting
+    oracle's result, on sums that depend on the order, collide in hash or
+    cancel."""
     import random
 
     from cliffcalc import kernels, products
     from cliffcalc.blade import blade_key
-    from cliffcalc.multivector import sum_terms
     from tests.oracle import contraction_by_rewriting, rewrite_blade_product
 
     indices, sig = PAIR_ORDER_BINS[bin_name]
@@ -502,12 +531,6 @@ def test_per_pair_sums_run_in_pair_order(monkeypatch, bin_name, product):
         "right": (lambda a, b: right_contraction(a, b, sig),
                   lambda a, b: contraction_by_rewriting(a, b, sig, "right"), sig, lambda x, y: set(y) <= set(x)),
     }[product]
-
-    def chain(values):
-        total = 0.0
-        for value in values:
-            total += value
-        return total
 
     # one key's pairs in pair order are 1e16, 1.0, 1.0, -1e16: 0.0, where
     # 1.0 + 1.0 + 1e16 - 1e16 is 2.0 (i, j and k square to +1 in every bin)
@@ -534,13 +557,11 @@ def test_per_pair_sums_run_in_pair_order(monkeypatch, bin_name, product):
                     sign, blade = rewrite_blade_product(blade_a, blade_b, pair_sig)
                     if sign and keep(blade_a, blade_b):
                         pairs.append((blade_key(blade), ca * cb * sign))
-            runs = {}
-            for key, value in pairs:
-                runs.setdefault(key, []).append(value)
+            runs = runs_of(pairs)
             seen["order"] += sum(chain(values) != chain(sorted(values, key=abs)) for values in runs.values())
             seen["zero"] += sum(chain(values) == 0.0 for values in runs.values())
             seen["collision"] += len(runs) - len(set(map(hash, runs)))
-            expected = terms_bits(Multivector._wrap(sum_terms(pairs)))
+            expected = summed_bits(runs)
             assert terms_bits(run(a, b)) == expected == terms_bits(oracle(a, b))
             with monkeypatch.context() as folding:
                 # fold the pair list before every left term
@@ -561,13 +582,13 @@ def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
     from cliffcalc import kernels, products
 
     sizes = []
-    original = products._sum_by_key
+    original = products.sum_terms
 
     def recording(pairs):
         sizes.append(len(pairs))
         return original(pairs)
 
-    monkeypatch.setattr(products, "_sum_by_key", recording)
+    monkeypatch.setattr(products, "sum_terms", recording)
     monkeypatch.setattr(products, "_PAIRS_HELD", 64)
     rng = random.Random(20)
     a, b = (cancelling_multivector(rng, 8, 40) for _ in range(2))
@@ -580,3 +601,107 @@ def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
     assert terms_bits(got) == terms_bits(product_by_rewriting(a, b, sig))
     assert a.num_terms() * b.num_terms() > 10 * 64 and len(sizes) > 3
     assert max(sizes) <= max(64, 2 * got.num_terms()) + b.num_terms()
+
+
+def drawn_terms(spec):
+    """The (blade key, coefficient) pairs that ``random_multivector`` draws,
+    in draw order, following the draw sequence that :mod:`cliffcalc.rand`
+    documents."""
+    import math
+
+    from cliffcalc.rand import SplitMix64
+
+    rng = SplitMix64(spec.seed)
+    values = [c for c in range(spec.coeff_min, spec.coeff_max + 1) if c]
+    grades = range(spec.max_grade + 1) if spec.include_fewer else (spec.max_grade,)
+    want = min(spec.num_terms, sum(math.comb(spec.dimension, g) for g in grades))
+    pairs = []
+    while len(pairs) < want:
+        grade = rng.next_below(spec.max_grade + 1) if spec.include_fewer else spec.max_grade
+        indices = set()
+        while len(indices) < grade:
+            indices.add(1 + rng.next_below(spec.dimension))
+        key = sum(1 << (i - 1) for i in indices)
+        if all(key != k for k, _ in pairs):
+            pairs.append((key, float(values[rng.next_below(len(values))])))
+    return pairs
+
+
+# blades of one to three indices, with a digit run, a comma-form index and
+# indices above 64; the indices of each are an arithmetic run
+SUM_BLADES = ((), (1,), (2,), (1, 2), (3, 10), (1, 62, 123))
+
+
+def spellings(blade):
+    """Three distinct mapping keys that ``Multivector`` reads as ``blade``,
+    one of :data:`SUM_BLADES`."""
+    start = blade[0] if blade else 0
+    step = blade[1] - start if len(blade) > 1 else 1
+    return blade, range(start, start + step * len(blade), step), bytes(blade)
+
+
+@pytest.mark.parametrize("builder", ["+", "-", "from_terms", "Multivector", "parse_multivector",
+                                     "load", "calculator", "random_multivector"])
+def test_every_builder_sums_by_the_one_rule(builder, tmp_path):
+    """Every builder of terms other than the products stores, bit for bit,
+    its terms summed per key from 0.0 in the order it takes them, exact zeros
+    dropped and keys ascending (:func:`summed_bits`), on order-dependent and
+    cancelling values."""
+    import random
+
+    from cliffcalc import RandomSpec, Session, eval_expr, load, parse_expr, parse_multivector, random_multivector
+    from cliffcalc.blade import blade_key
+
+    def text(terms):
+        """``terms`` as one signed literal per term, blades in bracket form."""
+        return " ".join(("- " if c < 0 else "+ ") + repr(abs(c)) + (f"e{list(blade)}" if blade else "")
+                        for blade, c in terms)
+
+    def build(terms):
+        """The builder's value of ``terms``, and the (key, value) pairs in
+        the order it sums them."""
+        pairs = [(blade_key(blade), c) for blade, c in terms]
+        if builder in ("+", "-"):
+            # each operand holds each blade once, so only the sum sums
+            a, b = (Multivector(dict(half)) for half in (terms[::2], terms[1::2]))
+            sign = 1.0 if builder == "+" else -1.0
+            pairs = [*a._terms.items(), *((key, sign * c) for key, c in b._terms.items())]
+            return (a + b if builder == "+" else a - b), pairs
+        if builder == "from_terms":
+            return from_terms([blade for blade, _ in terms], [c for _, c in terms]), pairs
+        if builder == "Multivector":
+            # a blade's first three values go in under its three spellings
+            mapping, count = {}, {}
+            for blade, c in terms:
+                count[blade] = count.get(blade, -1) + 1
+                mapping[spellings(blade)[count[blade] % 3]] = c
+            return Multivector(mapping), [(blade_key(tuple(blade)), c) for blade, c in mapping.items()]
+        if builder == "parse_multivector":
+            return parse_multivector(text(terms)), pairs
+        if builder == "load":
+            path = tmp_path / "terms.mv"
+            path.write_text("".join(f"{c!r} ; {' '.join(map(str, blade))}\n" for blade, c in terms))
+            return load(path), pairs
+        return eval_expr(parse_expr(text(terms)), Session()), pairs
+
+    if builder == "random_multivector":
+        for seed in range(40):
+            spec = RandomSpec(dimension=7, max_grade=4, num_terms=1 + seed % 12, include_fewer=seed % 2 == 1,
+                              coeff_min=-3, coeff_max=2, seed=seed)
+            assert terms_bits(random_multivector(spec)) == summed_bits(runs_of(drawn_terms(spec)))
+        return
+    # 1e16, 1.0, 1.0, -1e16 on e_1 is 0.0 in this order; e_2's 1.0, -1.0 cancel
+    cases = [[((1,), 1e16), ((2,), 1.0), ((1,), 1.0), ((2,), -1.0), ((1,), 1.0), ((1,), -1e16)]]
+    rng = random.Random(builder)
+    for _ in range(80):
+        cases.append([(rng.choice(SUM_BLADES), rng.choice(ORDER_DEPENDENT)) for _ in range(rng.randint(1, 16))])
+    seen = {"order": 0, "zero": 0}
+    for terms in cases:
+        value, pairs = build(terms)
+        runs = runs_of(pairs)
+        seen["order"] += sum(chain(values) != chain(sorted(values, key=abs)) for values in runs.values())
+        seen["zero"] += sum(chain(values) == 0.0 for values in runs.values())
+        assert terms_bits(value) == summed_bits(runs)
+    assert seen["zero"]
+    # two values add alike in either order
+    assert builder in ("+", "-") or seen["order"]
