@@ -80,7 +80,11 @@ def micro_ops(cc) -> dict:
     cl31 = cc.Signature(3, 1)
 
     def product_pairs(num_terms: int) -> list:
-        return [(mv(terms(num_terms, 2 * k)), mv(terms(num_terms, 2 * k + 1))) for k in range(20)]
+        # include_fewer: grade 5 alone holds only 6 blades at dimension 6
+        pairs = [(mv(terms(num_terms, 2 * k, include_fewer=True)),
+                  mv(terms(num_terms, 2 * k + 1, include_fewer=True))) for k in range(20)]
+        assert all(x.num_terms() == y.num_terms() == num_terms for x, y in pairs)
+        return pairs
 
     def products(num_terms: int) -> tuple:
         return lambda ab: cc.geometric_product(*ab, cl31), product_pairs(num_terms)

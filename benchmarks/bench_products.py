@@ -12,8 +12,9 @@ times every column once, in a shuffled order, and a cell is the median over
 the repeats, from ``bench_calc.interleaved_medians``, the timer both
 benchmark scripts share; a column's backend is set before its call is timed.
 
-``--cutoffs`` instead times ``products._per_pair`` against
-``products._packed`` for the four products, under four signatures, in
+``--cutoffs`` instead times ``products._per_pair`` against the packed path
+(``kernels.packed_product``, its terms wrapped as ``products._binary`` wraps
+them) for the four products, under four signatures, in
 dimensions 6 and 10, at 49-640 term pairs of mixed-grade operands.  A cell is
 the median over 12 operand pairs of per-pair time over packed time, each the
 best of the repeats, the two paths interleaved; below 1 the per-pair path is
@@ -39,7 +40,8 @@ import time
 
 import numpy as np
 
-from cliffcalc import Signature, euclidean, geometric_product, grassmann, left_contraction, wedge
+from cliffcalc import (Multivector, Signature, euclidean, geometric_product, grassmann, left_contraction,
+                       wedge)
 from cliffcalc import kernels, products
 from cliffcalc.rand import RandomSpec, random_multivector
 
@@ -47,7 +49,8 @@ from bench_calc import interleaved_medians
 
 SIG = Signature(6, 4)
 
-#: (name, signature) of the cutoff grid; the wedge is timed without one.
+#: (name, signature) of the cutoff grid; the wedge is timed under the null
+#: metric alone, the one it takes.
 CUTOFF_SIGNATURES = (("euclidean", euclidean()), ("Cl(3,1)", Signature(3, 1)),
                      ("Cl(6,4)", Signature(6, 4)), ("grassmann", grassmann()))
 #: (name, filter mode, takes a signature) of the four products.
@@ -77,12 +80,12 @@ def build(num_terms: int, seed: int):
 def sweep_columns(a, b) -> dict:
     """The size sweep's rows for ``interleaved_medians``: name -> (call, items).
 
-    ``kernel`` is one ``kernels.pair_table`` call as ``products._packed``
-    makes it, on arrays built once by ``products._operands``.
+    ``kernel`` is one ``kernels.pair_table`` call as ``kernels.packed_product``
+    makes it, on arrays built once by ``kernels._operands``.
     """
     pos, neg = kernels.region_masks(SIG)
-    kernel_args = (*products._operands(a), *products._operands(b), np.uint64(pos), np.uint64(neg),
-                   max(a.max_index(), b.max_index()), kernels.FILTER_NONE)
+    kernel_args = (*kernels._operands(a._terms), *kernels._operands(b._terms), np.uint64(pos),
+                   np.uint64(neg), max(a.max_index(), b.max_index()), kernels.FILTER_NONE)
     pair = [(a, b)]
     geometric = (lambda ab: geometric_product(*ab, SIG), pair)
     lc = (lambda ab: left_contraction(*ab, SIG), pair)
@@ -96,13 +99,16 @@ def cutoff_ratio(a, b, sig, filter_mode, repeats: int) -> float:
     """Per-pair over packed time of one product, best of ``repeats`` each."""
     per_pair = packed = float("inf")
     width = max(a.max_index(), b.max_index())
+    def packed_path():
+        return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
+
     products._per_pair(a, b, sig, filter_mode, width)
-    products._packed(a, b, sig, filter_mode, width)
+    packed_path()
     for _ in range(repeats):
         start = time.perf_counter()
         products._per_pair(a, b, sig, filter_mode, width)
         middle = time.perf_counter()
-        products._packed(a, b, sig, filter_mode, width)
+        packed_path()
         per_pair = min(per_pair, middle - start)
         packed = min(packed, time.perf_counter() - middle)
     return per_pair / packed
@@ -122,7 +128,7 @@ def cutoff_grid(repeats: int) -> dict:
                 for k in range(CUTOFF_OPERANDS)
             ]
             for product, filter_mode, signed in CUTOFF_PRODUCTS:
-                for name, sig in CUTOFF_SIGNATURES if signed else ((None, None),):
+                for name, sig in CUTOFF_SIGNATURES if signed else ((None, grassmann()),):
                     ratios = [cutoff_ratio(a, b, sig, filter_mode, repeats) for a, b in operands]
                     rows.append({"product": product, "signature": name, "dimension": dimension,
                                  "pairs": na * nb, "ratio": round(float(np.median(ratios)), 3)})

@@ -1,9 +1,11 @@
-"""The bit-packed product kernel, vectorized with numpy.
+"""The bit-packed product path, vectorized with numpy.
 
 Blades whose indices all fit in 1..64 pack into a uint64 mask (bit i-1 set
-for index i), and a whole multivector becomes a pair of parallel arrays
-(keys, coeffs).  A product of two such multivectors is then one call into a
-kernel that, for every term pair (a, b):
+for index i), and a whole multivector's terms become a pair of parallel
+arrays (keys, coeffs).  :func:`packed_product` holds the whole path: it
+packs both operands' terms, takes the signature's region masks, calls the
+kernel and decodes its arrays into the result's terms.  The kernel,
+:func:`pair_table`, for every term pair (a, b):
 
 * XORs the masks to get the result blade,
 * takes the sign from the :func:`~cliffcalc.blade.sign_factors` of ``a``,
@@ -19,7 +21,8 @@ kernel that, for every term pair (a, b):
   a ⊆ b, right keeps b ⊆ a),
 
 then accumulates coefficients per result key in pair order from +0.0 and
-drops the sums that are exactly zero; keys come out ascending.  While
+drops the sums that are exactly zero; keys come out ascending, the order a
+multivector stores them in, so decoding is one ``dict(zip(...))``.  While
 ``1 << width`` bins are cheap (:func:`dense_bins`) a key is its own bin and
 a nonzero bin's index its key, otherwise ``np.unique`` bins the keys.  A
 pair whose product is ±0.0 is summed like any other, since it changes no
@@ -30,14 +33,14 @@ between calls for products of up to ``_HELD_PAIRS`` term pairs, so a call
 writes into memory already mapped; every returned array is a copy.
 
 Backend selection: :func:`set_backend` switches between ``numpy`` (the
-default) and ``python``, which skips the packed kernel entirely:
+default) and ``python``, which skips the packed path entirely:
 :mod:`cliffcalc.products` then uses the per-pair blade arithmetic, which is
 also what any product with indices above 64 uses.
 
-numpy is imported inside :func:`pair_table` and :func:`_tables`, not at the
-top of the module, so ``import cliffcalc`` and every product that never takes
-the packed path run without loading it; after the first packed product the
-import is a ``sys.modules`` lookup.
+This is the only module that imports numpy, and it does so inside the packed
+path's functions, not at the top of the module, so ``import cliffcalc`` and
+every product that never takes the packed path run without loading it; after
+the first packed product the import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -80,6 +83,30 @@ def dense_bins(width: int, pairs: int) -> int:
     """
     bins = 1 << width
     return bins if bins <= max(1024, 2 * pairs) else 0
+
+
+def packed_product(a_terms: dict[int, float], b_terms: dict[int, float], sig: Signature,
+                   filter_mode: int, width: int) -> dict[int, float]:
+    """The terms of the product of two blade-key dicts, in stored form,
+    through :func:`pair_table`.  ``width`` (at most ``PACK_LIMIT``) bounds
+    the bit length of every key of both."""
+    import numpy as np
+
+    # region_masks and pair_table are looked up here at each call, so a patch
+    # on this module (perfbench/spans.py times both) sees every packed product
+    pos, neg = region_masks(sig)
+    keys, coeffs = pair_table(*_operands(a_terms), *_operands(b_terms), np.uint64(pos), np.uint64(neg),
+                              width, filter_mode)
+    # kernel keys come out ascending, which is stored order already
+    return dict(zip(keys.tolist(), coeffs.tolist()))
+
+
+def _operands(terms: dict[int, float]) -> tuple:
+    """``terms``' blade keys and coefficients as the kernel's uint64 and float64 arrays."""
+    import numpy as np
+
+    n = len(terms)
+    return np.fromiter(terms, np.uint64, n), np.fromiter(terms.values(), np.float64, n)
 
 
 def _tables(pairs: int):

@@ -53,8 +53,9 @@ class Multivector:
         Every builder that sums terms passes :func:`sum_terms`'s result.  Only
         builders that keep the order and cannot make a zero skip it:
         ``__neg__``, ``grade_part``, :func:`basis`, :func:`from_scalar`, the
-        packed kernel's output in :func:`cliffcalc.products._packed` and the
-        calculator's one-term literals in :func:`cliffcalc.repl.eval_expr`;
+        packed path's terms from :func:`cliffcalc.kernels.packed_product`,
+        which ``products._binary`` wraps, and the calculator's one-term
+        literals in :func:`cliffcalc.repl.eval_expr`;
         scalar ``__mul__`` and :func:`as_1vector` keep the order and drop
         their own zeros.
         """

@@ -2,7 +2,8 @@
 
 All metric-dependent operations take the :class:`~cliffcalc.metric.Signature`
 explicitly; only the REPL holds one as ambient state.  The wedge product
-never consults a metric.
+takes none: it is the product under the null metric,
+:func:`~cliffcalc.metric.grassmann`, which every path is given for it.
 
 Contractions are computed term-wise with a grade filter: for blades a of
 grade r and b of grade s, the geometric product a b is homogeneous, so
@@ -13,12 +14,13 @@ Both paths work on blade keys with one sign rule: the
 :func:`~cliffcalc.blade.sign_factors` of each left key a, then per pair the
 :func:`~cliffcalc.blade.pair_sign` (``dead & b`` and the parity of
 ``parity & b``) and the result key ``a ^ b``.  When every index fits in
-1..64 and the product has more term pairs than its cutoff, the keys go into
-uint64 arrays for the packed numpy kernel in :mod:`cliffcalc.kernels`, with
-the operands' largest index as the keys' width.  Smaller products, blades
-with larger indices and every product under ``kernels.set_backend("python")``
-take the per-pair path, one loop over the pairs on Python ints,
-:func:`_pairs`.  There the contractions and the wedge drop the pairs that
+1..64 and the product has more term pairs than its cutoff, the terms go to
+:func:`~cliffcalc.kernels.packed_product`, which packs them for the numpy
+kernel, with the operands' largest index as the keys' width, and returns the
+result's terms.  Smaller products, blades with larger indices and every
+product under ``kernels.set_backend("python")`` take the per-pair path, one
+loop over the pairs on Python ints, :func:`_pairs`.  There the contractions
+and every product under the null metric (the wedge) drop the pairs that
 cannot contribute (outside the grade filter, or sharing a generator) before
 the sign, so a left key takes its sign factors (indices up to 12 read their
 prefix parity from a table) only once a pair survives; a pair takes its key
@@ -45,9 +47,9 @@ product (``_SMALL_PAIRS``), 256 for the wedge (``_SMALL_WEDGE_PAIRS``) and
 table; with it, products of indices up to 6 break even later, and those of
 dimension 10 where they did.
 
-numpy is imported inside the packed path's two functions, ``_packed`` and
-``_operands``, so that a product which stays on the per-pair path never loads
-it: most calculator lines, and every product with an index above 64.
+This module imports no numpy: only :mod:`cliffcalc.kernels` does, inside the
+packed path, so a product which stays on the per-pair path never loads it:
+most calculator lines, and every product with an index above 64.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from . import kernels
 # sign table is built through pair_sign itself, so they count the pairs of
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
-from .metric import Signature, signature_masks
+from .metric import Signature, grassmann, signature_masks
 from .multivector import Multivector, from_scalar, sum_terms
 
 # Products of at most this many term pairs take the per-pair path.  Each was
@@ -94,6 +96,9 @@ _TABLES_HELD = 16
 # products (at most 72x72 pairs) never fold.
 _PAIRS_HELD = 1 << 13
 
+# The wedge's signature: every generator squares to 0
+_GRASSMANN = grassmann()
+
 
 def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
     """The Clifford product of two multivectors under ``sig``."""
@@ -101,8 +106,9 @@ def geometric_product(a: Multivector, b: Multivector, sig: Signature) -> Multive
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product; signature-free, zero whenever blades overlap."""
-    return _binary(a, b, None, kernels.FILTER_NONE, _SMALL_WEDGE_PAIRS)
+    """Exterior product: the product under the null metric, zero whenever
+    blades overlap."""
+    return _binary(a, b, _GRASSMANN, kernels.FILTER_NONE, _SMALL_WEDGE_PAIRS)
 
 
 def left_contraction(a: Multivector, b: Multivector, sig: Signature) -> Multivector:
@@ -132,7 +138,7 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 
 
 def _binary(
-    a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int, cutoff: int
+    a: Multivector, b: Multivector, sig: Signature, filter_mode: int, cutoff: int
 ) -> Multivector:
     # the operands' largest index, as max_index() takes it (a key dict's last
     # key is its largest), once for both paths
@@ -142,7 +148,7 @@ def _binary(
         and width <= kernels.PACK_LIMIT
         and kernels.active_backend() != "python"
     ):
-        return _packed(a, b, sig, filter_mode, width)
+        return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
     return _per_pair(a, b, sig, filter_mode, width)
 
 
@@ -160,22 +166,20 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
     rows = []
     for ka, _ in units:
         # kb -> ka ^ kb is one to one, so each sum is one pair's sign
-        signs = _pairs([(ka, 1.0)], units, pos, neg, filter_mode, False, pair_sign)
+        signs = _pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign)
         rows.append(tuple([int(signs.get(ka ^ kb, 0)) for kb, _ in units]))
     # tuples: every caller of the cache shares the one table
     return tuple(rows)
 
 
-def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int,
+def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
               width: int) -> Multivector:
+    # the wider of the two; a max() call took ~0.1 us, a few percent of a 1x1 product
+    pos, neg = signature_masks(sig, width if width > _TABLE_WIDTH else _TABLE_WIDTH)
     if width > _TABLE_WIDTH:
-        if sig is None:
-            acc = _pairs(a._terms.items(), b._terms.items(), 0, 0, filter_mode, True, blade_wedge)
-        else:
-            pos, neg = signature_masks(sig, width)
-            acc = _pairs(a._terms.items(), b._terms.items(), pos, neg, filter_mode, False, blade_product)
+        sign_of = blade_product if pos | neg else blade_wedge
+        acc = _pairs(a._terms.items(), b._terms.items(), pos, neg, filter_mode, sign_of)
         return Multivector._wrap(acc)
-    pos, neg = signature_masks(sig, _TABLE_WIDTH) if sig is not None else (0, 0)
     rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
     right = b._terms.items()
     return Multivector._wrap(sum_terms([
@@ -184,7 +188,7 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature | None, filter_mode
     ]))
 
 
-def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_of) -> dict[int, float]:
+def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> dict[int, float]:
     """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
     pairs of the terms ``left`` and ``right`` that the product's filter keeps
     and ``sign_of`` gives a nonzero sign, as
@@ -192,6 +196,7 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
     pairs: list[tuple[int, float]] = []
     add = pairs.append
     held = _PAIRS_HELD
+    null = not (pos | neg)
     for ka, ca in left:
         if len(pairs) > held:
             # fold the list into one pair per key: each key's run goes on
@@ -202,13 +207,14 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
             held = max(_PAIRS_HELD, 2 * len(pairs))
         # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
         # b ⊆ a, exactly the pairs whose product has grade |b| - |a| or
-        # |a| - |b|; the wedge keeps the pairs that share no generator, and
-        # the geometric product (mask = want = 0) keeps every pair
+        # |a| - |b|; under the null metric (the wedge) the product keeps the
+        # pairs that share no generator, whose sign alone can be nonzero, and
+        # under any other (mask = want = 0) every pair
         if filter_mode == kernels.FILTER_LEFT:
             mask = want = ka
         elif filter_mode:
             mask, want = ~ka, 0
-        elif wedge:
+        elif null:
             mask, want = ka, 0
         else:
             mask = want = 0
@@ -223,21 +229,3 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, wedge: bool, sign_
                 add((ka ^ kb, ca * cb * sign))
     return sum_terms(pairs)
 
-
-def _packed(a: Multivector, b: Multivector, sig: Signature | None, filter_mode: int,
-            width: int) -> Multivector:
-    import numpy as np
-
-    pos, neg = kernels.region_masks(sig) if sig is not None else (0, 0)
-    keys, coeffs = kernels.pair_table(*_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg),
-                                      width, filter_mode)
-    # kernel keys come out ascending, which is canonical order already
-    return Multivector._wrap(dict(zip(keys.tolist(), coeffs.tolist())))
-
-
-def _operands(mv: Multivector) -> tuple:
-    """``mv``'s blade keys and coefficients as the kernel's uint64 and float64 arrays."""
-    import numpy as np
-
-    n = mv.num_terms()
-    return np.fromiter(mv._terms, np.uint64, n), np.fromiter(mv._terms.values(), np.float64, n)

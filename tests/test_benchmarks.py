@@ -1,8 +1,9 @@
 """Smoke runs of the benchmark scripts at toy sizes.
 
 The scripts reach into private names of the library (``products._per_pair``,
-``products._packed``, the ``_SMALL_*`` cutoffs, ``kernels.pair_table``,
-``kernels.region_masks``, ``kernels.FILTER_*``), so a refactor can break them
+the ``_SMALL_*`` cutoffs, ``kernels.packed_product``, ``kernels._operands``,
+``kernels.pair_table``, ``kernels.region_masks``, ``kernels.FILTER_*``,
+``Multivector._wrap``), so a refactor can break them
 without any other test noticing.  Each run checks the exit code and the
 header the script prints; the timings themselves are not checked.
 ``benchmarks/ab.py`` compares the working tree with ``HEAD``, which it

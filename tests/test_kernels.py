@@ -12,12 +12,12 @@ from cliffcalc.kernels import (
     FILTER_LEFT,
     FILTER_NONE,
     FILTER_RIGHT,
+    _operands,
     dense_bins,
     pair_table,
     region_masks,
 )
 from cliffcalc.products import (
-    _operands,
     geometric_product,
     left_contraction,
     right_contraction,
@@ -32,6 +32,12 @@ def restore_backend():
     previous = kernels.active_backend()
     yield
     kernels.set_backend(previous)
+
+
+def packed(a, b, sig, filter_mode=FILTER_NONE):
+    """``a`` times ``b`` through the packed path, whatever their sizes."""
+    width = max(a.max_index(), b.max_index())
+    return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
 
 
 def big_corpus():
@@ -270,10 +276,10 @@ def test_the_environment_does_not_choose_the_backend():
 
 #: Run in a fresh interpreter, with numpy blocked when argv[1] is "block":
 #: the products that stay on the per-pair path (a 100-pair geometric product,
-#: a 256-pair wedge, a product with an index above 64, a calculator line and
-#: a two-line script, whose path is argv[2]) never import numpy; printed is
-#: whether numpy is loaded after them and, unblocked, after a 101-pair
-#: geometric product at dimension 15.
+#: a 256-pair wedge, each of the four products above its cutoff with an index
+#: above 64, a calculator line and a two-line script, whose path is argv[2])
+#: never import numpy; printed is whether numpy is loaded after them and,
+#: unblocked, after a 101-pair geometric product at dimension 15.
 _NUMPY_PROBE = """
 import itertools
 import sys
@@ -282,7 +288,8 @@ if sys.argv[1] == "block":
     sys.modules["numpy"] = None  # any import of numpy raises ImportError
 assert sys.modules.get("numpy") is None
 
-from cliffcalc import Multivector, Signature, euclidean, geometric_product, products, wedge
+from cliffcalc import (Multivector, Signature, euclidean, geometric_product, left_contraction, products,
+                       right_contraction, wedge)
 from cliffcalc.repl import Session, main, run_command
 
 a = Multivector({(i,): 1.0 for i in range(1, 11)})
@@ -291,9 +298,13 @@ geometric_product(a, a, Signature(3, 1))
 w = Multivector({(i,): 1.0 for i in range(1, 17)})
 assert w.num_terms() ** 2 == products._SMALL_WEDGE_PAIRS
 wedge(w, w)
-high = Multivector({(i,): 1.0 for i in range(60, 80)})
-assert high.num_terms() ** 2 > products._SMALL_PAIRS
-assert geometric_product(high, high, euclidean()) == Multivector({(): 20.0})
+high = Multivector({(i,): 1.0 for i in range(60, 81)})
+assert high.num_terms() ** 2 > max(products._SMALL_PAIRS, products._SMALL_WEDGE_PAIRS,
+                                   products._SMALL_CONTRACTION_PAIRS)
+assert geometric_product(high, high, euclidean()) == Multivector({(): 21.0})
+assert wedge(high, high).is_zero()
+assert left_contraction(high, high, euclidean()) == Multivector({(): 21.0})
+assert right_contraction(high, high, euclidean()) == Multivector({(): 21.0})
 assert run_command("x = e_1 * e_2", Session()) is None
 assert main(["--script", sys.argv[2]]) == 0
 print(sys.modules.get("numpy") is not None)
@@ -432,13 +443,13 @@ def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(resto
     from cliffcalc import products
 
     packed_calls = []
-    packed = products._packed
+    packed_product = kernels.packed_product
 
     def recording_packed(*args):
         packed_calls.append(args[-1])
-        return packed(*args)
+        return packed_product(*args)
 
-    monkeypatch.setattr(products, "_packed", recording_packed)
+    monkeypatch.setattr(kernels, "packed_product", recording_packed)
     kernels.set_backend("numpy")
     rng = np.random.default_rng(19)
     for dimension, coeffs in ((6, None), (10, None), (10, CANCELLING)):
@@ -452,8 +463,9 @@ def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(resto
                                              (right_contraction, FILTER_RIGHT)):
                     per_pair = list(product(a, b, sig).terms())
                     assert packed_calls == []
-                    kernel = list(packed(a, b, sig, filter_mode, max(a.max_index(), b.max_index())).terms())
-                    assert coefficient_bits(per_pair) == coefficient_bits(kernel)
+                    width = max(a.max_index(), b.max_index())
+                    kernel = Multivector._wrap(packed_product(a._terms, b._terms, sig, filter_mode, width))
+                    assert coefficient_bits(per_pair) == coefficient_bits(kernel.terms())
 
 
 #: Each product, called as the calculator calls it, and the cutoff it passes.
@@ -534,7 +546,6 @@ def test_per_pair_wedges_match_the_kernel_and_the_oracle(restore_backend, dimens
     # 49-256 pairs: the wedges that took the kernel under a 48-pair cutoff.
     # The python backend runs them all per-pair, the numpy backend those up
     # to the wedge's cutoff.
-    from cliffcalc import products
     from tests.oracle import product_by_rewriting
 
     rng = np.random.default_rng(18 + dimension)
@@ -544,10 +555,15 @@ def test_per_pair_wedges_match_the_kernel_and_the_oracle(restore_backend, dimens
         b = float_multivector(rng, indices, nb, coeffs)
         assert 49 <= a.num_terms() * b.num_terms() <= 256
         expected = list(product_by_rewriting(a, b, grassmann()).terms())
-        assert list(products._packed(a, b, None, FILTER_NONE, max(a.max_index(), b.max_index())).terms()) == expected
+        assert list(packed(a, b, grassmann()).terms()) == expected
         for backend in ("numpy", "python"):
             kernels.set_backend(backend)
-            assert list(wedge(a, b).terms()) == expected, backend
+            wedged = list(wedge(a, b).terms())
+            assert wedged == expected, backend
+            # the geometric product under the null metric is the wedge, on
+            # either path and bit for bit
+            null = list(geometric_product(a, b, grassmann()).terms())
+            assert coefficient_bits(null) == coefficient_bits(wedged), backend
 
 
 def test_wedge_takes_no_sign_factors_for_a_left_key_whose_pairs_all_overlap(monkeypatch):
@@ -562,19 +578,22 @@ def test_wedge_takes_no_sign_factors_for_a_left_key_whose_pairs_all_overlap(monk
         return sign_factors(a, *args)
 
     monkeypatch.setattr(products, "sign_factors", recording_sign_factors)
-    # indices above products._TABLE_WIDTH, so that the wedges take the
+    # indices above products._TABLE_WIDTH, so that the products take the
     # general loop, not the sign table
     b = Multivector({(7,): 1.0, (7, 8, 9): -2.0, (7, 10): 0.5})
     # every blade here shares e_7 with every blade of b
     overlapping = Multivector({(7, 8): 3.0, (7, 9): 1.0, (7, 8, 10): -1.0})
-    assert wedge(overlapping, b).is_zero()
-    assert left_keys == []
     # e_10 and e_11 have disjoint partners in b, e_7 and e_78 none
     mixed = Multivector({(7,): 2.0, (10,): 1.0, (7, 8): 3.0, (11,): -1.0})
-    product = wedge(mixed, b)
-    assert list(product.terms()) == list(product_by_rewriting(mixed, b, grassmann()).terms())
-    assert product.num_terms() == 5
-    assert left_keys == [0b1000 << 6, 0b10000 << 6]
+    # the geometric product under the null metric takes the wedge's filter
+    for product in (wedge, lambda x, y: geometric_product(x, y, grassmann())):
+        left_keys.clear()
+        assert product(overlapping, b).is_zero()
+        assert left_keys == []
+        result = product(mixed, b)
+        assert list(result.terms()) == list(product_by_rewriting(mixed, b, grassmann()).terms())
+        assert result.num_terms() == 5
+        assert left_keys == [0b1000 << 6, 0b10000 << 6]
 
 
 #: Coefficients whose products cancel exactly, leave rounding residues
@@ -665,10 +684,10 @@ def test_overflowing_products_neither_warn_nor_differ_between_backends(restore_b
 
 
 def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
-    pos, neg = region_masks(sig) if sig is not None else (0, 0)
+    pos, neg = region_masks(sig)
     width = max(a.max_index(), b.max_index())
     return pair_table(
-        *_operands(a), *_operands(b), np.uint64(pos), np.uint64(neg), width, filter_mode
+        *_operands(a._terms), *_operands(b._terms), np.uint64(pos), np.uint64(neg), width, filter_mode
     )
 
 
@@ -697,7 +716,7 @@ def test_a_kernel_result_is_unchanged_by_later_products():
     saved = tuple(array.copy() for array in first)
     kernel_call(dimension_10(300, 3), dimension_10(200, 4))  # the same size
     kernel_call(dimension_10(512, 5), dimension_10(512, 6))  # a larger size
-    kernel_call(dimension_10(300, 3), dimension_10(200, 4), None)  # the wedge
+    kernel_call(dimension_10(300, 3), dimension_10(200, 4), grassmann())  # the wedge
     assert same_arrays(first, saved)
     assert same_arrays(kernel_call(a, b), saved)
 
@@ -708,7 +727,7 @@ def test_kernel_results_share_no_memory_with_the_held_tables():
     wide = float_multivector(np.random.default_rng(30), np.r_[1:5, 61:65], 12)
     cases = [
         (dimension_10(200, 7), dimension_10(100, 8), Signature(6, 4), FILTER_NONE),
-        (dimension_10(200, 7), dimension_10(100, 8), None, FILTER_NONE),
+        (dimension_10(200, 7), dimension_10(100, 8), grassmann(), FILTER_NONE),
         (dimension_10(200, 7), dimension_10(100, 8), Signature(6, 4), FILTER_LEFT),
         (wide, wide, euclidean(), FILTER_NONE),
         (Multivector({(): 2.0}), wide, euclidean(), FILTER_NONE),  # no two pairs share a key
@@ -809,7 +828,7 @@ def test_the_unmasked_kernel_matches_the_python_backend_bit_for_bit(restore_back
         per_pair = list(geometric_product(a, b, sig).terms())
         assert coefficient_bits(packed) == coefficient_bits(per_pair)
         seen_underflow |= any(ca * cb == 0.0 for _, ca in a.terms() for _, cb in b.terms())
-        reached = np.unique(np.bitwise_xor.outer(_operands(a)[0], _operands(b)[0]))
+        reached = np.unique(np.bitwise_xor.outer(_operands(a._terms)[0], _operands(b._terms)[0]))
         seen_cancelled |= len(packed) < reached.size
     assert seen_underflow and seen_cancelled
 

@@ -196,11 +196,10 @@ def test_every_result_stores_canonical_terms(a, b, s, sig, raw):
     finally:
         kernels.set_backend(previous)
     if a and b:  # the kernel itself, below the cutoffs too
-        width = max(a.max_index(), b.max_index())
-        results += [products._packed(a, b, sig, kernels.FILTER_NONE, width),
-                    products._packed(a, b, None, kernels.FILTER_NONE, width),
-                    products._packed(a, b, sig, kernels.FILTER_LEFT, width),
-                    products._packed(a, b, sig, kernels.FILTER_RIGHT, width)]
+        from tests.test_kernels import packed
+
+        results += [packed(a, b, sig, kernels.FILTER_NONE), packed(a, b, grassmann(), kernels.FILTER_NONE),
+                    packed(a, b, sig, kernels.FILTER_LEFT), packed(a, b, sig, kernels.FILTER_RIGHT)]
     for mv in results:
         assert_canonical_terms(mv)
     with tempfile.TemporaryDirectory() as tmp:

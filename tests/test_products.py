@@ -362,7 +362,7 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
 
     from cliffcalc import kernels, products
     from tests.oracle import contraction_by_rewriting
-    from tests.test_kernels import sum_events
+    from tests.test_kernels import packed, sum_events
 
     sign_calls = []
 
@@ -376,7 +376,7 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
     monkeypatch.setattr(products, "blade_wedge", recording(products.blade_wedge))
     cases = (
         (sig, kernels.FILTER_NONE, lambda a, b: product_by_rewriting(a, b, sig)),
-        (None, kernels.FILTER_NONE, lambda a, b: product_by_rewriting(a, b, grassmann())),
+        (grassmann(), kernels.FILTER_NONE, lambda a, b: product_by_rewriting(a, b, grassmann())),
         (sig, kernels.FILTER_LEFT, lambda a, b: contraction_by_rewriting(a, b, sig, "left")),
         (sig, kernels.FILTER_RIGHT, lambda a, b: contraction_by_rewriting(a, b, sig, "right")),
     )
@@ -391,15 +391,18 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
             table = products._per_pair(a, b, product_sig, filter_mode, width)
             if width <= products._TABLE_WIDTH:
                 assert sign_calls == []
-            elif product_sig is not None and filter_mode == kernels.FILTER_NONE:
-                assert len(sign_calls) == a.num_terms() * b.num_terms()
+            elif filter_mode == kernels.FILTER_NONE:
+                # one call a pair, but under the null metric only the
+                # disjoint pairs reach the sign
+                kept = sum(product_sig != grassmann() or not ka & kb for ka in a._terms for kb in b._terms)
+                assert len(sign_calls) == kept
             with monkeypatch.context() as general:
                 # below every product's width, the scalar ones' (0) too
                 general.setattr(products, "_TABLE_WIDTH", -1)
                 loop = products._per_pair(a, b, product_sig, filter_mode, width)
-            packed = products._packed(a, b, product_sig, filter_mode, width)
+            kernel = packed(a, b, product_sig, filter_mode)
             expected = terms_bits(oracle(a, b))
-            assert terms_bits(table) == terms_bits(loop) == terms_bits(packed) == expected
+            assert terms_bits(table) == terms_bits(loop) == terms_bits(kernel) == expected
     # pair products of 1e-200 reach the sums as ±0.0 in some cases
     assert width < 2 or underflows
 
@@ -434,13 +437,16 @@ def test_a_seven_index_product_takes_one_sign_call_per_surviving_pair(monkeypatc
         assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": 0}
         wedge(a, b)
         disjoint = sum(not ka & kb for ka in keys_a for kb in keys_b)
-        assert calls["blade_wedge"] == disjoint
+        assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": disjoint}
+        # the geometric product under the null metric is the wedge: a call
+        # for each disjoint pair, and none of blade_product
+        geometric_product(a, b, grassmann())
+        assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": 2 * disjoint}
         # indices up to the table width take no call at all
         narrow = Multivector({(1,): 1.0, (2, 6): 2.0})
         geometric_product(narrow, narrow, Signature(3, 1))
         wedge(narrow, narrow)
-        assert calls["blade_wedge"] == disjoint
-        assert calls["blade_product"] == len(keys_a) * len(keys_b) + kept
+        assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": 2 * disjoint}
     finally:
         kernels.set_backend(previous)
 
