@@ -1,25 +1,41 @@
 #!/usr/bin/env python3
-"""Time the working tree's cliffcalc against an earlier revision's, in one process.
+"""Time the working tree's cliffcalc against an earlier revision's, layer by layer.
 
 ``--parent REV`` exports that revision's ``src/cliffcalc`` with
 ``git archive`` into a temporary directory and imports it as the package
 ``cliffcalc_parent``, beside the working tree's ``cliffcalc``, and times
-named micro-ops on both, in interleaved rounds through
-``bench_calc.interleaved_rounds``, the timer both other benchmark scripts
-use: each round times one pass of every op under each tree, in a seeded
-shuffled order, so a slow spell of the machine reaches both trees alike.
-The ops are 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension 6,
-a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
+named ops on both, in interleaved rounds through
+:func:`interleaved_rounds`, the timer ``bench_products.py`` imports too:
+each round times one pass of every op under each tree, in a seeded shuffled
+order, so a slow spell of the machine reaches both trees alike.
+
+The products: 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension
+6, a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
 acceptance-criterion-7 identity, a high_index-sized geometric product, left
-contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), a
-512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel),
-calculator lines through ``run_command`` on values with indices up to 12,
-and the other callers of ``multivector.sum_terms``, the finisher that every
+contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)) and a
+512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel).
+The other callers of ``multivector.sum_terms``, the finisher that every
 builder of terms ends in: ``+`` of 4+4 terms at dimension 6, of 45+45 terms
 with indices up to 200 and of 512+512 terms at dimension 10, and
 ``parse_multivector`` on a 6-term literal line.  Both trees get the same
-operands, built once by the working tree's ``random_multivector`` and
-passed to each ``Multivector`` as index tuples.
+operands, built by the working tree's ``random_multivector`` and passed to
+each ``Multivector`` as index tuples.
+
+The calculator, on a seeded script that the working tree writes once and
+each tree then runs in a ``Session`` of its own under Cl(6,4): six lines
+bind ``v0``..``v5`` to dimension-12 literals, then 200 expression lines,
+about a quarter literals (2-6 terms, grade <= 3), the rest binary products,
+powers and ``grades`` calls of the bound names.  Its layers one at a time,
+per line: ``tokenize``, ``parse_expr`` (which includes ``tokenize``),
+``eval_expr`` on the parsed trees, and ``render`` of the values; then
+whole lines through ``run_command`` by kind: ``literal`` assignments,
+printed ``binary`` products, ``power``s, ``grades`` calls, and
+``:signature``/``:basissep`` ``command``s in a session of their own.
+
+Start-up: fresh interpreters, one of each per round, with ``PYTHONPATH``
+set to that tree's ``src``: ``python -c pass``, ``python -c "import
+cliffcalc"`` and a two-line ``cliffcalc --script`` (``x = e_1 * e_2``, then
+``x * x``) written to the temporary directory.
 
 For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
@@ -34,19 +50,48 @@ import argparse
 import importlib.util
 import io
 import os
+import random
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 import cliffcalc
 from cliffcalc.rand import RandomSpec, random_multivector
 
-from bench_calc import interleaved_rounds
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARENT_PACKAGE = "cliffcalc_parent"
+NAMES = tuple(f"v{i}" for i in range(6))
+OPERATORS = ("*", "^", "_|", "|_")
+KINDS = ("literal", "binary", "power", "grades")
+COMMANDS = (":signature 3 1", ":basissep ,", ":signature inf", ":basissep",
+            ":signature 6 4", ":signature 4")
+
+
+def interleaved_rounds(rows: dict, repeats: int, before=lambda name: None) -> dict:
+    """Seconds per item of each row in each of ``repeats`` rounds, after a
+    warm-up round that is dropped; a row is (call, items).
+
+    Each round times one pass of every row over its items, so a slow spell
+    of the machine reaches all the rows alike, in a seeded shuffled order,
+    so that no row always follows the same one (the call before leaves the
+    caches warm or cold).  ``before(name)`` runs ahead of each pass of that
+    row, outside its time.
+    """
+    times = {name: [] for name in rows}
+    order = list(rows.items())
+    shuffle = random.Random(0).shuffle
+    for _ in range(repeats + 1):
+        shuffle(order)
+        for name, (call, items) in order:
+            before(name)
+            start = time.perf_counter()
+            for item in items:
+                call(item)
+            times[name].append((time.perf_counter() - start) / len(items))
+    return {name: t[1:] for name, t in times.items()}
 
 
 def import_revision(rev: str, into: str):
@@ -74,8 +119,50 @@ def terms(num_terms: int, seed: int, dimension: int = 6, include_fewer: bool = F
     return dict(mv.terms())
 
 
-def micro_ops(cc) -> dict:
-    """name -> (call, items) of every op, on the package ``cc``."""
+def literal(rng: random.Random, include_fewer: bool) -> str:
+    """Input text for a random integer-coefficient value of 2-6 terms at
+    dimension 12 and grade 3 (at most 3 with ``include_fewer``): ``e_12``
+    when every index is a single digit, ``e[2,11]`` otherwise.  Written here
+    rather than by ``render`` so the script stays the same when rendering
+    changes."""
+    mv = random_multivector(RandomSpec(dimension=12, max_grade=3, num_terms=rng.randint(2, 6),
+                                       include_fewer=include_fewer, seed=rng.getrandbits(63)))
+    parts = []
+    for blade, c in mv.terms():
+        text = f"{'-' if c < 0 else '+'} {int(abs(c))}"
+        if blade and blade[-1] <= 9:
+            text += "e_" + "".join(map(str, blade))
+        elif blade:
+            text += "e[" + ",".join(map(str, blade)) + "]"
+        parts.append(text)
+    return " ".join(parts)
+
+
+def calculator_script() -> tuple:
+    """The lines that bind :data:`NAMES`, and (kind, line) pairs of the
+    script's 200 expression lines."""
+    rng = random.Random(2)
+    bindings = [f"{name} = {literal(rng, False)}" for name in NAMES]
+    rng = random.Random(1)
+    lines = []
+    for _ in range(200):
+        v, u = rng.choice(NAMES), rng.choice(NAMES)
+        kind = rng.choices(KINDS, (24, 88, 12, 16))[0]
+        if kind == "literal":
+            lines.append((kind, literal(rng, True)))
+        elif kind == "binary":
+            lines.append((kind, f"{v} {rng.choice(OPERATORS)} {u}"))
+        elif kind == "power":
+            lines.append((kind, f"{v} ** {rng.choice((2, 3))}"))
+        else:
+            lines.append((kind, f"grades({v} * {u})"))
+    return bindings, lines
+
+
+def micro_ops(cc, script: tuple, startup_script: str) -> dict:
+    """name -> (call, items) of every op, on the package ``cc``; ``script``
+    is :func:`calculator_script`'s, ``startup_script`` the path of the
+    two-line script that start-up runs."""
     mv = cc.Multivector
     cl31 = cc.Signature(3, 1)
 
@@ -109,10 +196,27 @@ def micro_ops(cc) -> dict:
     # include_fewer: grade 5 alone holds only 252 blades at dimension 10
     large = [(mv(terms(512, 400 + 2 * k, dimension=10, include_fewer=True)),
               mv(terms(512, 401 + 2 * k, dimension=10, include_fewer=True))) for k in range(2)]
-    session = cc.repl.Session(signature=cl31)
-    for line in ("x = 1 + 2e_1 - 3e[2,11] + 0.5e[1,3,12]", "y = 4e_2 + e[7,12] - 2e_345 + 3e_9"):
-        cc.repl.run_command(line, session)
-    lines = ["x * y", "x ^ y", "x _| y", "t = 3e_12 - 2e_3 + e_45"]
+
+    bindings, kinds_and_lines = script
+    session = cc.Session(signature=cl64)
+    for line in bindings:
+        cc.run_command(line, session)
+    lines = [line for _, line in kinds_and_lines]
+    trees = [cc.parse_expr(line) for line in lines]
+    values = [value for value in (cc.eval_expr(tree, session) for tree in trees)
+              if isinstance(value, mv)]
+    # whole lines: a literal is assigned, as in a script, to a name no other
+    # line reads
+    by_kind = {kind: [] for kind in KINDS}
+    for kind, line in kinds_and_lines:
+        by_kind[kind].append(f"t = {line}" if kind == "literal" else line)
+    command_session = cc.Session()
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cc.__file__)))
+
+    def start(args):
+        subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+
     return {
         "1x1 Cl(3,1)": products(1),
         "4x4 Cl(3,1)": products(4),
@@ -124,18 +228,27 @@ def micro_ops(cc) -> dict:
         "high_index 45x45 _|": (lambda ab: cc.left_contraction(*ab, high_sig), high),
         "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
         "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
-        "calc line": (lambda line: cc.repl.run_command(line, session), lines),
         "4+4 dim 6": (add, product_pairs(4)),
         "high_index 45+45": (add, high),
         "512+512 dim 10": (add, large),
         "parse 6 terms": (cc.parse_multivector, ["+ 1 + 2e_1 - 3e[2, 11] + 0.5e[1, 3, 12] - 4e_2 + e[7, 12]"]),
+        "tokenize": (cc.exprparse.tokenize, lines),
+        "parse_expr": (cc.parse_expr, lines),
+        "eval_expr": (lambda tree: cc.eval_expr(tree, session), trees),
+        "render": (cc.render, values),
+        **{kind: (lambda line: cc.run_command(line, session), by_kind[kind]) for kind in KINDS},
+        "command": (lambda line: cc.run_command(line, command_session), list(COMMANDS)),
+        "python -c pass": (start, [["-c", "pass"]]),
+        "import cliffcalc": (start, [["-c", "import cliffcalc"]]),
+        "cliffcalc --script": (start, [["-m", "cliffcalc", "--script", startup_script]]),
     }
 
 
-def compare_times(parent, repeats: int) -> None:
+def compare_times(parent, repeats: int, startup_script: str) -> None:
+    script = calculator_script()
     rows = {(tree, name): row
             for tree, cc in (("parent", parent), ("change", cliffcalc))
-            for name, row in micro_ops(cc).items()}
+            for name, row in micro_ops(cc, script, startup_script).items()}
     rounds = interleaved_rounds(rows, repeats)
     names = dict.fromkeys(name for _, name in rows)
     print(f"median of {repeats} interleaved rounds, microseconds per item")
@@ -158,8 +271,11 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         parent = import_revision(args.parent, tmp)
+        startup_script = os.path.join(tmp, "two_lines.cliff")
+        with open(startup_script, "w") as f:
+            f.write("x = e_1 * e_2\nx * x\n")
         print(f"parent {args.parent} against the working tree")
-        compare_times(parent, args.repeats)
+        compare_times(parent, args.repeats, startup_script)
     return 0
 
 

@@ -9,8 +9,8 @@ are timed end to end under both backends too; under ``numpy`` they take the
 per-pair path up to ``products._SMALL_CONTRACTION_PAIRS`` and
 ``products._SMALL_WEDGE_PAIRS`` pairs and the kernel above.  Each repeat
 times every column once, in a shuffled order, and a cell is the median over
-the repeats, from ``bench_calc.interleaved_medians``, the timer both
-benchmark scripts share; a column's backend is set before its call is timed.
+the repeats, timed by ``ab.interleaved_rounds``, the timer both benchmark
+scripts share; a column's backend is set before its call is timed.
 
 ``--cutoffs`` instead times ``products._per_pair`` against the packed path
 (``kernels.packed_product``, its terms wrapped as ``products._binary`` wraps
@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -45,7 +46,7 @@ from cliffcalc import (Multivector, Signature, euclidean, geometric_product, gra
 from cliffcalc import kernels, products
 from cliffcalc.rand import RandomSpec, random_multivector
 
-from bench_calc import interleaved_medians
+from ab import interleaved_rounds
 
 SIG = Signature(6, 4)
 
@@ -78,7 +79,7 @@ def build(num_terms: int, seed: int):
 
 
 def sweep_columns(a, b) -> dict:
-    """The size sweep's rows for ``interleaved_medians``: name -> (call, items).
+    """The size sweep's rows for ``interleaved_rounds``: name -> (call, items).
 
     ``kernel`` is one ``kernels.pair_table`` call as ``kernels.packed_product``
     makes it, on arrays built once by ``kernels._operands``.
@@ -176,11 +177,12 @@ def size_sweep(sizes, repeats: int) -> dict:
         b = build(size, seed=2 * size + 1)
         previous = kernels.active_backend()
         try:  # a column named "... python" runs under that backend, the rest under numpy
-            timings = interleaved_medians(
+            rounds = interleaved_rounds(
                 sweep_columns(a, b), repeats,
                 before=lambda name: kernels.set_backend("python" if name.endswith("python") else "numpy"))
         finally:
             kernels.set_backend(previous)
+        timings = {name: statistics.median(t) for name, t in rounds.items()}
         if header is None:
             header = f"{'terms':>7} {'pairs':>9}" + "".join(f"{c:>14}" for c in timings)
             print(header)

@@ -86,9 +86,18 @@ class RandomSpec:
 
 
 def _available_blades(spec: RandomSpec) -> int:
-    if spec.include_fewer:
-        return sum(math.comb(spec.dimension, k) for k in range(spec.max_grade + 1))
-    return math.comb(spec.dimension, spec.max_grade)
+    """How many distinct blades the spec can draw; with ``include_fewer``,
+    counted grade by grade only until the count reaches ``num_terms``, since
+    summing every binomial up to a grade in the tens of thousands takes
+    minutes."""
+    if not spec.include_fewer:
+        return math.comb(spec.dimension, spec.max_grade)
+    total = 0
+    for k in range(spec.max_grade + 1):
+        total += math.comb(spec.dimension, k)
+        if total >= spec.num_terms:
+            break
+    return total
 
 
 def random_multivector(spec: RandomSpec = RandomSpec()) -> Multivector:

@@ -1,17 +1,21 @@
-"""Smoke runs of the benchmark scripts at toy sizes.
+"""Smoke runs of the benchmark scripts at toy sizes, and their timer.
 
-The scripts reach into private names of the library (``products._per_pair``,
-the ``_SMALL_*`` cutoffs, ``kernels.packed_product``, ``kernels._operands``,
-``kernels.pair_table``, ``kernels.region_masks``, ``kernels.FILTER_*``,
-``Multivector._wrap``), so a refactor can break them
-without any other test noticing.  Each run checks the exit code and the
-header the script prints; the timings themselves are not checked.
-``benchmarks/ab.py`` compares the working tree with ``HEAD``, which it
-exports with ``git archive``, so that run needs the repository's history.  The sweep
+The scripts reach into names of the library that are private or that the
+package does not export (``products._per_pair``, the ``_SMALL_*`` cutoffs,
+``kernels.packed_product``, ``kernels._operands``, ``kernels.pair_table``,
+``kernels.region_masks``, ``kernels.FILTER_*``, ``Multivector._wrap``,
+``exprparse.tokenize``), so a refactor can break them without any other
+test noticing.  Each run checks the exit code and the header the script
+prints; the timings themselves are not checked.  ``benchmarks/ab.py``
+compares the working tree with ``HEAD``, which it exports with
+``git archive``, so that run needs the repository's history.  The sweep
 also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
-which must keep the file's other keys.
+which must keep the file's other keys.  ``ab.interleaved_rounds``, the timer
+behind every speed claim of both scripts, is driven with counting fake calls.
 """
 
+import collections
+import importlib.util
 import json
 import os
 import shutil
@@ -46,10 +50,7 @@ SWEEP_COLUMNS = ["python", "numpy", "kernel", "lc python", "lc numpy", "wedge py
     (("benchmarks/bench_products.py", "--cutoffs", "--repeats", "1"),
      ("median per-pair/packed over signatures and dimensions",
       "_SMALL_PAIRS (now", "_SMALL_WEDGE_PAIRS (now", "_SMALL_CONTRACTION_PAIRS (now")),
-    (("benchmarks/bench_calc.py", "--lines", "20", "--repeats", "1"),
-     ("20 lines,", "layer", "tokenize", "render", "run_command", "literal", "command",
-      "start-up")),
-], ids=["sweep", "cutoffs", "calc"])
+], ids=["sweep", "cutoffs"])
 def test_benchmark_script_runs(args, header, tmp_path):
     trajectory = tmp_path / TRAJECTORY
     if TRAJECTORY in args:
@@ -66,6 +67,38 @@ def test_benchmark_script_runs(args, header, tmp_path):
             assert written[key] == committed[key]
 
 
+def test_interleaved_rounds_runs_every_row_once_a_round_in_a_varying_order():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    repeats = 4
+    log = []
+    rows = {name: (lambda item, name=name: log.append((name, item)), ["a", "b"]) for name in "pqrst"}
+    rounds = ab.interleaved_rounds(rows, repeats, before=lambda name: log.append((name, None)))
+    # the warm-up round is run and then dropped
+    assert list(rounds) == list(rows)
+    assert all(len(times) == repeats for times in rounds.values())
+    assert collections.Counter(log) == {(name, item): repeats + 1
+                                        for name in rows for item in (None, "a", "b")}
+    # each pass of a row: before(name), then its items in order
+    passes = [log[i:i + 3] for i in range(0, len(log), 3)]
+    assert all(p == [(p[0][0], None), (p[0][0], "a"), (p[0][0], "b")] for p in passes)
+    orders = [tuple(p[0][0] for p in passes[r:r + len(rows)]) for r in range(0, len(passes), len(rows))]
+    assert len(orders) == repeats + 1
+    assert all(sorted(order) == sorted(rows) for order in orders)
+    assert len(set(orders)) > 1
+
+
+#: ``ab.py``'s ops, in the order it prints them: products and sums, the
+#: calculator's layers, ``run_command`` by line kind, and start-up.
+AB_OPS = ["1x1 Cl(3,1)", "4x4 Cl(3,1)", "9x9 Cl(3,1)", "4x4 Cl(6,4) dim 12", "4x4 wedge dim 12",
+          "criterion 7", "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
+          "512x512 dim 10", "4+4 dim 6", "high_index 45+45", "512+512 dim 10", "parse 6 terms",
+          "tokenize", "parse_expr", "eval_expr", "render",
+          "literal", "binary", "power", "grades", "command",
+          "python -c pass", "import cliffcalc", "cliffcalc --script"]
+
+
 def has_history() -> bool:
     return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
                           capture_output=True).returncode == 0
@@ -73,12 +106,15 @@ def has_history() -> bool:
 
 @pytest.mark.skipif(not has_history(), reason="needs a git checkout to export HEAD from")
 def test_ab_times_the_working_tree_against_a_revision():
+    def src_files():
+        return {path: path.read_bytes() for path in (ROOT / "src").rglob("*")
+                if path.is_file() and "__pycache__" not in path.parts}
+
+    before = src_files()
     out = run_script("benchmarks/ab.py", "--parent", "HEAD", "--repeats", "1")
+    assert src_files() == before
     assert "parent HEAD against the working tree" in out
-    for text in ("change/parent", "faster", "1x1 Cl(3,1)", "9x9 Cl(3,1)", "4x4 wedge dim 12",
-                 "criterion 7", "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
-                 "512x512 dim 10", "calc line", "4+4 dim 6", "high_index 45+45", "512+512 dim 10",
-                 "parse 6 terms"):
-        assert text in out
+    assert "change/parent" in out
     # one row per op, each ending in its rounds won of the one timed
-    assert sum(line.endswith(("0/1", "1/1")) for line in out.splitlines()) == 15
+    rows = [line for line in out.splitlines() if line.endswith(("0/1", "1/1"))]
+    assert [row.rsplit(None, 4)[0] for row in rows] == AB_OPS

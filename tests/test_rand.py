@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from cliffcalc.rand import RandomSpec, SplitMix64, random_multivector
+from cliffcalc.rand import RandomSpec, SplitMix64, _available_blades, random_multivector
 
 
 def test_splitmix64_reference_vector():
@@ -123,3 +124,33 @@ def test_dimension_may_reach_max_index():
     mv = random_multivector(RandomSpec(dimension=65535, max_grade=3, seed=5))
     assert mv.num_terms() == 9
     assert all(len(blade) == 3 for blade in mv.blades())
+
+
+def test_include_fewer_count_stops_at_num_terms(monkeypatch):
+    # summing every binomial up to grade 65535 takes minutes, so the third
+    # call fails at once
+    calls = []
+    comb = math.comb
+
+    def counting_comb(n, k):
+        calls.append(k)
+        assert len(calls) <= 2, "binomials summed past num_terms"
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    spec = RandomSpec(dimension=65535, max_grade=65535, include_fewer=True)
+    assert _available_blades(spec) == 1 + 65535
+
+
+def test_term_count_is_requested_or_every_blade():
+    for dimension in range(1, 9):
+        for max_grade in range(1, dimension + 1):
+            for include_fewer in (False, True):
+                grades = range(max_grade + 1) if include_fewer else (max_grade,)
+                # each partial sum over the grades, and one either side
+                sums = list(itertools.accumulate(math.comb(dimension, k) for k in grades))
+                every = sums[-1]
+                for num_terms in sorted({n + step for n in sums for step in (-1, 0, 1)} - {0}):
+                    spec = RandomSpec(dimension=dimension, max_grade=max_grade, num_terms=num_terms,
+                                      include_fewer=include_fewer, seed=num_terms)
+                    assert random_multivector(spec).num_terms() == min(num_terms, every), spec
