@@ -29,8 +29,10 @@ powers and ``grades`` calls of the bound names.  Its layers one at a time,
 per line: ``tokenize``, ``parse_expr`` (which includes ``tokenize``),
 ``eval_expr`` on the parsed trees, and ``render`` of the values; then
 whole lines through ``run_command`` by kind: ``literal`` assignments,
-printed ``binary`` products, ``power``s, ``grades`` calls, and
-``:signature``/``:basissep`` ``command``s in a session of their own.
+printed ``binary`` products, ``power``s, ``grades`` calls,
+``:signature``/``:basissep`` ``command``s in a session of their own, and
+``star literal``, the README's first line ``x = 1 + 2*e_1 + 3*e_2 +
+4*e_23``, whose number-times-blade products the parser folds into terms.
 
 Start-up: fresh interpreters, one of each per round, with ``PYTHONPATH``
 set to that tree's ``src``: ``python -c pass``, ``python -c "import
@@ -66,6 +68,8 @@ PARENT_PACKAGE = "cliffcalc_parent"
 NAMES = tuple(f"v{i}" for i in range(6))
 OPERATORS = ("*", "^", "_|", "|_")
 KINDS = ("literal", "binary", "power", "grades")
+#: The README's first calculator line, products written out with ``*``.
+STAR_LITERAL = "x = 1 + 2*e_1 + 3*e_2 + 4*e_23"
 COMMANDS = (":signature 3 1", ":basissep ,", ":signature inf", ":basissep",
             ":signature 6 4", ":signature 4")
 
@@ -238,6 +242,7 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         "render": (cc.render, values),
         **{kind: (lambda line: cc.run_command(line, session), by_kind[kind]) for kind in KINDS},
         "command": (lambda line: cc.run_command(line, command_session), list(COMMANDS)),
+        "star literal": (lambda line: cc.run_command(line, session), [STAR_LITERAL]),
         "python -c pass": (start, [["-c", "pass"]]),
         "import cliffcalc": (start, [["-c", "import cliffcalc"]]),
         "cliffcalc --script": (start, [["-m", "cliffcalc", "--script", startup_script]]),

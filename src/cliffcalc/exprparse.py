@@ -45,12 +45,21 @@ depth is negative and the comma form stays off.
 
 Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
 20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
-non-negative integer literal, at most :data:`MAX_EXPONENT`.  A number
-directly followed by a blade literal multiplies it, and a leading ``+`` is
-a no-op, so rendered output like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as an
-expression.
+non-negative integer literal, at most :data:`MAX_EXPONENT`.  A leading ``+``
+is a no-op, so rendered output like ``+ 1 + 2e_1 - 3e[2, 10]`` reads back as
+an expression.
 
-The AST nodes are NamedTuples, about half the cost of frozen dataclasses to
+The AST nodes are :class:`Term`, :class:`Var`, :class:`Neg`, :class:`BinOp`,
+:class:`Pow` and :class:`Call`.  A literal is one :class:`Term`: a number
+``c`` is ``Term(c, ())``, a blade literal ``e_B`` is ``Term(1.0, B)``, and a
+number directly followed by a blade literal, ``c e_B``, is ``Term(c, B)``.  A
+number times a blade literal of coefficient 1 (``2*e_1``, ``(2) * e[1]``)
+folds into ``Term(c, B)`` too, which is that product bit for bit: the
+scalar's sign is +1 under every signature and ``c * 1.0 == c``.  No other
+product folds, so ``2 * 3``, ``2 * 3e_1``, ``-2 * e_1`` and ``e_1 * 2`` stay
+products, and ``1e200 * 1e200`` overflows through the product as any other.
+
+The nodes are NamedTuples, about half the cost of frozen dataclasses to
 build; like any tuples, they compare by their fields alone.
 
 Every error of the lexer and the parser is an :class:`ExpressionSyntaxError`,
@@ -91,11 +100,11 @@ class Token(NamedTuple):
     text: str = ""
 
 
-class Num(NamedTuple):
-    value: float
+class Term(NamedTuple):
+    """A literal ``coeff e_B``: ``indices`` is the canonical tuple ``B``,
+    empty for a number."""
 
-
-class BladeLit(NamedTuple):
+    coeff: float
     indices: Blade
 
 
@@ -125,7 +134,7 @@ class Call(NamedTuple):
     pos: int = 0
 
 
-Expr = Union[Num, BladeLit, Var, Neg, BinOp, Pow, Call]
+Expr = Union[Term, Var, Neg, BinOp, Pow, Call]
 
 PRECEDENCE = {"+": 10, "-": 10, "_|": 20, "|_": 20, "^": 30, "*": 40, "**": 50}
 
@@ -244,14 +253,13 @@ def parse_expr(source: str) -> Expr:
         tok = tokens[at]
         kind, value, pos, _ = tok
         at += 1
-        if kind == "number":
-            if tokens[at].kind == "blade":  # juxtaposed, as rendered: 2e_1, 4e[1,10]
-                operand = BinOp("*", Num(value), BladeLit(tokens[at].value))
-                at += 1
-            else:
-                operand = Num(value)
+        if kind == "number" and tokens[at].kind == "blade":  # juxtaposed: 2e_1, 4e[1,10]
+            operand = Term(value, tokens[at].value)
+            at += 1
+        elif kind == "number":
+            operand = Term(value, ())
         elif kind == "blade":
-            operand = BladeLit(value)
+            operand = Term(1.0, value)
         elif kind == "ident" and tokens[at].value == "(":
             if tokens[at + 1].value != ")":
                 stack.append([value, pos, []])
@@ -290,7 +298,12 @@ def parse_expr(source: str) -> Expr:
             prec = PRECEDENCE.get(value)
             while stack and type(stack[-1]) is tuple and (prec is None or stack[-1][0] >= prec):
                 _, op, left = stack.pop()
-                operand = BinOp(op, left, operand)
+                # 2*e_1 is one Term, as 2e_1 is: see the module docstring
+                if (op == "*" and type(left) is Term and type(operand) is Term
+                        and not left.indices and operand.indices and operand.coeff == 1.0):
+                    operand = Term(left.coeff, operand.indices)
+                else:
+                    operand = BinOp(op, left, operand)
             if prec is not None:
                 stack.append((prec, value, operand))
                 break

@@ -54,8 +54,9 @@ class Multivector:
         builders that keep the order and cannot make a zero skip it:
         ``__neg__``, ``grade_part``, :func:`basis`, :func:`from_scalar`, the
         packed path's terms from :func:`cliffcalc.kernels.packed_product`,
-        which ``products._binary`` wraps, and the calculator's one-term
-        literals in :func:`cliffcalc.repl.eval_expr`;
+        which ``products._binary`` wraps, and the calculator's literal
+        terms, one :class:`cliffcalc.exprparse.Term` each, in
+        :func:`cliffcalc.repl.eval_expr`;
         scalar ``__mul__`` and :func:`as_1vector` keep the order and drop
         their own zeros.
         """

@@ -37,18 +37,17 @@ from . import __version__
 from .exprparse import (
     IDENT,
     BinOp,
-    BladeLit,
     Call,
     Expr,
     Neg,
-    Num,
     Pow,
+    Term,
     Var,
     parse_expr,
 )
 from .metric import UNBOUNDED, Signature, euclidean
 from .blade import MAX_INDEX, blade_key
-from .multivector import Multivector, basis, from_scalar, sum_terms
+from .multivector import Multivector, _check_coeff, basis, sum_terms
 from .products import (
     geometric_product,
     left_contraction,
@@ -122,7 +121,9 @@ def eval_expr(expr: Expr, session: Session) -> Value:
     A left-associative chain of ``+`` and ``-`` is one node: its operands'
     terms (negated after a ``-``) are listed in order and summed by
     :func:`~cliffcalc.multivector.sum_terms` once; its docstring gives why
-    that equals adding pair by pair.
+    that equals adding pair by pair.  A literal, number, blade or ``c e_B``
+    alike, is one :class:`~cliffcalc.exprparse.Term`, whose value is its one
+    term.
     """
     signature, variables = session.signature, session.variables
     todo: list = []
@@ -132,12 +133,7 @@ def eval_expr(expr: Expr, session: Session) -> Value:
         kind = type(node)
         if kind is BinOp:
             op, left, right = node
-            if op == "*" and type(left) is Num and type(right) is BladeLit:
-                # a literal term such as 3e_12: the scalar key's sign is +1 under
-                # every signature and c * 1.0 * 1 == c, so this is the product
-                c = left.value
-                value = Multivector._wrap({blade_key(right.indices): c} if c else {})
-            elif op in ("+", "-") and signs is None:
+            if op in ("+", "-") and signs is None:
                 signs = [-1.0 if op == "-" else 1.0]  # rightmost first
                 todo += ((node, None, signs), (right, f"'{op}'", None))
                 while type(left) is BinOp and left.op in ("+", "-"):
@@ -176,12 +172,13 @@ def eval_expr(expr: Expr, session: Session) -> Value:
                     value = right_contraction(left, right, signature)
                 else:
                     raise EvalError(f"unknown operator '{op}'")
+        elif kind is Term:
+            c, indices = node  # the lexer checked the indices
+            if type(c) is not float or c - c:  # not a finite float: checked as from_scalar does
+                c = _check_coeff(c)
+            value = Multivector._wrap({blade_key(indices): c} if c else {})
         elif kind is Var:
             value = _variable(node, variables, user)
-        elif kind is Num:
-            value = from_scalar(node.value)
-        elif kind is BladeLit:
-            value = Multivector._wrap({blade_key(node.indices): 1.0})  # the lexer checked it
         elif (kind is Neg or kind is Pow) and not signs:
             todo.append((node, user, True))
             node, user = node[0], "unary '-'" if kind is Neg else "'**'"  # operand or base

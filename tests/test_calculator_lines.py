@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcalc import MAX_INDEX, UNBOUNDED, Multivector, Signature, from_scalar
+from cliffcalc import MAX_INDEX, UNBOUNDED, Multivector, Signature, basis, from_scalar
 from cliffcalc.exprparse import ExpressionSyntaxError
 from cliffcalc.products import geometric_product
 from cliffcalc.repl import CommandError, EvalError, GradesResult, Session, run_command
@@ -130,6 +130,21 @@ def test_literal_lines_cover_cancelling_underflowing_and_zero_terms():
         ("3 * e_12 - 1", "- 1 + 3e_12"),
     ):
         assert run_command(line, session) == printed, line
+
+
+@pytest.mark.parametrize("spec, sig", SIGNATURES, ids=[spec for spec, _ in SIGNATURES])
+@given(c=FINITE_COEFFS.map(abs))
+def test_a_folded_term_is_the_product_bit_for_bit(spec, sig, c):
+    # c*e_1 parses to one literal term, as c e_1 and ce_1 do; each must
+    # evaluate to the product it stands for
+    session = Session()
+    run_command(f":signature {spec}", session)
+    expected = geometric_product(from_scalar(c), basis(1), sig)
+    for text in (f"{c!r}*e_1", f"{c!r} e_1", f"{c!r}e_1"):
+        run_command(f"t = {text}", session)
+        value = session.variables["t"]
+        assert [(b, x.hex()) for b, x in value.terms()] == \
+            [(b, x.hex()) for b, x in expected.terms()], text
 
 
 @pytest.mark.parametrize("line, operator", [

@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from cliffcalc.exprparse import (
     BinOp,
-    BladeLit,
     Call,
     ExpressionSyntaxError,
     MAX_EXPONENT,
     PRECEDENCE,
     Neg,
-    Num,
     Pow,
+    Term,
     Var,
     parse_expr,
     tokenize,
@@ -21,8 +20,9 @@ from cliffcalc.textio import MultivectorParseError, parse_multivector
 
 
 def test_multiplication_binds_tighter_than_addition():
-    assert parse_expr("1 + 2*e_1") == BinOp(
-        "+", Num(1.0), BinOp("*", Num(2.0), BladeLit((1,)))
+    assert parse_expr("1 + 2*e_1") == BinOp("+", Term(1.0, ()), Term(2.0, (1,)))
+    assert parse_expr("1 + x*e_1") == BinOp(
+        "+", Term(1.0, ()), BinOp("*", Var("x", 4), Term(1.0, (1,)))
     )
 
 
@@ -30,8 +30,8 @@ def test_contraction_binds_loosest_among_products():
     expr = parse_expr("e(2) _| e(1) * e(2)")
     assert expr == BinOp(
         "_|",
-        Call("e", (Num(2.0),), 0),
-        BinOp("*", Call("e", (Num(1.0),), 8), Call("e", (Num(2.0),), 15)),
+        Call("e", (Term(2.0, ()),), 0),
+        BinOp("*", Call("e", (Term(1.0, ()),), 8), Call("e", (Term(2.0, ()),), 15)),
     )
 
 
@@ -58,8 +58,8 @@ def test_binary_operators_are_left_associative():
 
 def test_unary_minus_binds_tightest():
     assert parse_expr("-a ** 2") == Pow(Neg(Var("a", 1)), 2)
-    assert parse_expr("-2") == Neg(Num(2.0))
-    assert parse_expr("1 - -2") == BinOp("-", Num(1.0), Neg(Num(2.0)))
+    assert parse_expr("-2") == Neg(Term(2.0, ()))
+    assert parse_expr("1 - -2") == BinOp("-", Term(1.0, ()), Neg(Term(2.0, ())))
 
 
 def test_power_chains_left():
@@ -88,12 +88,12 @@ def test_power_exponent_is_bounded():
 
 
 def test_blade_literals():
-    assert parse_expr("e_12") == BladeLit((1, 2))
-    assert parse_expr("e_7") == BladeLit((7,))
-    assert parse_expr("e[1,10,12]") == BladeLit((1, 10, 12))
-    assert parse_expr("e [ 1 , 10 ]") == BladeLit((1, 10))
+    assert parse_expr("e_12") == Term(1.0, (1, 2))
+    assert parse_expr("e_7") == Term(1.0, (7,))
+    assert parse_expr("e[1,10,12]") == Term(1.0, (1, 10, 12))
+    assert parse_expr("e [ 1 , 10 ]") == Term(1.0, (1, 10))
     # outside parentheses, where no expression has a comma
-    assert parse_expr("e_1,10,12") == BladeLit((1, 10, 12))
+    assert parse_expr("e_1,10,12") == Term(1.0, (1, 10, 12))
 
 
 def test_blade_literal_validation():
@@ -132,7 +132,7 @@ def test_e_underscore_name_is_an_identifier():
 
 def test_calls():
     assert parse_expr("rand()") == Call("rand", (), 0)
-    assert parse_expr("grade(x, 2)") == Call("grade", (Var("x", 6), Num(2.0)), 0)
+    assert parse_expr("grade(x, 2)") == Call("grade", (Var("x", 6), Term(2.0, ())), 0)
     nested = parse_expr("grades(e(1) + x)")
     assert isinstance(nested, Call) and len(nested.args) == 1
 
@@ -169,12 +169,12 @@ def test_deep_nesting_is_a_syntax_error_at_the_first_token(indent):
     # since == and repr on them would recurse.  The depth is past the default
     # recursion limit; test_repl runs lines 100,000 deep.
     depth = 5_000
-    assert parse_expr(indent + "(" * depth + "1" + ")" * depth) == Num(1.0)
+    assert parse_expr(indent + "(" * depth + "1" + ")" * depth) == Term(1.0, ())
     expr = parse_expr(indent + "-" * depth + "e_1")
     for _ in range(depth):
         assert type(expr) is Neg
         expr = expr.operand
-    assert expr == BladeLit((1,))
+    assert expr == Term(1.0, (1,))
 
 
 #: Names that read back as names: without an ``e`` none starts a blade literal.
@@ -185,16 +185,23 @@ _BINARY = [op for op in PRECEDENCE if op != "**"]
 
 def _asts():
     """ASTs of every node kind, positions left at 0."""
+    # abs: -0.0 would print with a sign, which reads back as Neg
+    coeffs = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs)
+    blades = st.lists(st.integers(1, 70), min_size=1, max_size=3, unique=True).map(
+        lambda ids: tuple(sorted(ids)))
     leaves = st.one_of(
-        # abs: -0.0 would print with a sign, which reads back as Neg
-        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs).map(Num),
-        st.lists(st.integers(1, 70), min_size=1, max_size=3, unique=True)
-        .map(lambda ids: BladeLit(tuple(sorted(ids)))),
+        coeffs.map(lambda c: Term(c, ())),
+        blades.map(lambda b: Term(1.0, b)),
+        st.tuples(coeffs, blades).map(lambda t: Term(*t)),
         _NAMES.map(Var),
     )
 
     def nodes(sub):
-        binary = st.tuples(st.sampled_from(_BINARY), sub, sub).map(lambda t: BinOp(*t))
+        # a number times a blade literal of coefficient 1 parses as one Term
+        binary = st.tuples(st.sampled_from(_BINARY), sub, sub).map(lambda t: BinOp(*t)).filter(
+            lambda node: not (node.op == "*" and type(node.left) is Term and not node.left.indices
+                              and type(node.right) is Term and node.right.indices
+                              and node.right.coeff == 1.0))
         return st.one_of(
             binary, binary, binary,
             sub.map(Neg),
@@ -209,10 +216,10 @@ def _text(expr) -> str:
     """``expr`` printed with the fewest parentheses that PRECEDENCE and left
     associativity allow."""
     kind = type(expr)
-    if kind is Num:
-        return repr(expr.value)
-    if kind is BladeLit:
-        return "e[" + ", ".join(map(str, expr.indices)) + "]"
+    if kind is Term:
+        c, indices = expr
+        blade = "e[" + ", ".join(map(str, indices)) + "]" if indices else ""
+        return blade if blade and c == 1.0 else repr(c) + blade
     if kind is Var:
         return expr.name
     if kind is Call:
@@ -263,30 +270,47 @@ def test_fewest_parentheses_parse_back_to_the_same_tree(expr):
 
 
 def test_number_forms():
-    assert parse_expr("2.5") == Num(2.5)
-    assert parse_expr(".5") == Num(0.5)
-    assert parse_expr("10") == Num(10.0)
-    assert parse_expr("1e3") == Num(1000.0)
-    assert parse_expr("2.5E-1") == Num(0.25)
-    assert parse_expr("1e+16") == Num(1e16)
-    assert parse_expr("5e-324") == Num(5e-324)
+    assert parse_expr("2.5") == Term(2.5, ())
+    assert parse_expr(".5") == Term(0.5, ())
+    assert parse_expr("10") == Term(10.0, ())
+    assert parse_expr("1e3") == Term(1000.0, ())
+    assert parse_expr("2.5E-1") == Term(0.25, ())
+    assert parse_expr("1e+16") == Term(1e16, ())
+    assert parse_expr("5e-324") == Term(5e-324, ())
     with pytest.raises(ExpressionSyntaxError) as exc:
         parse_expr("1 + 1e999")
     assert exc.value.position == 4
 
 
 def test_unary_plus_is_noop():
-    assert parse_expr("+1") == Num(1.0)
-    assert parse_expr("+ 1 + 2") == BinOp("+", Num(1.0), Num(2.0))
+    assert parse_expr("+1") == Term(1.0, ())
+    assert parse_expr("+ 1 + 2") == BinOp("+", Term(1.0, ()), Term(2.0, ()))
 
 
 def test_juxtaposed_coefficient_multiplies_blade():
-    assert parse_expr("2e_1") == BinOp("*", Num(2.0), BladeLit((1,)))
-    assert parse_expr("4e[1,10]") == BinOp("*", Num(4.0), BladeLit((1, 10)))
-    assert parse_expr("1e-05e_1") == BinOp("*", Num(1e-05), BladeLit((1,)))
-    # binds like an atom: 2e_1 ** 2 squares the whole term
+    assert parse_expr("2e_1") == Term(2.0, (1,))
+    assert parse_expr("4e[1,10]") == Term(4.0, (1, 10))
+    assert parse_expr("1e-05e_1") == Term(1e-05, (1,))
     expr = parse_expr("3e_12 + 1")
-    assert expr == BinOp("+", BinOp("*", Num(3.0), BladeLit((1, 2))), Num(1.0))
+    assert expr == BinOp("+", Term(3.0, (1, 2)), Term(1.0, ()))
+    # binds like an atom: 2e_1 ** 2 squares the whole term
+    assert parse_expr("2e_1 ** 2") == Pow(Term(2.0, (1,)), 2)
+
+
+def test_a_number_times_a_blade_literal_folds_into_one_term():
+    for text in ("3e_12", "3 e_12", "3*e_12", "3 * e[1, 2]", "3e_1,2", "3e[01, 002]"):
+        assert parse_expr(text) == Term(3.0, (1, 2)), text
+    assert parse_expr("(2) * (e_1)") == Term(2.0, (1,))
+    # no other product folds
+    assert parse_expr("e_12 * 3") == BinOp("*", Term(1.0, (1, 2)), Term(3.0, ()))
+    assert parse_expr("x * 2e_1") == BinOp("*", Var("x", 0), Term(2.0, (1,)))
+    assert parse_expr("-2 * e_1") == BinOp("*", Neg(Term(2.0, ())), Term(1.0, (1,)))
+    assert parse_expr("2 * 3e_1") == BinOp("*", Term(2.0, ()), Term(3.0, (1,)))
+    assert parse_expr("2 * 3") == BinOp("*", Term(2.0, ()), Term(3.0, ()))
+    assert parse_expr("2 * e_1 ** 2") == BinOp("*", Term(2.0, ()), Pow(Term(1.0, (1,)), 2))
+    assert parse_expr("2 * 3 * e_1") == BinOp(
+        "*", BinOp("*", Term(2.0, ()), Term(3.0, ())), Term(1.0, (1,))
+    )
 
 
 def test_indices_too_long_for_int_are_out_of_range_at_their_position():
@@ -298,13 +322,13 @@ def test_indices_too_long_for_int_are_out_of_range_at_their_position():
             parse_expr(text)
         assert exc.value.position == position
     # leading zeros do not count towards the length
-    assert parse_expr("e[" + "0" * 5000 + "3]") == BladeLit((3,))
-    assert parse_expr("e_1," + "0" * 5000 + "3") == BladeLit((1, 3))
+    assert parse_expr("e[" + "0" * 5000 + "3]") == Term(1.0, (3,))
+    assert parse_expr("e_1," + "0" * 5000 + "3") == Term(1.0, (1, 3))
 
 
 def test_rendered_zero_is_the_number_zero():
-    assert parse_expr("the zero clifford element (0)") == Num(0.0)
-    assert parse_expr("e_1 + the zero clifford element (0)") == BinOp("+", BladeLit((1,)), Num(0.0))
+    assert parse_expr("the zero clifford element (0)") == Term(0.0, ())
+    assert parse_expr("e_1 + the zero clifford element (0)") == BinOp("+", Term(1.0, (1,)), Term(0.0, ()))
     # only the whole rendered phrase is a literal
     for text in ("the zero clifford element", "the zero clifford element (1)", "the zero"):
         with pytest.raises(ExpressionSyntaxError):
@@ -400,7 +424,7 @@ def test_non_ascii_digits_in_brackets_break_the_blade_where_they_stand():
 
 
 def test_any_unicode_whitespace_separates_tokens():
-    assert parse_expr("\u00a0e_12\u2003+\u30002") == BinOp("+", BladeLit((1, 2)), Num(2.0))
+    assert parse_expr("\u00a0e_12\u2003+\u30002") == BinOp("+", Term(1.0, (1, 2)), Term(2.0, ()))
 
 
 _TOKEN_TEXT = st.lists(

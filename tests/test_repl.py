@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import cliffcalc
 from cliffcalc import Multivector, Signature, euclidean, from_terms, parse_multivector
-from cliffcalc.exprparse import ExpressionSyntaxError, parse_expr
+from cliffcalc.exprparse import ExpressionSyntaxError, Term, parse_expr
 from cliffcalc.multivector import basis, from_scalar
 from cliffcalc.products import geometric_product
 from cliffcalc.repl import (
@@ -352,6 +353,26 @@ def test_eval_expr_api(session):
     assert value == from_terms([[], [1]], [2, 3])
     grades = eval_expr(parse_expr("grades(2 + 3*e_1)"), session)
     assert grades == GradesResult([0, 1])
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("indices", [(), (1,)])
+def test_a_hand_built_non_finite_term_is_rejected_as_from_scalar_rejects_it(
+        session, coeff, indices):
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        from_scalar(coeff)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        eval_expr(Term(coeff, indices), session)
+
+
+def test_a_hand_built_integer_term_stores_a_float(session):
+    value = eval_expr(Term(2, (1,)), session)
+    assert value == basis(1) * 2.0
+    assert [type(c) for _, c in value.terms()] == [float]
+    assert render(value) == "+ 2e_1"
+    assert eval_expr(Term(0, (1,)), session).is_zero()
+    with pytest.raises(TypeError):
+        eval_expr(Term(True, ()), session)
 
 
 def test_power_uses_session_signature(session):
