@@ -12,8 +12,13 @@ order, so a slow spell of the machine reaches both trees alike.
 The products: 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension
 6, a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
 acceptance-criterion-7 identity, a high_index-sized geometric product, left
-contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)) and a
-512x512 geometric product in Cl(6,4) at dimension 10 (the packed kernel).
+contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), and the
+packed kernel at both ends: the 9x9 Cl(3,1) products called straight
+through ``kernels.packed_product`` (``81-pair kernel``, the fixed cost of a
+kernel call, which no product this small takes by default), a 512x512
+geometric product in Cl(6,4) at dimension 10, and a 1024x1024 one at
+dimension 12, whose table spans many row blocks and whose e_11 and e_12
+square to 0, so its pairs are masked.
 The other callers of ``multivector.sum_terms``, the finisher that every
 builder of terms ends in: ``+`` of 4+4 terms at dimension 6, of 45+45 terms
 with indices up to 200 and of 512+512 terms at dimension 10, and
@@ -180,6 +185,11 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
     def products(num_terms: int) -> tuple:
         return lambda ab: cc.geometric_product(*ab, cl31), product_pairs(num_terms)
 
+    def kernel(ab):
+        a, b = ab
+        width = max(a.max_index(), b.max_index())
+        return cc.kernels.packed_product(a._terms, b._terms, cl31, cc.kernels.FILTER_NONE, width)
+
     def add(ab):
         return ab[0] + ab[1]
 
@@ -200,6 +210,8 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
     # include_fewer: grade 5 alone holds only 252 blades at dimension 10
     large = [(mv(terms(512, 400 + 2 * k, dimension=10, include_fewer=True)),
               mv(terms(512, 401 + 2 * k, dimension=10, include_fewer=True))) for k in range(2)]
+    larger = [(mv(terms(1024, 500 + 2 * k, dimension=12, include_fewer=True)),
+               mv(terms(1024, 501 + 2 * k, dimension=12, include_fewer=True))) for k in range(2)]
 
     bindings, kinds_and_lines = script
     session = cc.Session(signature=cl64)
@@ -231,7 +243,9 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         "high_index 45x45": (lambda ab: cc.geometric_product(*ab, high_sig), high),
         "high_index 45x45 _|": (lambda ab: cc.left_contraction(*ab, high_sig), high),
         "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
+        "81-pair kernel": (kernel, product_pairs(9)),
         "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
+        "1024x1024 dim 12": (lambda ab: cc.geometric_product(*ab, cl64), larger),
         "4+4 dim 6": (add, product_pairs(4)),
         "high_index 45+45": (add, high),
         "512+512 dim 10": (add, large),

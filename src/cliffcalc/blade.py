@@ -26,6 +26,7 @@ Both read ``b`` only through an AND with the :func:`sign_factors` of ``a``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import lt
 from typing import Iterable, NamedTuple
 
@@ -141,9 +142,10 @@ def canonicalize(indices: Iterable[int]) -> SignedBlade:
     return SignedBlade(sign, key_blade(key))
 
 
-#: Int keys below this bound (indices up to 12) read their prefix parity from
-#: a table, :data:`_PREFIX_PARITY`.
-_PREFIX_BOUND = 1 << 12
+#: Keys below this bound (indices up to ``_PREFIX_WIDTH``) read their prefix
+#: parity from a table, :data:`_PREFIX_PARITY`.
+_PREFIX_WIDTH = 12
+_PREFIX_BOUND = 1 << _PREFIX_WIDTH
 
 
 def sign_factors(a, pos, neg, width: int):
@@ -155,13 +157,18 @@ def sign_factors(a, pos, neg, width: int):
     to -1; ``dead`` holds those squaring to 0.  ``pos``/``neg`` mark the
     generators squaring to +1/-1 (see
     :func:`~cliffcalc.metric.signature_masks`); 0 and 0 give the wedge.
-    ``width`` bounds the bit length of ``a``.  An int key below
-    ``_PREFIX_BOUND`` reads its prefix parity from a table; wider keys, and
-    uint64 arrays of keys (elementwise, which is how the packed kernel takes
-    the same sign), take one shift-xor round per doubling of ``width``.
+    ``width`` bounds the bit length of ``a``.  ``a`` may also be a uint64
+    array of keys, taken elementwise, which is how the packed kernel takes
+    the same sign.  Keys of ``width`` up to ``_PREFIX_WIDTH`` read their
+    prefix parity from :data:`_PREFIX_PARITY` (an array of keys from a
+    uint64 copy of it); wider keys take one shift-xor round per doubling of
+    ``width``.
     """
     if type(a) is int and a < _PREFIX_BOUND:
         parity = _PREFIX_PARITY[a]
+    elif width <= _PREFIX_WIDTH:
+        # an array: an int key this narrow is below the bound
+        parity = _prefix_parity_array().take(a)
     else:
         parity = a >> 1
         shift = 1
@@ -176,6 +183,15 @@ def sign_factors(a, pos, neg, width: int):
 _PREFIX_PARITY = [0]
 for _key in range(1, _PREFIX_BOUND):
     _PREFIX_PARITY.append((_key >> 1) ^ _PREFIX_PARITY[_key >> 1])
+
+
+@lru_cache(maxsize=None)
+def _prefix_parity_array():
+    """:data:`_PREFIX_PARITY` as a uint64 array, built by the first array
+    of keys that reads it, so that ``import cliffcalc`` loads no numpy."""
+    import numpy as np
+
+    return np.array(_PREFIX_PARITY, np.uint64)
 
 
 def pair_sign(parity: int, dead: int, b: int) -> int:

@@ -28,9 +28,28 @@ a nonzero bin's index its key, otherwise ``np.unique`` bins the keys.  A
 pair whose product is ±0.0 is summed like any other, since it changes no
 sum.
 
-Each thread keeps the kernel's three pair tables (float64, uint64, uint8)
-between calls for products of up to ``_HELD_PAIRS`` term pairs, so a call
-writes into memory already mapped; every returned array is a copy.
+Narrow dense bins (keys up to index 12) take the table in row blocks of left
+keys (:func:`block_rows`), about ``_BLOCK_PAIRS`` pairs each, so that a
+block's tables stay in cache through the passes over them.  Each block's
+``bincount`` reads [the sums so far | the block's pairs] with index [0 ..
+bins-1 | the block's keys], so each key goes on adding its pairs in pair
+order from its sum so far.  That is bit for bit one pass over the whole
+table: ``bincount`` adds each bin's weights in input order from +0.0, and
+``0.0 + s == s`` for every ``s`` but -0.0, which restarts as +0.0; the next
+nonzero term then gives the same sum from either zero, and a sum that stays
+zero is dropped either way.  A product that fits in one block, and every
+product on sparse or wider dense bins, takes one pass with no sums carried,
+each left key's column broadcast against the right operand's row.  The
+blocks instead run each pass over two contiguous tables (:func:`_outer`):
+the right operand is repeated over a block's rows once per call, and a left
+operand's column is copied out over its block's rows first, which spares
+numpy one inner loop per row.
+
+Each thread keeps the kernel's three tables (17 bytes a pair) between calls
+for products of up to ``_HELD_PAIRS`` term pairs, so a call writes into
+memory already mapped; every returned array is a copy.  A product taken in
+blocks needs tables for its bins and two blocks (the block's pairs and the
+repeated right operand), not for the whole table.
 
 Backend selection: :func:`set_backend` switches between ``numpy`` (the
 default) and ``python``, which skips the packed path entirely:
@@ -64,6 +83,11 @@ FILTER_RIGHT = 2
 _HELD_PAIRS = 1 << 20
 
 _held = threading.local()
+
+#: Term pairs a row block of a dense-bins table aims at: its tables (~1 MiB
+#: with the repeated right operand) stay in a core's cache through the passes
+#: over them.
+_BLOCK_PAIRS = 1 << 15
 
 _BACKENDS = ("numpy", "python")
 
@@ -110,7 +134,7 @@ def _operands(terms: dict[int, float]) -> tuple:
 
 
 def _tables(pairs: int):
-    """(float64, uint64, uint8) scratch arrays of ``pairs`` elements each.
+    """(float64, uint64, bool) scratch arrays of ``pairs`` elements each.
 
     Up to ``_HELD_PAIRS`` pairs they are slices of this thread's held
     buffers, which grow only when a call needs more than they hold.
@@ -119,17 +143,42 @@ def _tables(pairs: int):
 
     held = getattr(_held, "tables", None)
     if held is None or held[0].size < pairs:
-        held = (np.empty(pairs), np.empty(pairs, np.uint64), np.empty(pairs, np.uint8))
+        held = (np.empty(pairs), np.empty(pairs, np.uint64), np.empty(pairs, np.bool_))
         if pairs <= _HELD_PAIRS:
             _held.tables = held
     return tuple(table[:pairs] for table in held)
+
+
+def block_rows(na: int, nb: int, bins: int) -> int:
+    """Left keys per row block of an ``na`` x ``nb`` pair table.
+
+    Dense bins of at most an eighth of ``_BLOCK_PAIRS`` (keys up to index
+    12), so that the running sums each block carries stay small against it,
+    take about ``_BLOCK_PAIRS`` pairs a block; that is at least 8 rows, as
+    the ``nb`` right keys are distinct and below ``bins``.  Sparse bins and
+    wider dense bins take every row at once.
+    """
+    return min(na, _BLOCK_PAIRS // nb) if 0 < 8 * bins <= _BLOCK_PAIRS else na
+
+
+def _outer(ufunc, column, right, out):
+    """``out[i, j] = ufunc(column[i], right[i, j])``, ``right`` being the
+    right operand as one row, broadcast, or repeated row by row.  Against
+    repeated rows ``column`` is copied out first: a ufunc over two
+    contiguous tables runs as one loop, one with a broadcast column as one
+    loop per row."""
+    if right.shape[0] == 1:
+        ufunc(column[:, None], right, out=out)
+    else:
+        out[...] = column[:, None]
+        ufunc(out, right, out=out)
 
 
 def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, filter_mode):
     """Product table over all term pairs, summed per result key.
 
     ``width`` (at most ``PACK_LIMIT``) bounds the bit length of every key of
-    both operands: it sets the rounds of the left keys' prefix parity and the
+    both operands: it sets how the left keys' prefix parity is taken and the
     choice between dense and sparse bins.
     """
     import numpy as np
@@ -137,55 +186,83 @@ def pair_table(keys_a, coeffs_a, keys_b, coeffs_b, pos_mask, neg_mask, width, fi
     na, nb = keys_a.size, keys_b.size
     if na * nb == 0:
         return np.empty(0, np.uint64), np.empty(0)
-    # the tables may be held buffers: every array returned is a copy
-    coeffs, table, count = (t.reshape(na, nb) for t in _tables(na * nb))
-    kb = keys_b[None, :]
-
     # the per-pair path's sign rule, one row per left key: an odd popcount of
-    # parity & b is a negative sign, and dead & b a generator squaring to 0.
-    # The sign is the popcount's low bit shifted to the float's sign bit;
-    # negation is exact, so this is s * (a * b) == (s * a) * b bit for bit.
+    # parity & b is a negative sign, and dead & b a generator squaring to 0
     parity, dead = sign_factors(keys_a, pos_mask, neg_mask, width)
-    # a product that overflows is inf, without a warning, as in the per-pair path
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(coeffs_a[:, None], coeffs_b[None, :], out=coeffs)
-    np.bitwise_and(parity[:, None], kb, out=table)
-    np.bitwise_count(table, out=count)
-    np.left_shift(count, 63, out=table, dtype=np.uint64)
-    bits = coeffs.view(np.uint64)
-    np.bitwise_xor(bits, table, out=bits)
-
     # a pair is kept when b & mask == want, as in the per-pair path, with the
     # dead pairs folded in (dead is a subset of a): left keeps a ⊆ b, right
     # b ⊆ a, and only a dead generator or a filter drops anything
-    keep = None
+    mask = want = None
     if filter_mode or dead.any():
-        mask, want = dead, 0
+        mask = dead
         if filter_mode == FILTER_LEFT:
-            mask, want = keys_a ^ dead, keys_a[:, None]
+            mask, want = keys_a ^ dead, keys_a
         elif filter_mode == FILTER_RIGHT:
             mask = ~keys_a | dead
-        np.bitwise_and(mask[:, None], kb, out=table)
-        keep = np.equal(table, want, out=count.view(np.bool_))
-    np.bitwise_xor(keys_a[:, None], kb, out=table)
-    if keep is None:
-        flat_keys, flat_coeffs = table.ravel(), coeffs.ravel()
-    else:
-        flat_keys, flat_coeffs = table[keep], coeffs[keep]
 
     # one bin per possible key while that is cheap, else one per distinct
     # key; a key below the bin count reads as the same int64, so it is its own
     # bin index without a copy, and a nonzero bin's index is its key.
-    # bincount sums each bin in pair order from +0.0, which a ±0.0 term never
-    # changes, so no zero pair is dropped first
-    keys = None
-    if dense_bins(width, na * nb):
-        index = flat_keys.view(np.int64)
+    # bincount sums each bin in input order from +0.0, which a ±0.0 term never
+    # changes, so no zero pair is dropped first.  Dense bins go through the
+    # table in row blocks, each block's bincount reading [the sums so far |
+    # its pairs] with index [0 .. bins-1 | its keys] (see the module docstring)
+    bins = dense_bins(width, na * nb)
+    rows = block_rows(na, nb, bins)
+    carry = bins if rows < na else 0
+    # the tables may be held buffers: every array returned is a copy.  Blocks
+    # repeat the right operand row by row in the tables' tails, past the
+    # last block's pairs; one pass broadcasts it
+    block_pairs = rows * nb
+    coeffs, keys, keep = _tables(carry + block_pairs + (block_pairs if carry else 0))
+    coeffs_b_rows, keys_b_rows = coeffs_b[None, :], keys_b[None, :]
+    if carry:
+        coeffs_b_rows = coeffs[carry + block_pairs:].reshape(rows, nb)
+        keys_b_rows = keys[carry + block_pairs:].reshape(rows, nb)
+        np.copyto(coeffs_b_rows, coeffs_b)
+        np.copyto(keys_b_rows, keys_b)
+        keys[:carry] = np.arange(carry, dtype=np.uint64)
+        coeffs[:carry] = 0.0
+    for start in range(0, na, rows):
+        block = slice(start, start + rows)
+        n = min(rows, na - start)
+        pairs = slice(carry, carry + n * nb)
+        products, table = coeffs[pairs].reshape(n, nb), keys[pairs].reshape(n, nb)
+        cb, kb = coeffs_b_rows[:n], keys_b_rows[:n]
+        # The sign is the popcount's low bit shifted to the float's sign bit;
+        # negation is exact, so this is s * (a * b) == (s * a) * b bit for bit.
+        # A product that overflows is inf, without a warning, as in the per-pair path
+        with np.errstate(over="ignore", invalid="ignore"):
+            _outer(np.multiply, coeffs_a[block], cb, products)
+        _outer(np.bitwise_and, parity[block], kb, table)
+        np.bitwise_count(table, out=table)
+        np.left_shift(table, 63, out=table)
+        bits = products.view(np.uint64)
+        np.bitwise_xor(bits, table, out=bits)
+        kept = None
+        if mask is not None:
+            _outer(np.bitwise_and, mask[block], kb, table)
+            kept = np.equal(table, 0 if want is None else want[block, None], out=keep[:n * nb].reshape(n, nb))
+        _outer(np.bitwise_xor, keys_a[block], kb, table)
+        if kept is not None:
+            table, products = table[kept], products[kept]
+        if carry:
+            end = carry + table.size
+            if kept is not None:
+                keys[carry:end], coeffs[carry:end] = table, products
+            coeffs[:carry] = np.bincount(keys[:end].view(np.int64), weights=coeffs[:end])
+    unique = None
+    if carry:
+        sums = coeffs[:carry]
     else:
-        keys, index = np.unique(flat_keys, return_inverse=True)
-    sums = np.bincount(index, weights=flat_coeffs)
-    present = np.flatnonzero(sums)
-    return present.view(np.uint64) if keys is None else keys[present], sums[present]
+        table, products = table.ravel(), products.ravel()
+        if bins:
+            index = table.view(np.int64)
+        else:
+            unique, index = np.unique(table, return_inverse=True)
+        sums = np.bincount(index, weights=products)
+    present = sums.nonzero()[0]
+    return present.view(np.uint64) if unique is None else unique[present], sums[present]
 
 
 _active = "numpy"

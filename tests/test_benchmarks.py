@@ -94,7 +94,8 @@ def test_interleaved_rounds_runs_every_row_once_a_round_in_a_varying_order():
 #: first line, and start-up.
 AB_OPS = ["1x1 Cl(3,1)", "4x4 Cl(3,1)", "9x9 Cl(3,1)", "4x4 Cl(6,4) dim 12", "4x4 wedge dim 12",
           "criterion 7", "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
-          "512x512 dim 10", "4+4 dim 6", "high_index 45+45", "512+512 dim 10", "parse 6 terms",
+          "81-pair kernel", "512x512 dim 10", "1024x1024 dim 12",
+          "4+4 dim 6", "high_index 45+45", "512+512 dim 10", "parse 6 terms",
           "tokenize", "parse_expr", "eval_expr", "render",
           "literal", "binary", "power", "grades", "command", "star literal",
           "python -c pass", "import cliffcalc", "cliffcalc --script"]

@@ -252,3 +252,22 @@ def test_sign_factors_of_table_keys_equal_the_loop_on_arrays(sig):
     assert [sign_factors(a, pos, neg, a.bit_length()) for a in keys] == list(
         zip(parity.tolist(), dead.tolist())
     )
+
+
+@pytest.mark.parametrize("sig", [euclidean(), Signature(3, 1), Signature(6, 4), grassmann()])
+@pytest.mark.parametrize("width", [1, 6, 12])
+def test_sign_factors_of_narrow_key_arrays_read_the_table_as_ints_do(sig, width):
+    # an array of keys of width up to 12 takes its prefix parity from a uint64
+    # copy of the table: the same masks as each key taken as an int
+    import numpy as np
+
+    from cliffcalc.blade import sign_factors
+    from cliffcalc.metric import signature_masks
+
+    pos, neg = signature_masks(sig, width)
+    keys = range(1 << width)
+    parity, dead = sign_factors(np.array(keys, dtype=np.uint64), np.uint64(pos), np.uint64(neg), width)
+    assert parity.dtype == dead.dtype == np.uint64
+    assert [sign_factors(a, pos, neg, a.bit_length()) for a in keys] == list(
+        zip(parity.tolist(), dead.tolist())
+    )

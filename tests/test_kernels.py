@@ -13,6 +13,7 @@ from cliffcalc.kernels import (
     FILTER_NONE,
     FILTER_RIGHT,
     _operands,
+    block_rows,
     dense_bins,
     pair_table,
     region_masks,
@@ -24,7 +25,7 @@ from cliffcalc.products import (
     wedge,
 )
 from cliffcalc import generator_square
-from tests.strategies import corpus
+from tests.strategies import FINITE_COEFFS, corpus
 
 
 @pytest.fixture
@@ -862,3 +863,95 @@ def test_the_unmasked_kernel_overflows_like_the_python_backend(restore_backend):
             assert math.isnan(c_n) == math.isnan(c_p)
             if not math.isnan(c_n):
                 assert np.float64(c_n).view(np.uint64) == np.float64(c_p).view(np.uint64)
+
+
+#: Pairs per row block that make operands of a few dozen terms at dimension
+#: 6 (64 bins, an eighth of it) span blocks.
+SMALL_BLOCK = 512
+
+#: Each filter, with the per-pair product it must equal.
+FILTERED_PRODUCTS = (
+    (FILTER_NONE, geometric_product),
+    (FILTER_LEFT, left_contraction),
+    (FILTER_RIGHT, right_contraction),
+)
+
+
+def from_keys(keys, coeffs):
+    from cliffcalc.blade import key_blade
+
+    return Multivector({key_blade(key): c for key, c in zip(keys, coeffs)})
+
+
+def assert_blocks_match_the_python_backend(a, b, sig):
+    """Each filter's kernel product over small row blocks equals the python
+    backend's product bit for bit; returns the number of row blocks."""
+    na, nb = a.num_terms(), b.num_terms()
+    width = max(a.max_index(), b.max_index())
+    with mock.patch.object(kernels, "_BLOCK_PAIRS", SMALL_BLOCK):
+        rows = block_rows(na, nb, dense_bins(width, na * nb))
+        blocked = [coefficient_bits(packed(a, b, sig, f).terms()) for f, _ in FILTERED_PRODUCTS]
+    previous = kernels.set_backend("python")
+    try:
+        per_pair = [coefficient_bits(product(a, b, sig).terms()) for _, product in FILTERED_PRODUCTS]
+    finally:
+        kernels.set_backend(previous)
+    assert blocked == per_pair
+    return -(-na // rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a_keys=st.lists(st.integers(0, 63), min_size=24, max_size=48, unique=True),
+    b_keys=st.lists(st.integers(0, 63), min_size=24, max_size=48, unique=True),
+    coeffs=st.lists(FINITE_COEFFS, min_size=96, max_size=96),
+    sig=st.sampled_from([Signature(6), Signature(2, 4), Signature(3, 1), grassmann()]),
+)
+def test_row_blocks_match_the_python_backend_bit_for_bit(a_keys, b_keys, coeffs, sig):
+    # any finite coefficients, so sums round, cancel, underflow and overflow
+    # to ±inf and nan across blocks; Signature(3, 1) has e_5 and e_6 square
+    # to 0 and the null metric every generator, so their pairs are masked
+    a = from_keys(a_keys, coeffs)
+    b = from_keys(b_keys, coeffs[48:])
+    assert assert_blocks_match_the_python_backend(a, b, sig) >= 2
+
+
+def test_inf_in_one_block_and_minus_inf_in_a_later_one_give_the_python_nan():
+    # e_6 (key 32) is the 20th left key, the scalar the first: 16 rows a block
+    # put them in different blocks, and both keys 0 and 32 sum +inf from the
+    # first block with -inf from the second
+    a_keys = [*range(19), 32]
+    a = from_keys(a_keys, [1e300] + [1.0] * 18 + [-1e300])
+    b = from_keys([*range(31), 32], [1e300] + [1.5] * 30 + [1e300])
+    with mock.patch.object(kernels, "_BLOCK_PAIRS", SMALL_BLOCK):
+        assert block_rows(20, 32, 64) == 16
+        terms = dict(packed(a, b, Signature(6)).terms())
+    assert np.isnan(terms[()]) and np.isnan(terms[(6,)])
+    assert assert_blocks_match_the_python_backend(a, b, Signature(6)) == 2
+
+
+def test_block_rows_split_only_narrow_dense_tables_above_one_block():
+    # sparse bins, and dense tables within one block, take every row at once
+    assert block_rows(512, 512, 0) == 512
+    assert block_rows(64, 60, dense_bins(10, 64 * 60)) == 64
+    assert block_rows(180, 180, dense_bins(10, 180 * 180)) == 180
+    # a 512 x 512 table at dimension 10 (1024 bins) spans several blocks
+    rows = block_rows(512, 512, dense_bins(10, 512 * 512))
+    assert 2 * rows <= 512
+    # blocks carry at most an eighth of their pairs in running sums: dense
+    # bins up to dimension 12 take blocks, wider ones one pass
+    assert block_rows(1024, 1024, dense_bins(12, 1024 * 1024)) * 1024 >= 8 << 12
+    assert dense_bins(13, 1024 * 1024) and block_rows(1024, 1024, dense_bins(13, 1024 * 1024)) == 1024
+    assert dense_bins(16, 1024 * 1024) and block_rows(1024, 1024, dense_bins(16, 1024 * 1024)) == 1024
+
+
+def test_a_blocked_product_holds_one_block_of_tables(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(kernels, "_held", threading.local())
+    a, b = dimension_10(512, 60), dimension_10(512, 61)
+    assert a.num_terms() == b.num_terms() == 512 and max(a.max_index(), b.max_index()) == 10
+    rows = block_rows(512, 512, 1024)
+    kernel_call(a, b)
+    assert all(table.size == 1024 + 2 * rows * 512 for table in held_tables())
+
