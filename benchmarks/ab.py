@@ -15,7 +15,8 @@ acceptance-criterion-7 identity, a high_index-sized geometric product, left
 contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), and the
 packed kernel at both ends: the 9x9 Cl(3,1) products called straight
 through ``kernels.packed_product`` (``81-pair kernel``, the fixed cost of a
-kernel call, which no product this small takes by default), a 512x512
+kernel call, which no product this small takes by default), each operand
+passed in the stored form of its own tree (:func:`stored_terms`), a 512x512
 geometric product in Cl(6,4) at dimension 10, and a 1024x1024 one at
 dimension 12, whose table spans many row blocks and whose e_11 and e_12
 square to 0, so its pairs are masked.
@@ -46,7 +47,9 @@ cliffcalc"`` and a two-line ``cliffcalc --script`` (``x = e_1 * e_2``, then
 
 For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
-and in how many rounds the working tree was faster.  Run from the repository
+and in how many rounds the working tree was faster.  An op that the parent
+revision lacks, ``81-pair kernel`` before ``kernels.packed_product``, is
+skipped with a note.  Run from the repository
 root:
 
     PYTHONPATH=src python benchmarks/ab.py --parent HEAD
@@ -128,6 +131,13 @@ def terms(num_terms: int, seed: int, dimension: int = 6, include_fewer: bool = F
     return dict(mv.terms())
 
 
+def stored_terms(mv) -> tuple:
+    """``mv``'s stored terms, as its own tree's ``kernels.packed_product``
+    takes each operand: a list of blade keys and a list of coefficients, or,
+    in trees that stored terms as one dict of blade keys, that dict."""
+    return (mv._keys, mv._coeffs) if hasattr(mv, "_keys") else (mv._terms,)
+
+
 def literal(rng: random.Random, include_fewer: bool) -> str:
     """Input text for a random integer-coefficient value of 2-6 terms at
     dimension 12 and grade 3 (at most 3 with ``include_fewer``): ``e_12``
@@ -188,7 +198,8 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
     def kernel(ab):
         a, b = ab
         width = max(a.max_index(), b.max_index())
-        return cc.kernels.packed_product(a._terms, b._terms, cl31, cc.kernels.FILTER_NONE, width)
+        return cc.kernels.packed_product(*stored_terms(a), *stored_terms(b), cl31, cc.kernels.FILTER_NONE,
+                                         width)
 
     def add(ab):
         return ab[0] + ab[1]
@@ -243,7 +254,8 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         "high_index 45x45": (lambda ab: cc.geometric_product(*ab, high_sig), high),
         "high_index 45x45 _|": (lambda ab: cc.left_contraction(*ab, high_sig), high),
         "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
-        "81-pair kernel": (kernel, product_pairs(9)),
+        # older trees have no packed_product
+        **({"81-pair kernel": (kernel, product_pairs(9))} if hasattr(cc.kernels, "packed_product") else {}),
         "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
         "1024x1024 dim 12": (lambda ab: cc.geometric_product(*ab, cl64), larger),
         "4+4 dim 6": (add, product_pairs(4)),
@@ -265,16 +277,18 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
 
 def compare_times(parent, repeats: int, startup_script: str) -> None:
     script = calculator_script()
-    rows = {(tree, name): row
-            for tree, cc in (("parent", parent), ("change", cliffcalc))
-            for name, row in micro_ops(cc, script, startup_script).items()}
-    rounds = interleaved_rounds(rows, repeats)
-    names = dict.fromkeys(name for _, name in rows)
+    ops = {tree: micro_ops(cc, script, startup_script) for tree, cc in (("parent", parent), ("change", cliffcalc))}
+    # an op that the parent lacks is skipped; every other is timed under both trees
+    timed = [name for name in ops["change"] if name in ops["parent"]]
+    rounds = interleaved_rounds({(tree, name): ops[tree][name] for tree in ops for name in timed}, repeats)
     print(f"median of {repeats} interleaved rounds, microseconds per item")
     header = f"{'op':<22}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'faster':>9}"
     print(header)
     print("-" * len(header))
-    for name in names:
+    for name in ops["change"]:
+        if name not in timed:
+            print(f"{name:<22}skipped: the parent has no such op")
+            continue
         before, after = rounds[("parent", name)], rounds[("change", name)]
         ratio = statistics.median(b / a for a, b in zip(before, after))
         faster = sum(b < a for a, b in zip(before, after))

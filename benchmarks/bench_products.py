@@ -4,7 +4,8 @@
 The size sweep builds deterministic random multivectors of increasing term
 counts and times the geometric product through the per-pair Python path and
 the packed numpy kernel, end to end, plus the kernel call alone on arrays
-built from the multivectors' blade keys.  The left contraction and the wedge
+built from the multivectors' blade keys, timed warm: the mean of several
+calls after an untimed one.  The left contraction and the wedge
 are timed end to end under both backends too; under ``numpy`` they take the
 per-pair path up to ``products._SMALL_CONTRACTION_PAIRS`` and
 ``products._SMALL_WEDGE_PAIRS`` pairs and the kernel above.  Each repeat
@@ -61,6 +62,9 @@ CUTOFF_PRODUCTS = (("geometric", kernels.FILTER_NONE, True), ("wedge", kernels.F
 CUTOFF_SHAPES = ((7, 7), (9, 9), (10, 10), (12, 12), (14, 14), (16, 16), (18, 18),
                  (20, 20), (22, 22), (24, 24), (20, 32))
 CUTOFF_OPERANDS = 12
+#: Kernel calls timed per cell of the size sweep's ``kernel`` column, after
+#: an untimed one: a single call just after another column reads cold.
+KERNEL_CALLS = 8
 #: Each ``products`` cutoff and the products it chooses the path of.
 CUTOFF_COVERS = (("_SMALL_PAIRS", ("geometric",)), ("_SMALL_WEDGE_PAIRS", ("wedge",)),
                  ("_SMALL_CONTRACTION_PAIRS", ("left", "right")))
@@ -81,18 +85,20 @@ def build(num_terms: int, seed: int):
 def sweep_columns(a, b) -> dict:
     """The size sweep's rows for ``interleaved_rounds``: name -> (call, items).
 
-    ``kernel`` is one ``kernels.pair_table`` call as ``kernels.packed_product``
-    makes it, on arrays built once by ``kernels._operands``.
+    ``kernel`` is ``KERNEL_CALLS`` ``kernels.pair_table`` calls, each as
+    ``kernels.packed_product`` makes it, on arrays built once by
+    ``kernels._operands``; :func:`before_column` makes one more ahead of
+    them, outside the time, so that the cell reads the kernel warm.
     """
     pos, neg = kernels.region_masks(SIG)
-    kernel_args = (*kernels._operands(a._terms), *kernels._operands(b._terms), np.uint64(pos),
-                   np.uint64(neg), max(a.max_index(), b.max_index()), kernels.FILTER_NONE)
+    kernel_args = (*kernels._operands(a._keys, a._coeffs), *kernels._operands(b._keys, b._coeffs),
+                   np.uint64(pos), np.uint64(neg), max(a.max_index(), b.max_index()), kernels.FILTER_NONE)
     pair = [(a, b)]
     geometric = (lambda ab: geometric_product(*ab, SIG), pair)
     lc = (lambda ab: left_contraction(*ab, SIG), pair)
     wedge_ = (lambda ab: wedge(*ab), pair)
     return {"python": geometric, "numpy": geometric,
-            "kernel": (lambda args: kernels.pair_table(*args), [kernel_args]),
+            "kernel": (lambda args: kernels.pair_table(*args), [kernel_args] * KERNEL_CALLS),
             "lc python": lc, "lc numpy": lc, "wedge python": wedge_, "wedge numpy": wedge_}
 
 
@@ -101,7 +107,8 @@ def cutoff_ratio(a, b, sig, filter_mode, repeats: int) -> float:
     per_pair = packed = float("inf")
     width = max(a.max_index(), b.max_index())
     def packed_path():
-        return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
+        return Multivector._wrap(*kernels.packed_product(a._keys, a._coeffs, b._keys, b._coeffs, sig,
+                                                         filter_mode, width))
 
     products._per_pair(a, b, sig, filter_mode, width)
     packed_path()
@@ -175,11 +182,19 @@ def size_sweep(sizes, repeats: int) -> dict:
     for size in sizes:
         a = build(size, seed=2 * size)
         b = build(size, seed=2 * size + 1)
+        columns = sweep_columns(a, b)
         previous = kernels.active_backend()
-        try:  # a column named "... python" runs under that backend, the rest under numpy
-            rounds = interleaved_rounds(
-                sweep_columns(a, b), repeats,
-                before=lambda name: kernels.set_backend("python" if name.endswith("python") else "numpy"))
+
+        def before_column(name):
+            # a column named "... python" runs under that backend, the rest
+            # under numpy; the kernel column's calls follow a warm-up call
+            kernels.set_backend("python" if name.endswith("python") else "numpy")
+            if name == "kernel":
+                call, items = columns[name]
+                call(items[0])
+
+        try:
+            rounds = interleaved_rounds(columns, repeats, before=before_column)
         finally:
             kernels.set_backend(previous)
         timings = {name: statistics.median(t) for name, t in rounds.items()}
@@ -199,7 +214,8 @@ def size_sweep(sizes, repeats: int) -> dict:
         "dimension": 10,
         "repeats": repeats,
         "timing": "median of the repeats after one warm-up round; each repeat times every "
-                  "column once, in a seeded shuffled order, microseconds",
+                  "column once, in a seeded shuffled order, microseconds; the kernel column "
+                  f"is the mean of {KERNEL_CALLS} calls after an untimed one",
         "rows": rows,
     }
 

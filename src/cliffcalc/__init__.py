@@ -10,7 +10,8 @@ Usage sketch::
 
 The metric is never stored inside a value: every metric-dependent product
 takes a :class:`Signature` argument.  The ``cliffcalc`` console script runs
-the interactive calculator.
+the interactive calculator; its module, :mod:`cliffcalc.repl`, loads on first
+use of :class:`Session`, :func:`eval_expr` or :func:`run_command`.
 """
 
 __version__ = "0.1.0"
@@ -58,4 +59,16 @@ from .textio import (  # noqa: F401
     save,
 )
 from .exprparse import ExpressionSyntaxError, parse_expr  # noqa: F401
-from .repl import Session, eval_expr, run_command  # noqa: F401
+
+
+def __getattr__(name: str):
+    # the calculator, cliffcalc.repl, loads (and with it argparse and shlex)
+    # when it or one of its names here is first read, so that
+    # ``import cliffcalc`` does not pay for it
+    if name in ("repl", "Session", "eval_expr", "run_command"):
+        # importing the submodule binds it here as ``repl`` too
+        from .repl import Session, eval_expr, run_command
+
+        globals().update(Session=Session, eval_expr=eval_expr, run_command=run_command)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

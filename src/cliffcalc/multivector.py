@@ -1,14 +1,17 @@
 """Sparse multivectors: finite maps from basis blades to coefficients.
 
-A :class:`Multivector` stores only nonzero terms, keyed by blade key (see
-:func:`cliffcalc.blade.blade_key`) in ascending order, which is canonical
-order; index tuples appear only at its public methods.  :func:`sum_terms` is
-the one rule that puts (blade key, coefficient) pairs in that form, and every
-builder that can make a zero or break the order ends in it: the constructors,
-``+``, the per-pair products, the text and file readers, the calculator's
-``+``/``-`` chains and the random generator.  Everything here is
-metric-free: construction, addition, negation, scalar multiplication and the
-grade machinery.  The metric-dependent products live in
+A :class:`Multivector` stores only nonzero terms, as two parallel lists:
+blade keys (see :func:`cliffcalc.blade.blade_key`) in ascending order, which
+is canonical order, and their coefficients.  Index tuples appear only at its
+public methods.  No key is ever hashed: a blade's coefficient is found by
+bisection, and ``==`` compares the two lists.  The lists are never changed
+once stored, so values may share them.  :func:`sum_terms` is the one rule
+that puts (blade key, coefficient) pairs in that form, and every builder
+that can make a zero or break the order ends in it: the constructors, ``+``,
+scalar ``*``, the per-pair products, the text and file readers, the
+calculator's ``+``/``-`` chains and the random generator.  Everything here
+is metric-free: construction, addition, negation, scalar multiplication and
+the grade machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
 
 Coefficients are finite doubles: every constructor and scalar
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,80 +42,83 @@ class Multivector:
     use :func:`cliffcalc.products.geometric_product` and friends.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_keys", "_coeffs")
 
     def __init__(self, terms: Mapping[Sequence[int], float] = ()):
-        self._terms = sum_terms(
+        self._keys, self._coeffs = sum_terms(
             (validate_blade(blade), _check_coeff(coeff))
             for blade, coeff in dict(terms).items()
         )
 
     @classmethod
-    def _wrap(cls, terms: dict[int, float]) -> "Multivector":
-        """Adopt a blade-key dict that is already in stored form.
+    def _wrap(cls, keys: list[int], coeffs: list[float]) -> "Multivector":
+        """Adopt blade keys and coefficients that are already in stored form.
 
         Every builder that sums terms passes :func:`sum_terms`'s result.  Only
         builders that keep the order and cannot make a zero skip it:
-        ``__neg__``, ``grade_part``, :func:`basis`, :func:`from_scalar`, the
-        packed path's terms from :func:`cliffcalc.kernels.packed_product`,
-        which ``products._binary`` wraps, and the calculator's literal
-        terms, one :class:`cliffcalc.exprparse.Term` each, in
-        :func:`cliffcalc.repl.eval_expr`;
-        scalar ``__mul__`` and :func:`as_1vector` keep the order and drop
-        their own zeros.
+        ``__neg__``, :func:`basis`, the packed path's terms from
+        :func:`cliffcalc.kernels.packed_product`, which ``products._binary``
+        wraps, and the calculator's literal terms, one
+        :class:`cliffcalc.exprparse.Term` each, in
+        :func:`cliffcalc.repl.eval_expr`.
         """
         mv = object.__new__(cls)
-        mv._terms = terms
+        mv._keys = keys
+        mv._coeffs = coeffs
         return mv
 
     def terms(self) -> Iterator[tuple[Blade, float]]:
         """Iterate (blade, coefficient) pairs in canonical order."""
-        return ((key_blade(key), c) for key, c in self._terms.items())
+        return zip(map(key_blade, self._keys), self._coeffs)
 
     def blades(self) -> Iterator[Blade]:
-        return map(key_blade, self._terms)
+        return map(key_blade, self._keys)
 
     def coefficient(self, blade: Sequence[int]) -> float:
         """Coefficient of a blade, 0.0 when absent."""
-        return self._terms.get(validate_blade(blade), 0.0)
+        return self._coefficient(validate_blade(blade))
+
+    def _coefficient(self, key: int) -> float:
+        keys = self._keys
+        at = bisect_left(keys, key)
+        return self._coeffs[at] if at < len(keys) and keys[at] == key else 0.0
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     def scalar_part(self) -> float:
-        return self._terms.get(0, 0.0)
+        # the scalar's key, 0, is the smallest
+        return self._coeffs[0] if self._keys and not self._keys[0] else 0.0
 
     def max_index(self) -> int:
         """Largest generator index used, 0 for the zero multivector."""
         # the last key is the largest, and its top bit is the largest index
-        return next(reversed(self._terms), 0).bit_length()
+        return self._keys[-1].bit_length() if self._keys else 0
 
     def grades(self) -> list[int]:
         """Multiset of term grades, ascending; one entry per stored term."""
-        return sorted(key.bit_count() for key in self._terms)
+        return sorted(key.bit_count() for key in self._keys)
 
     def grade_part(self, r: int) -> "Multivector":
         """Sub-multivector of terms with grade exactly ``r``."""
         if r < 0:
             raise ValueError(f"grade must be non-negative, got {r}")
-        return Multivector._wrap(
-            {key: c for key, c in self._terms.items() if key.bit_count() == r}
-        )
+        return Multivector._wrap(*sum_terms(t for t in zip(self._keys, self._coeffs) if t[0].bit_count() == r))
 
     def equals_within(self, other: "Multivector", eps: float) -> bool:
         """True when all coefficients agree to within ``eps`` (absolute)."""
-        for key in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(key, 0.0) - other._terms.get(key, 0.0)) > eps:
+        for key in (*self._keys, *other._keys):
+            if abs(self._coefficient(key) - other._coefficient(key)) > eps:
                 return False
         return True
 
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector._wrap(sum_terms([*self._terms.items(), *other._terms.items()]))
+        return Multivector._wrap(*sum_terms(zip(self._keys + other._keys, self._coeffs + other._coeffs)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -119,7 +126,7 @@ class Multivector:
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector._wrap({key: -c for key, c in self._terms.items()})
+        return Multivector._wrap(self._keys, [-c for c in self._coeffs])
 
     def __mul__(self, scalar):
         if isinstance(scalar, Multivector):
@@ -132,24 +139,22 @@ class Multivector:
         s = float(scalar)
         if not math.isfinite(s):
             raise ValueError(f"scalar must be finite, got {s!r}")
-        # c * s is ±0.0 when s is, and can underflow to it; the keys keep
-        # their order
-        return Multivector._wrap(
-            {key: v for key, c in self._terms.items() if (v := c * s)}
-        )
+        # c * s is ±0.0 when s is, and can underflow to it: sum_terms drops
+        # those, and each other sum is its one value
+        return Multivector._wrap(*sum_terms(zip(self._keys, [c * s for c in self._coeffs])))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self._terms == other._terms
+        return self._keys == other._keys and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash(tuple(zip(self._keys, self._coeffs)))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def __str__(self) -> str:
         from .textio import render
@@ -174,42 +179,41 @@ def _check_coeff(value) -> float:
 _KEY = itemgetter(0)
 
 
-def sum_terms(pairs: Iterable[tuple[int, float]]) -> dict[int, float]:
+def sum_terms(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float]]:
     """The (blade key, coefficient) ``pairs`` as a :class:`Multivector` stores
     them, ready for ``_wrap``: per distinct key, the sum from 0.0 of its values
-    in the order given, exact zeros dropped, keys ascending.
+    in the order given, exact zeros dropped, keys ascending, as a list of keys
+    and a list of their sums.
 
     A stable sort by key puts each key's values together in that order, so
-    each run's sum is bit for bit a dict's ``get(key, 0.0) + value`` chain, and
-    no key is hashed until the result dict stores it.  Builders list all their
-    terms first and call this once: a sum that cancels to ±0.0 and is then
-    added to equals a fresh sum from 0.0, so dropping zeros only at the end
-    gives the same coefficients as dropping them along the way.
+    each run's sum is bit for bit a running ``total + value`` chain from 0.0,
+    and no key is ever hashed.  Builders list all their terms first and call
+    this once: a sum that cancels to ±0.0 and is then added to equals a fresh
+    sum from 0.0, so dropping zeros only at the end gives the same
+    coefficients as dropping them along the way.
     """
-    out: dict[int, float] = {}
-    last = None
-    total = 0.0
+    keys, coeffs = [], []
+    last, total = None, 0.0
     for key, value in sorted(pairs, key=_KEY):
         if key != last:
             if total:
-                out[last] = total
+                keys.append(last)
+                coeffs.append(total)
             last, total = key, 0.0
         total += value
     if total:
-        out[last] = total
-    return out
+        keys.append(last)
+        coeffs.append(total)
+    return keys, coeffs
 
 
 def zero() -> Multivector:
-    return Multivector._wrap({})
+    return Multivector._wrap([], [])
 
 
 def from_scalar(c: float) -> Multivector:
     """Embed a real number as a scalar term (the empty blade)."""
-    c = _check_coeff(c)
-    if c == 0.0:
-        return Multivector._wrap({})
-    return Multivector._wrap({0: c})
+    return Multivector._wrap(*sum_terms([(0, _check_coeff(c))]))
 
 
 def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Multivector:
@@ -226,7 +230,7 @@ def from_terms(blades: Iterable[Sequence[int]], coeffs: Iterable[float]) -> Mult
         raise ValueError(
             f"got {len(blades)} index-lists but {len(coeffs)} coefficients"
         )
-    return Multivector._wrap(sum_terms(
+    return Multivector._wrap(*sum_terms(
         (blade_key(blade), sign * _check_coeff(coeff))
         for (sign, blade), coeff in zip(map(canonicalize, blades), coeffs)
     ))
@@ -237,12 +241,10 @@ def as_1vector(v: Sequence[float]) -> Multivector:
     MAX_INDEX entries is a ValueError."""
     if len(v) > MAX_INDEX:  # entry MAX_INDEX + 1 would have no blade
         validate_blade((MAX_INDEX + 1,))
-    # enumerate yields the keys in ascending order
-    return Multivector._wrap({
-        blade_key((i,)): c for i, c in enumerate(map(_check_coeff, v), start=1) if c
-    })
+    # e_{i+1}'s key is 1 << i
+    return Multivector._wrap(*sum_terms((1 << i, c) for i, c in enumerate(map(_check_coeff, v))))
 
 
 def basis(i: int) -> Multivector:
     """The basis 1-vector e_i."""
-    return Multivector._wrap({validate_blade((i,)): 1.0})
+    return Multivector._wrap([validate_blade((i,))], [1.0])

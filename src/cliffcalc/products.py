@@ -31,11 +31,14 @@ lines on such values, all four products instead read each pair's sign from
 pair.  The table is built once per signature masks and filter by that same
 loop, so there is one filter rule and one sign rule.
 
-Both paths sum coefficients per result key in pair order and drop exact
-zeros once, at the end: the per-pair path lists each pair's (key, value) and
-passes the list to :func:`~cliffcalc.multivector.sum_terms`, the finisher of
-every builder of terms; the kernel does the same at array level, its keys
-coming out ascending.
+Both paths read each operand's terms from its two stored lists, blade keys
+and coefficients, and return the result's in that form.  They sum
+coefficients per result key in pair order and drop exact zeros once, at the
+end: the per-pair path lists each pair's (key, value) and passes the list to
+:func:`~cliffcalc.multivector.sum_terms`, the finisher of every builder of
+terms, which appends each key and its sum to the two lists; the kernel does
+the same at array level, its keys coming out ascending, and each array
+becomes a list with one ``tolist()``.
 
 Each product passes its own cutoff to ``_binary``, because the per-pair
 path's cost follows the pairs that pass the product's filter while the
@@ -90,8 +93,8 @@ _TABLE_WIDTH = 6
 _TABLES_HELD = 16
 
 # Pairs that _pairs lists before it folds them into one per key (~1 MiB of
-# wide keys).  A dict held only the result's keys; the list holds every pair,
-# so without the fold a 512x512 product at dimension 10 under the python
+# wide keys).  The list holds every pair, not only the result's keys, so
+# without the fold a 512x512 product at dimension 10 under the python
 # backend (262,144 pairs, at most 1,024 keys) held ~30 MiB.  high_index
 # products (at most 72x72 pairs) never fold.
 _PAIRS_HELD = 1 << 13
@@ -140,15 +143,16 @@ def power(a: Multivector, k: int, sig: Signature) -> Multivector:
 def _binary(
     a: Multivector, b: Multivector, sig: Signature, filter_mode: int, cutoff: int
 ) -> Multivector:
-    # the operands' largest index, as max_index() takes it (a key dict's last
-    # key is its largest), once for both paths
-    width = (next(reversed(a._terms), 0) | next(reversed(b._terms), 0)).bit_length()
+    # the operands' largest index, as max_index() takes it (the last key is
+    # the largest), once for both paths
+    width = ((a._keys[-1] if a._keys else 0) | (b._keys[-1] if b._keys else 0)).bit_length()
     if (
-        len(a._terms) * len(b._terms) > cutoff
+        len(a._keys) * len(b._keys) > cutoff
         and width <= kernels.PACK_LIMIT
         and kernels.active_backend() != "python"
     ):
-        return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
+        keys, coeffs = kernels.packed_product(a._keys, a._coeffs, b._keys, b._coeffs, sig, filter_mode, width)
+        return Multivector._wrap(keys, coeffs)
     return _per_pair(a, b, sig, filter_mode, width)
 
 
@@ -165,9 +169,11 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
     units = [(kb, 1.0) for kb in range(1 << width)]
     rows = []
     for ka, _ in units:
+        row = [0] * len(units)
         # kb -> ka ^ kb is one to one, so each sum is one pair's sign
-        signs = _pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign)
-        rows.append(tuple([int(signs.get(ka ^ kb, 0)) for kb, _ in units]))
+        for key, sign in zip(*_pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign)):
+            row[ka ^ key] = int(sign)
+        rows.append(tuple(row))
     # tuples: every caller of the cache shares the one table
     return tuple(rows)
 
@@ -176,22 +182,23 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
               width: int) -> Multivector:
     # the wider of the two; a max() call took ~0.1 us, a few percent of a 1x1 product
     pos, neg = signature_masks(sig, width if width > _TABLE_WIDTH else _TABLE_WIDTH)
+    # the right operand's terms as (key, coefficient) pairs, which the inner
+    # loops run over faster than over one zip per left key
+    right = list(zip(b._keys, b._coeffs))
     if width > _TABLE_WIDTH:
         sign_of = blade_product if pos | neg else blade_wedge
-        acc = _pairs(a._terms.items(), b._terms.items(), pos, neg, filter_mode, sign_of)
-        return Multivector._wrap(acc)
+        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode, sign_of))
     rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
-    right = b._terms.items()
-    return Multivector._wrap(sum_terms([
+    return Multivector._wrap(*sum_terms([
         (ka ^ kb, ca * cb * sign)
-        for ka, ca in a._terms.items() for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
+        for ka, ca in zip(a._keys, a._coeffs) for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
     ]))
 
 
-def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> dict[int, float]:
+def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> tuple[list[int], list[float]]:
     """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
-    pairs of the terms ``left`` and ``right`` that the product's filter keeps
-    and ``sign_of`` gives a nonzero sign, as
+    pairs of the (key, coefficient) terms ``left`` and ``right`` (a list) that
+    the product's filter keeps and ``sign_of`` gives a nonzero sign, as
     :func:`~cliffcalc.multivector.sum_terms` returns it."""
     pairs: list[tuple[int, float]] = []
     add = pairs.append
@@ -202,7 +209,7 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> dict[i
             # fold the list into one pair per key: each key's run goes on
             # from its sum so far, the same chain, so the list stays within
             # twice the result's size or _PAIRS_HELD, plus one row
-            pairs = list(sum_terms(pairs).items())
+            pairs = list(zip(*sum_terms(pairs)))
             add = pairs.append
             held = max(_PAIRS_HELD, 2 * len(pairs))
         # a pair is kept when kb & mask == want: left keeps a ⊆ b and right
@@ -228,4 +235,3 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> dict[i
             if sign:
                 add((ka ^ kb, ca * cb * sign))
     return sum_terms(pairs)
-

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .blade import MAX_INDEX
+from .blade import MAX_INDEX, blade_key
 from .multivector import Multivector, sum_terms
 
 _MASK64 = (1 << 64) - 1
@@ -106,16 +106,16 @@ def random_multivector(spec: RandomSpec = RandomSpec()) -> Multivector:
     coeff_values = [c for c in range(spec.coeff_min, spec.coeff_max + 1) if c != 0]
     want = min(spec.num_terms, _available_blades(spec))
 
-    terms: dict[int, float] = {}
+    seen, terms = set(), []
     while len(terms) < want:
-        if spec.include_fewer:
-            grade = rng.next_below(spec.max_grade + 1)
-        else:
-            grade = spec.max_grade
-        key = 0  # draw d picks index d + 1: bit d of the blade key
-        while key.bit_count() < grade:
-            key |= 1 << rng.next_below(spec.dimension)
-        if key in terms:
+        grade = rng.next_below(spec.max_grade + 1) if spec.include_fewer else spec.max_grade
+        # the blade's key is built once its indices are drawn: a wide key
+        # grows to dimension bits, too costly to OR into on every draw
+        drawn: set[int] = set()
+        while len(drawn) < grade:
+            drawn.add(1 + rng.next_below(spec.dimension))
+        if (key := blade_key(drawn)) in seen:
             continue
-        terms[key] = float(coeff_values[rng.next_below(len(coeff_values))])
-    return Multivector._wrap(sum_terms(terms.items()))
+        seen.add(key)
+        terms.append((key, float(coeff_values[rng.next_below(len(coeff_values))])))
+    return Multivector._wrap(*sum_terms(terms))

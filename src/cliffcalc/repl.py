@@ -47,7 +47,7 @@ from .exprparse import (
 )
 from .metric import UNBOUNDED, Signature, euclidean
 from .blade import MAX_INDEX, blade_key
-from .multivector import Multivector, _check_coeff, basis, sum_terms
+from .multivector import Multivector, _check_coeff, basis, sum_terms, zero
 from .products import (
     geometric_product,
     left_contraction,
@@ -144,10 +144,10 @@ def eval_expr(expr: Expr, session: Session) -> Value:
                 node, user, signs = left, f"'{op}'", None
                 continue
             elif op in ("+", "-"):
-                value = Multivector._wrap(sum_terms([
+                value = Multivector._wrap(*sum_terms([
                     (key, sign * c)
                     for sign, term in zip(reversed(signs), values[-len(signs):])
-                    for key, c in term._terms.items()
+                    for key, c in zip(term._keys, term._coeffs)
                 ]))
                 del values[-len(signs):]
             else:
@@ -176,7 +176,7 @@ def eval_expr(expr: Expr, session: Session) -> Value:
             c, indices = node  # the lexer checked the indices
             if type(c) is not float or c - c:  # not a finite float: checked as from_scalar does
                 c = _check_coeff(c)
-            value = Multivector._wrap({blade_key(indices): c} if c else {})
+            value = Multivector._wrap([blade_key(indices)], [c]) if c else zero()
         elif kind is Var:
             value = _variable(node, variables, user)
         elif (kind is Neg or kind is Pow) and not signs:

@@ -83,16 +83,16 @@ def render(mv: Multivector, opts: PrintOptions = DEFAULT_OPTIONS) -> str:
     go into it, so an entry stays under ~0.4 KiB and a full cache of 4096
     under ~1.5 MiB; short blades take ~0.2 KiB each.
     """
-    terms = mv._terms
-    if not terms:
+    keys, coeffs = mv._keys, mv._coeffs
+    if not keys:
         return ZERO_FORM
-    if len(terms) == 1 and 0 in terms:
-        return f"scalar ( {format_coefficient(terms[0])} )"
+    if len(keys) == 1 and not keys[0]:
+        return f"scalar ( {format_coefficient(coeffs[0])} )"
     sep = opts.basis_sep
     return " ".join([
         f"{'-' if coeff < 0 else '+'} {format_coefficient(abs(coeff))}"
         f"{_blade_text(key, sep) if key < _CACHED_KEYS else _blade_form(key, sep)}"
-        for key, coeff in terms.items()
+        for key, coeff in zip(keys, coeffs)
     ])
 
 
@@ -157,7 +157,7 @@ def parse_multivector(text: str) -> Multivector:
                 "expected a coefficient or blade literal", tokens[k].pos
             )
         items.append((key, sign * coeff))
-    return Multivector._wrap(sum_terms(items))
+    return Multivector._wrap(*sum_terms(items))
 
 
 def save(mv: Multivector, path: str | os.PathLike) -> None:
@@ -204,4 +204,4 @@ def load(path: str | os.PathLike) -> Multivector:
                     error = f"bad index {tokens[at]!r}"
                 raise MultivectorFileError(error, lineno)
             items.append((blade_key(indices), coeff))
-    return Multivector._wrap(sum_terms(items))
+    return Multivector._wrap(*sum_terms(items))

@@ -3,15 +3,16 @@
 The scripts reach into names of the library that are private or that the
 package does not export (``products._per_pair``, the ``_SMALL_*`` cutoffs,
 ``kernels.packed_product``, ``kernels._operands``, ``kernels.pair_table``,
-``kernels.region_masks``, ``kernels.FILTER_*``, ``Multivector._wrap``,
-``exprparse.tokenize``), so a refactor can break them without any other
-test noticing.  Each run checks the exit code and the header the script
+``kernels.region_masks``, ``kernels.FILTER_*``, ``Multivector._wrap``, the
+stored lists ``Multivector._keys`` and ``_coeffs``, ``exprparse.tokenize``),
+so a refactor can break them without any other test noticing.  Each run checks the exit code and the header the script
 prints; the timings themselves are not checked.  ``benchmarks/ab.py``
 compares the working tree with ``HEAD``, which it exports with
 ``git archive``, so that run needs the repository's history.  The sweep
 also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
 which must keep the file's other keys.  ``ab.interleaved_rounds``, the timer
-behind every speed claim of both scripts, is driven with counting fake calls.
+behind every speed claim of both scripts, is driven with counting fake calls,
+and so is ``ab.compare_times`` with a parent that lacks an op.
 """
 
 import collections
@@ -120,3 +121,36 @@ def test_ab_times_the_working_tree_against_a_revision():
     # one row per op, each ending in its rounds won of the one timed
     rows = [line for line in out.splitlines() if line.endswith(("0/1", "1/1"))]
     assert [row.rsplit(None, 4)[0] for row in rows] == AB_OPS
+
+
+def test_ab_skips_an_op_that_the_parent_lacks(monkeypatch, capsys):
+    """An op missing from the parent's rows is reported as skipped and timed
+    under neither tree; the kernel row's operands take each tree's stored form."""
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    calls = collections.Counter()
+
+    def fake_ops(cc, script, startup_script):
+        tree = "change" if cc is ab.cliffcalc else "parent"
+        names = ["old", "new", "last"] if tree == "change" else ["old", "last"]
+        return {name: (lambda item, key=(tree, name): calls.update([key]), [None]) for name in names}
+
+    monkeypatch.setattr(ab, "micro_ops", fake_ops)
+    monkeypatch.setattr(ab, "calculator_script", lambda: None)
+    ab.compare_times(object(), 2, "unused")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[3:]] == ["old", "new", "last"]
+    assert lines[4] == f"{'new':<22}skipped: the parent has no such op"
+    # a warm-up round and two timed ones
+    assert calls == {(tree, name): 3 for tree in ("parent", "change") for name in ("old", "last")}
+
+    from cliffcalc import Multivector
+
+    mv = Multivector({(1,): 2.0, (2, 3): -1.0})
+    assert ab.stored_terms(mv) == ([0b1, 0b110], [2.0, -1.0])
+
+    class DictStored:  # a tree that stored a value's terms as one dict
+        _terms = {0b1: 2.0}
+
+    assert ab.stored_terms(DictStored()) == ({0b1: 2.0},)

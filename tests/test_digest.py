@@ -163,7 +163,7 @@ def calculator_records(seeds):
                 outcome = (type(err).__name__, str(err), getattr(err, "position", None),
                            getattr(err, "expected", None))
             bindings = tuple(
-                (name, tuple((key, c.hex()) for key, c in value._terms.items()))
+                (name, tuple((key, c.hex()) for key, c in zip(value._keys, value._coeffs)))
                 for name, value in sorted(session.variables.items())
             )
             yield line, outcome, bindings
@@ -224,7 +224,7 @@ def operand(rng: random.Random, bound: int, terms: int, kind: str) -> Multivecto
 
 def record(mv: Multivector) -> tuple:
     """A multivector's blade keys, in stored order, with coefficient bits."""
-    return tuple((key, c.hex()) for key, c in mv._terms.items())
+    return tuple((key, c.hex()) for key, c in zip(mv._keys, mv._coeffs))
 
 
 def outcome(call, *args):

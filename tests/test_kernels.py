@@ -38,7 +38,7 @@ def restore_backend():
 def packed(a, b, sig, filter_mode=FILTER_NONE):
     """``a`` times ``b`` through the packed path, whatever their sizes."""
     width = max(a.max_index(), b.max_index())
-    return Multivector._wrap(kernels.packed_product(a._terms, b._terms, sig, filter_mode, width))
+    return Multivector._wrap(*kernels.packed_product(a._keys, a._coeffs, b._keys, b._coeffs, sig, filter_mode, width))
 
 
 def big_corpus():
@@ -465,7 +465,7 @@ def test_contractions_up_to_their_cutoff_run_per_pair_and_match_the_kernel(resto
                     per_pair = list(product(a, b, sig).terms())
                     assert packed_calls == []
                     width = max(a.max_index(), b.max_index())
-                    kernel = Multivector._wrap(packed_product(a._terms, b._terms, sig, filter_mode, width))
+                    kernel = Multivector._wrap(*packed_product(a._keys, a._coeffs, b._keys, b._coeffs, sig, filter_mode, width))
                     assert coefficient_bits(per_pair) == coefficient_bits(kernel.terms())
 
 
@@ -688,7 +688,7 @@ def kernel_call(a, b, sig=Signature(6, 4), filter_mode=FILTER_NONE):
     pos, neg = region_masks(sig)
     width = max(a.max_index(), b.max_index())
     return pair_table(
-        *_operands(a._terms), *_operands(b._terms), np.uint64(pos), np.uint64(neg), width, filter_mode
+        *_operands(a._keys, a._coeffs), *_operands(b._keys, b._coeffs), np.uint64(pos), np.uint64(neg), width, filter_mode
     )
 
 
@@ -829,7 +829,7 @@ def test_the_unmasked_kernel_matches_the_python_backend_bit_for_bit(restore_back
         per_pair = list(geometric_product(a, b, sig).terms())
         assert coefficient_bits(packed) == coefficient_bits(per_pair)
         seen_underflow |= any(ca * cb == 0.0 for _, ca in a.terms() for _, cb in b.terms())
-        reached = np.unique(np.bitwise_xor.outer(_operands(a._terms)[0], _operands(b._terms)[0]))
+        reached = np.unique(np.bitwise_xor.outer(_operands(a._keys, a._coeffs)[0], _operands(b._keys, b._coeffs)[0]))
         seen_cancelled |= len(packed) < reached.size
     assert seen_underflow and seen_cancelled
 

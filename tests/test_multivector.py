@@ -24,6 +24,9 @@ from cliffcalc import (
 from cliffcalc.blade import blade_key
 from cliffcalc import products
 from tests.oracle import count_inversions
+# imported here, not inside a test: importing the module runs its @given
+# decorators, which hypothesis rejects inside another @given test
+from tests.test_kernels import packed
 from tests.strategies import FINITE_COEFFS, blades, multivectors
 
 
@@ -165,10 +168,19 @@ def test_no_stored_zero_coefficients(a):
 
 
 def assert_canonical_terms(mv):
-    """No stored coefficient is exactly zero, and keys ascend strictly."""
-    assert all(coeff != 0.0 for _, coeff in mv.terms())
-    keys = [blade_key(blade) for blade in mv.blades()]
-    assert keys == sorted(set(keys))
+    """The store is two lists of equal length: Python int keys ascending
+    strictly, and float coefficients none of which is exactly zero."""
+    keys, coeffs = mv._keys, mv._coeffs
+    assert type(keys) is list and type(coeffs) is list
+    assert len(keys) == len(coeffs)
+    assert all(type(key) is int for key in keys) and all(type(c) is float for c in coeffs)
+    assert all(low < high for low, high in zip(keys, keys[1:]))
+    assert all(c != 0.0 for c in coeffs)
+
+
+def narrow(mv):
+    """The terms of ``mv`` whose indices are all at most the sign table's width."""
+    return Multivector({blade: c for blade, c in mv.terms() if max(blade, default=0) <= products._TABLE_WIDTH})
 
 
 # up to 18 terms over 8 generators, so the numpy backend runs the packed
@@ -181,11 +193,15 @@ def assert_canonical_terms(mv):
     s=FINITE_COEFFS,
     sig=st.sampled_from([euclidean(), Signature(3, 1), grassmann()]),
     raw=st.lists(st.tuples(blades(8).map(lambda b: list(reversed(b))), FINITE_COEFFS), max_size=8),
+    seed=st.integers(0, 2**32),
 )
-def test_every_result_stores_canonical_terms(a, b, s, sig, raw):
+def test_every_result_stores_canonical_terms(a, b, s, sig, raw, seed):
+    from cliffcalc import RandomSpec, Session, eval_expr, parse_expr, random_multivector
+
     scaled = a * s
     built = from_terms([blade for blade, _ in raw], [coeff for _, coeff in raw])
-    results = [scaled, s * b, a + b, a - b, a - a + b, built]
+    results = [a, scaled, s * b, a * 0.0, a + b, a - b, a - a + b, -a, built, zero(), from_scalar(s),
+               basis(8), as_1vector([c for _, c in raw]), *(a.grade_part(r) for r in range(10))]
     previous = kernels.active_backend()
     try:
         for backend in ("numpy", "python"):
@@ -195,11 +211,22 @@ def test_every_result_stores_canonical_terms(a, b, s, sig, raw):
                         products.right_contraction(a, b, sig)]
     finally:
         kernels.set_backend(previous)
+    # the per-pair path's two loops, on every operand pair: the sign table on
+    # the terms within its width, the wide loop (any width past the table's
+    # bounds the keys) on all of them
+    width = max(a.max_index(), b.max_index(), products._TABLE_WIDTH + 1)
+    for filter_mode in (kernels.FILTER_NONE, kernels.FILTER_LEFT, kernels.FILTER_RIGHT):
+        results += [products._per_pair(narrow(a), narrow(b), sig, filter_mode, products._TABLE_WIDTH),
+                    products._per_pair(a, b, sig, filter_mode, width)]
     if a and b:  # the kernel itself, below the cutoffs too
-        from tests.test_kernels import packed
-
         results += [packed(a, b, sig, kernels.FILTER_NONE), packed(a, b, grassmann(), kernels.FILTER_NONE),
                     packed(a, b, sig, kernels.FILTER_LEFT), packed(a, b, sig, kernels.FILTER_RIGHT)]
+    # the calculator's literal terms and its + and - chains
+    session = Session(variables={"a": a, "b": b})
+    results += [eval_expr(parse_expr(line), session) for line in ("2.5e_13", "0e_2", "a + b - a + 3e_8", "a - a")]
+    for dimension in (8, 70):
+        spec = RandomSpec(dimension=dimension, max_grade=3, num_terms=12, include_fewer=True, seed=seed)
+        results.append(random_multivector(spec))
     for mv in results:
         assert_canonical_terms(mv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -265,6 +292,40 @@ def test_equality_is_structural():
     assert from_scalar(1) != from_scalar(2)
     assert hash(from_terms([[1, 2]], [1])) == hash(from_terms([[2, 1]], [-1]))
     assert len({sample_x(), sample_x(), zero(), zero()}) == 2
+
+
+def test_hash_values_are_those_of_the_term_tuples():
+    """``hash`` is that of the (blade key, coefficient) pairs as a tuple, so
+    a value hashes as it did when the terms were stored in a dict."""
+    from cliffcalc import MAX_INDEX
+
+    values = {
+        5740354900026072187: zero(),
+        -7867089251005121896: from_scalar(2.5),
+        -6468940870491667417: Multivector({(1,): 1.0, (2, 3): -2.0, (): 0.5}),
+        -239424877054962991: Multivector({(65,): 1.0, (1, 200): 0.5, (3, 64): -7.25}),
+        3351148772063129882: basis(MAX_INDEX),
+    }
+    for expected, mv in values.items():
+        assert hash(mv) == expected
+
+
+def test_coefficient_finds_present_and_absent_blades():
+    from cliffcalc import MAX_INDEX
+
+    blades = [(), (1,), (2, 3), (64,), (1, 65), (3, 64, 200), (MAX_INDEX - 1,), (1, MAX_INDEX)]
+    mv = Multivector({blade: float(k + 1) for k, blade in enumerate(blades)})
+    assert [blade_key(blade) for blade in mv.blades()] == sorted(map(blade_key, blades))
+    assert blade_key((1, 65)) > 2**64
+    for k, blade in enumerate(blades):
+        assert mv.coefficient(blade) == k + 1
+    # below the first key, between keys (above 2**64 too) and past the last
+    for blade in [(2,), (1, 2), (65,), (2, 65), (3, 64, 199), (MAX_INDEX,), (2, MAX_INDEX)]:
+        assert mv.coefficient(blade) == 0.0
+    top = basis(MAX_INDEX)
+    assert top.coefficient((MAX_INDEX,)) == 1.0 and top.coefficient(()) == 0.0
+    assert top.coefficient((MAX_INDEX - 1,)) == 0.0 and zero().coefficient((MAX_INDEX,)) == 0.0
+    assert mv.scalar_part() == 1.0 and top.scalar_part() == 0.0 and zero().scalar_part() == 0.0
 
 
 def test_coefficient_str_and_repr():

@@ -394,7 +394,7 @@ def test_the_sign_table_the_general_loop_the_kernel_and_the_oracle_agree(monkeyp
             elif filter_mode == kernels.FILTER_NONE:
                 # one call a pair, but under the null metric only the
                 # disjoint pairs reach the sign
-                kept = sum(product_sig != grassmann() or not ka & kb for ka in a._terms for kb in b._terms)
+                kept = sum(product_sig != grassmann() or not ka & kb for ka in a._keys for kb in b._keys)
                 assert len(sign_calls) == kept
             with monkeypatch.context() as general:
                 # below every product's width, the scalar ones' (0) too
@@ -429,7 +429,7 @@ def test_a_seven_index_product_takes_one_sign_call_per_surviving_pair(monkeypatc
         a = Multivector({(): 1.0, (1,): 2.0, (2, 7): -1.0, (1, 3, 5): 0.5})
         b = Multivector({(2,): 3.0, (7,): 1.0, (1, 2, 7): -2.0})
         assert max(a.max_index(), b.max_index()) == products._TABLE_WIDTH + 1
-        keys_a, keys_b = list(a._terms), list(b._terms)
+        keys_a, keys_b = list(a._keys), list(b._keys)
         geometric_product(a, b, Signature(3, 1))
         assert calls == {"blade_product": len(keys_a) * len(keys_b), "blade_wedge": 0}
         left_contraction(a, b, euclidean())
@@ -671,7 +671,7 @@ def test_every_builder_sums_by_the_one_rule(builder, tmp_path):
             # each operand holds each blade once, so only the sum sums
             a, b = (Multivector(dict(half)) for half in (terms[::2], terms[1::2]))
             sign = 1.0 if builder == "+" else -1.0
-            pairs = [*a._terms.items(), *((key, sign * c) for key, c in b._terms.items())]
+            pairs = [*zip(a._keys, a._coeffs), *((key, sign * c) for key, c in zip(b._keys, b._coeffs))]
             return (a + b if builder == "+" else a - b), pairs
         if builder == "from_terms":
             return from_terms([blade for blade, _ in terms], [c for _, c in terms]), pairs

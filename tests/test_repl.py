@@ -608,3 +608,27 @@ def test_interactive_eof_exits(monkeypatch):
     from cliffcalc.repl import interactive
 
     assert interactive(Session()) == 0
+
+
+_LAZY_REPL_PROBE = """
+import sys
+import cliffcalc
+print('cliffcalc.repl' in sys.modules, 'argparse' in sys.modules, 'shlex' in sys.modules)
+from cliffcalc import Session, eval_expr, run_command
+print('cliffcalc.repl' in sys.modules, cliffcalc.repl.run_command is run_command)
+session = Session()
+print(run_command('x = e_1 * e_2', session), run_command('x * x', session))
+print(eval_expr(cliffcalc.parse_expr('x ^ e_3'), session))
+"""
+
+
+def test_import_cliffcalc_loads_the_calculator_on_first_use():
+    # a fresh interpreter: this one has loaded the calculator already
+    src = os.path.dirname(os.path.dirname(cliffcalc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _LAZY_REPL_PROBE], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False False False", "True True", "None scalar ( -1 )", "+ 1e_123"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cliffcalc.no_such_name
