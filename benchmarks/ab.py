@@ -11,7 +11,8 @@ order, so a slow spell of the machine reaches both trees alike.
 
 The products: 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension
 6, a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
-acceptance-criterion-7 identity, a high_index-sized geometric product, left
+acceptance-criterion-7 identity and, on its operands, a 9x9 wedge and a 9x9
+left contraction in Cl(3,1), a high_index-sized geometric product, left
 contraction and wedge (45x45 terms, indices up to 200, Cl(100,60)), and the
 packed kernel at both ends: the 9x9 Cl(3,1) products called straight
 through ``kernels.packed_product`` (``81-pair kernel``, the fixed cost of a
@@ -19,11 +20,13 @@ kernel call, which no product this small takes by default), each operand
 passed in the stored form of its own tree (:func:`stored_terms`), a 512x512
 geometric product in Cl(6,4) at dimension 10, and a 1024x1024 one at
 dimension 12, whose table spans many row blocks and whose e_11 and e_12
-square to 0, so its pairs are masked.
-The other callers of ``multivector.sum_terms``, the finisher that every
-builder of terms ends in: ``+`` of 4+4 terms at dimension 6, of 45+45 terms
-with indices up to 200 and of 512+512 terms at dimension 10, and
-``parse_multivector`` on a 6-term literal line.  Both trees get the same
+square to 0, so its pairs are masked; and the 512x512 product once more
+under ``kernels.set_backend("python")``, on the per-pair path.
+Builders of terms other than the products: ``+`` of 4+4 terms at
+dimension 6 and of 45+45 terms with indices up to 200, which sum through
+``multivector.sum_terms``, and of 512+512 terms at dimension 10, which sums
+into slots (``multivector.dense_slots``), and ``parse_multivector`` on a
+6-term literal line.  Both trees get the same
 operands, built by the working tree's ``random_multivector`` and passed to
 each ``Multivector`` as index tuples.
 
@@ -204,6 +207,13 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
     def add(ab):
         return ab[0] + ab[1]
 
+    def python_backend(ab):
+        previous = cc.kernels.set_backend("python")
+        try:
+            return cc.geometric_product(*ab, cl64)
+        finally:
+            cc.kernels.set_backend(previous)
+
     triples = [tuple(mv(terms(9, 3 * k + side, include_fewer=True)) for side in range(3))
                for k in range(20)]
 
@@ -251,6 +261,8 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         "4x4 Cl(6,4) dim 12": (lambda ab: cc.left_contraction(*ab, cl64), wide),
         "4x4 wedge dim 12": (lambda ab: cc.wedge(*ab), wide),
         "criterion 7": (identity, triples),
+        "9x9 wedge dim 6": (lambda abc: cc.wedge(abc[0], abc[1]), triples),
+        "9x9 _| dim 6": (lambda abc: cc.left_contraction(abc[0], abc[1], cl31), triples),
         "high_index 45x45": (lambda ab: cc.geometric_product(*ab, high_sig), high),
         "high_index 45x45 _|": (lambda ab: cc.left_contraction(*ab, high_sig), high),
         "high_index 45x45 ^": (lambda ab: cc.wedge(*ab), high),
@@ -258,6 +270,7 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         **({"81-pair kernel": (kernel, product_pairs(9))} if hasattr(cc.kernels, "packed_product") else {}),
         "512x512 dim 10": (lambda ab: cc.geometric_product(*ab, cl64), large),
         "1024x1024 dim 12": (lambda ab: cc.geometric_product(*ab, cl64), larger),
+        "python 512x512 dim 10": (python_backend, large),
         "4+4 dim 6": (add, product_pairs(4)),
         "high_index 45+45": (add, high),
         "512+512 dim 10": (add, large),

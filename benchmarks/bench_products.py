@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the products across backends, and the per-pair/packed cutoffs.
+"""Benchmark the products across backends, the per-pair/packed cutoffs and the slots rule.
 
 The size sweep builds deterministic random multivectors of increasing term
 counts and times the geometric product through the per-pair Python path and
@@ -19,22 +19,32 @@ them) for the four products, under four signatures, in
 dimensions 6 and 10, at 49-640 term pairs of mixed-grade operands.  A cell is
 the median over 12 operand pairs of per-pair time over packed time, each the
 best of the repeats, the two paths interleaved; below 1 the per-pair path is
-ahead.  ``products``' three cutoffs are read off this grid.  Run from the
-repository root:
+ahead.  ``products``' three cutoffs are read off this grid.
+
+``--slots`` instead times, under the python backend, ``products._per_pair``
+for the four products and ``+`` with every sum in slots against every sum
+sorted, by setting the two constants of ``multivector.dense_slots``, at
+widths 3, 4, 6, 8 and 10 and 16 down to 1/4 slots per term pair (per term
+for ``+``).  A cell is the median over 8 operand pairs of slots time over
+sort time, each the best of the repeats, the two interleaved; below 1 slots
+are ahead.  ``multivector._SLOTS_PER_TERM`` and ``_FEW_TERMS`` are read off
+this grid.  Run from the repository root:
 
     python benchmarks/bench_products.py
     python benchmarks/bench_products.py --sizes 16,64,256 --repeats 7
     python benchmarks/bench_products.py --json BENCH_products.json
     python benchmarks/bench_products.py --cutoffs --repeats 25 --json BENCH_products.json
+    python benchmarks/bench_products.py --slots --repeats 25 --json BENCH_products.json
 
 ``--json PATH`` also writes the run, in microseconds per cell, with the
 machine and the Python and NumPy versions, into PATH: the size sweep under
-``rows``, the cutoff grid under ``cutoffs``.  Other keys already in the file
-are kept.
+``rows``, the cutoff grid under ``cutoffs``, the slots grid under ``slots``.
+Other keys already in the file are kept.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -44,7 +54,7 @@ import numpy as np
 
 from cliffcalc import (Multivector, Signature, euclidean, geometric_product, grassmann, left_contraction,
                        wedge)
-from cliffcalc import kernels, products
+from cliffcalc import kernels, multivector, products
 from cliffcalc.rand import RandomSpec, random_multivector
 
 from ab import interleaved_rounds
@@ -68,6 +78,15 @@ KERNEL_CALLS = 8
 #: Each ``products`` cutoff and the products it chooses the path of.
 CUTOFF_COVERS = (("_SMALL_PAIRS", ("geometric",)), ("_SMALL_WEDGE_PAIRS", ("wedge",)),
                  ("_SMALL_CONTRACTION_PAIRS", ("left", "right")))
+#: Largest generator index of the slots grid's operands: the sign table's
+#: widths and two of the wide per-pair loop's.
+SLOT_WIDTHS = (3, 4, 6, 8, 10)
+#: Slots per term that the slots grid aims its operand sizes at.
+SLOTS_PER_TERM = (16, 8, 4, 2, 1, 0.5, 0.25)
+SLOT_OPERANDS = 8
+#: The signature of the slots grid's products: no generator up to 10 squares
+#: to 0, so the geometric product keeps every pair.
+SLOT_SIG = Signature(6, 4)
 
 
 def build(num_terms: int, seed: int):
@@ -176,6 +195,105 @@ def cutoff_grid(repeats: int) -> dict:
     }
 
 
+def slot_operands(width: int, terms: int, seed: int):
+    """Two operands of about ``terms`` terms between them, or ``terms`` term
+    pairs, each holding e_width, so that the keys' range is ``1 << width``."""
+    blades = 2 ** width - 1
+    if terms < 0:  # a sum: its operands' terms add up
+        na = nb = max(1, min(blades, -terms // 2))
+    else:
+        na = max(1, min(blades, math.isqrt(terms)))
+        nb = max(1, min(blades, round(terms / na)))
+    pair = []
+    for side, n in enumerate((na, nb)):
+        mv = random_multivector(RandomSpec(dimension=width, max_grade=min(5, width), num_terms=n,
+                                           include_fewer=True, seed=10_000 * width + 10 * seed + side))
+        if mv.coefficient((width,)) == 0.0:
+            mv = mv + Multivector({(width,): 1.0})
+        pair.append(mv)
+    return pair
+
+
+def slot_ratio(call, repeats: int) -> float:
+    """Time of ``call()`` with every sum in slots over its time with every sum
+    through ``multivector.sum_terms``, best of ``repeats`` each, interleaved:
+    the two constants of ``multivector.dense_slots`` are set so that its rule
+    always or never reads slots."""
+    rules = {"slots": (1 << 20, -1), "sort": (0, -1)}
+    times = {}
+    for name in tuple(rules) * (repeats + 1):
+        multivector._SLOTS_PER_TERM, multivector._FEW_TERMS = rules[name]
+        start = time.perf_counter()
+        call()
+        elapsed = time.perf_counter() - start
+        times[name] = min(times.get(name, float("inf")), elapsed)
+    return times["slots"] / times["sort"]
+
+
+def slots_grid(repeats: int) -> dict:
+    """The slots grid: per product (and ``+``), width and aimed slots per
+    term, the median over operand pairs of slots over sort time, with the
+    median term pairs (``+``: terms) per slot of its operands."""
+    previous_backend = kernels.set_backend("python")
+    rule = multivector._SLOTS_PER_TERM, multivector._FEW_TERMS
+    sums = (("sum", None, False),)
+    rows = []
+    try:
+        for width in SLOT_WIDTHS:
+            for per_term in SLOTS_PER_TERM:
+                terms = round((1 << width) / per_term)
+                for product, filter_mode, signed in CUTOFF_PRODUCTS + sums:
+                    ratios, densities = [], []
+                    for k in range(SLOT_OPERANDS):
+                        a, b = slot_operands(width, -terms if product == "sum" else terms, k)
+                        if product == "sum":
+                            call, pairs = (lambda: a + b), a.num_terms() + b.num_terms()
+                        else:
+                            sig = SLOT_SIG if signed else grassmann()
+                            call = (lambda: products._per_pair(a, b, sig, filter_mode, width))
+                            pairs = a.num_terms() * b.num_terms()
+                        ratios.append(slot_ratio(call, repeats))
+                        densities.append(pairs / (1 << width))
+                    rows.append({"product": product, "width": width,
+                                 "slots_per_term": round(1 / float(np.median(densities)), 3),
+                                 "ratio": round(float(np.median(ratios)), 3)})
+                    print(f"{product:>10} {width:>6} {rows[-1]['slots_per_term']:>10.2f}"
+                          f" {rows[-1]['ratio']:>8.2f}")
+    finally:
+        multivector._SLOTS_PER_TERM, multivector._FEW_TERMS = rule
+        kernels.set_backend(previous_backend)
+    # per product, the most slots per term at which slots are still ahead at
+    # that width and every denser cell of it
+    ahead = {}
+    for product in (name for name, _, _ in CUTOFF_PRODUCTS + sums):
+        ahead[product] = {}
+        for width in SLOT_WIDTHS:
+            cells = sorted((row["slots_per_term"], row["ratio"]) for row in rows
+                           if row["product"] == product and row["width"] == width)
+            reach = 0.0
+            for per_term, ratio in cells:
+                if ratio >= 1:
+                    break
+                reach = per_term
+            ahead[product][str(width)] = reach
+    print("slots ahead through this many slots per term (0: never)")
+    print(f"{'width':>10}" + "".join(f"{product:>11}" for product in ahead))
+    for width in SLOT_WIDTHS:
+        print(f"{width:>10}" + "".join(f"{ahead[product][str(width)]:>11.2f}" for product in ahead))
+    print(f"multivector._SLOTS_PER_TERM (now {multivector._SLOTS_PER_TERM}),"
+          f" _FEW_TERMS (now {multivector._FEW_TERMS})")
+    return {
+        "timing": f"slots over sort time of products._per_pair (python backend) and of +, each the "
+                  f"best of {repeats} interleaved calls after one warm-up, median of "
+                  f"{SLOT_OPERANDS} operand pairs",
+        "operands": "random_multivector, include_fewer=True, max_grade min(5, width), e_width "
+                    f"added where missing, Cl({SLOT_SIG.p},{SLOT_SIG.q}); slots_per_term is the "
+                    "median over the operand pairs of 1 << width over term pairs (+: terms)",
+        "rows": rows,
+        "slots_ahead_through": ahead,
+    }
+
+
 def size_sweep(sizes, repeats: int) -> dict:
     header = None
     rows = []
@@ -226,11 +344,15 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=25, help="timed repetitions per cell")
     parser.add_argument("--cutoffs", action="store_true",
                         help="time the per-pair/packed cutoff grid instead of the size sweep")
+    parser.add_argument("--slots", action="store_true",
+                        help="time the per-pair products' and +'s slots against the sort instead")
     parser.add_argument("--json", metavar="PATH", help="also write the run as JSON into PATH")
     args = parser.parse_args()
 
     if args.cutoffs:
         update = {"cutoffs": cutoff_grid(args.repeats)}
+    elif args.slots:
+        update = {"slots": slots_grid(args.repeats)}
     else:
         update = size_sweep([int(s) for s in args.sizes.split(",")], args.repeats)
     if args.json:

@@ -105,7 +105,11 @@ def dense_bins(width: int, pairs: int) -> int:
 
     Dense pays for ``1 << width`` bins, where ``width`` bounds the bit length
     of every key (the caller's ``max_index()``); it is used while that stays
-    within twice the pair count (and always up to 1024 bins).
+    within twice the pair count (and always up to 1024 bins).  This is the
+    kernel's own rule: it weighs ``bincount`` over the bins against
+    ``np.unique`` over the pairs, both at array speed, where
+    :func:`cliffcalc.multivector.dense_slots`, the per-pair path's and
+    ``+``'s rule, weighs a Python list of slots against a sort of tuples.
     """
     bins = 1 << width
     return bins if bins <= max(1024, 2 * pairs) else 0

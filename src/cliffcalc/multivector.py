@@ -5,13 +5,19 @@ blade keys (see :func:`cliffcalc.blade.blade_key`) in ascending order, which
 is canonical order, and their coefficients.  Index tuples appear only at its
 public methods.  No key is ever hashed: a blade's coefficient is found by
 bisection, and ``==`` compares the two lists.  The lists are never changed
-once stored, so values may share them.  :func:`sum_terms` is the one rule
-that puts (blade key, coefficient) pairs in that form, and every builder
-that can make a zero or break the order ends in it: the constructors, ``+``,
-scalar ``*``, the per-pair products, the text and file readers, the
-calculator's ``+``/``-`` chains and the random generator.  Everything here
-is metric-free: construction, addition, negation, scalar multiplication and
-the grade machinery.  The metric-dependent products live in
+once stored, so values may share them.  Every builder that can make a zero
+or break the order sums per key in the order it lists its terms, from 0.0,
+and drops the exact zeros at the end, in one of two finishers.
+:func:`sum_terms` sorts (blade key, coefficient) pairs by key, and takes no
+slot per possible key: the constructors, scalar ``*``, the text and file
+readers, the calculator's ``+``/``-`` chains, the random generator, and
+``+`` and the per-pair products while their keys' range is wide next to
+their terms.  Where it is narrow (:func:`dense_slots`), ``+`` and the
+per-pair products instead add each term into a list indexed by blade key,
+which :func:`slot_terms` reads back: a term then costs one addition, not a
+tuple and its place in a sort.  Everything here is metric-free:
+construction, addition, negation, scalar multiplication and the grade
+machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
 
 Coefficients are finite doubles: every constructor and scalar
@@ -28,10 +34,14 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .blade import MAX_INDEX, Blade, blade_key, canonicalize, key_blade, validate_blade
+
+
+_new = object.__new__
 
 
 class Multivector:
@@ -50,19 +60,22 @@ class Multivector:
             for blade, coeff in dict(terms).items()
         )
 
-    @classmethod
-    def _wrap(cls, keys: list[int], coeffs: list[float]) -> "Multivector":
+    @staticmethod
+    def _wrap(keys: list[int], coeffs: list[float]) -> "Multivector":
         """Adopt blade keys and coefficients that are already in stored form.
 
-        Every builder that sums terms passes :func:`sum_terms`'s result.  Only
-        builders that keep the order and cannot make a zero skip it:
+        Every builder that sums terms passes :func:`sum_terms`'s result, or
+        :func:`slot_terms`'s.  Only builders that keep the order and cannot
+        make a zero skip both:
         ``__neg__``, :func:`basis`, the packed path's terms from
         :func:`cliffcalc.kernels.packed_product`, which ``products._binary``
         wraps, and the calculator's literal terms, one
         :class:`cliffcalc.exprparse.Term` each, in
         :func:`cliffcalc.repl.eval_expr`.
         """
-        mv = object.__new__(cls)
+        # a static method with object.__new__ bound once: ~50 ns less a call
+        # than a class method, a few percent of a 1x1 product
+        mv = _new(Multivector)
         mv._keys = keys
         mv._coeffs = coeffs
         return mv
@@ -118,7 +131,18 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector._wrap(*sum_terms(zip(self._keys + other._keys, self._coeffs + other._coeffs)))
+        keys = self._keys + other._keys
+        # dense_slots is 0 for so few terms: spare them the width (~0.1 us)
+        if len(keys) > _FEW_TERMS:
+            # the largest key's bit length, as in products._binary
+            width = ((self._keys[-1] if self._keys else 0) | (other._keys[-1] if other._keys else 0)).bit_length()
+            slots = dense_slots(width, len(keys))
+            if slots:
+                acc = [0.0] * slots
+                for key, value in zip(keys, self._coeffs + other._coeffs):
+                    acc[key] += value
+                return Multivector._wrap(*slot_terms(acc))
+        return Multivector._wrap(*sum_terms(zip(keys, self._coeffs + other._coeffs)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -190,7 +214,9 @@ def sum_terms(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float
     and no key is ever hashed.  Builders list all their terms first and call
     this once: a sum that cancels to ±0.0 and is then added to equals a fresh
     sum from 0.0, so dropping zeros only at the end gives the same
-    coefficients as dropping them along the way.
+    coefficients as dropping them along the way.  Builders whose keys fit in
+    few slots sum into them instead (:func:`dense_slots`,
+    :func:`slot_terms`), to the same bits.
     """
     keys, coeffs = [], []
     last, total = None, 0.0
@@ -205,6 +231,53 @@ def sum_terms(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float
         keys.append(last)
         coeffs.append(total)
     return keys, coeffs
+
+
+# A sum of more than _FEW_TERMS terms goes into slots (dense_slots) while its
+# keys' range holds at most _SLOTS_PER_TERM slots per term.  Both are read
+# off the "slots" grid in BENCH_products.json, written by
+# ``benchmarks/bench_products.py --slots``: per builder, width and slots per
+# term, the time with every sum in slots over the time with every sum
+# sorted.  At widths 6-10, ``+`` reads 0.77-1.00 at 2 slots per term and
+# 1.04-1.38 at 3.6-4; the geometric product breaks even at 2.6-4.3 slots per
+# pair, the wedge at 1-1.7 and the contractions, whose filter drops most
+# pairs, at 0.25-0.8, so products.py counts a pair of theirs as half a term.
+# That leaves contractions at one slot per pair at 1.03 at width 8 and
+# 1.14-1.18 at width 10, a width at which the default backend sends every
+# contraction of that many pairs to the kernel.  At widths 3 and 4, sums of
+# 4-8 terms read 1.03-1.17 and products of up to 16 pairs 0.96-1.08, so a
+# few terms always sort, as does a 1x1 product, which 64 slots cost ~1.25x.
+_SLOTS_PER_TERM = 2
+_FEW_TERMS = 8
+
+
+def dense_slots(width: int, terms: int) -> int:
+    """``1 << width`` when ``terms`` terms whose keys are all below it sum
+    faster into a list indexed by key (see :func:`slot_terms`) than through
+    :func:`sum_terms`, else 0.
+
+    The list costs a slot per possible key, allocated and scanned once, and
+    spares each term a tuple and its place in the sort.  This rule serves
+    the builders whose per-term work is Python bytecode: ``+`` and the
+    per-pair products.  :func:`cliffcalc.kernels.dense_bins` is the numpy
+    kernel's own rule, weighing ``bincount`` bins against ``np.unique``.
+    """
+    # terms * _SLOTS_PER_TERM >= 1 << width, without building a wide int
+    return 1 << width if terms > _FEW_TERMS and width < (terms * _SLOTS_PER_TERM).bit_length() else 0
+
+
+def slot_terms(acc: list[float]) -> tuple[list[int], list[float]]:
+    """The terms of ``acc``, a list of sums indexed by blade key, as
+    :func:`sum_terms` returns them: the keys of the nonzero sums, ascending,
+    and those sums.
+
+    A builder that adds each term's value to its key's slot, all slots
+    starting at 0.0, in the order :func:`sum_terms` would take them, gets
+    the same sums bit for bit: each slot's is the same ``total + value``
+    chain from 0.0.  ``compress`` and ``filter`` drop exactly the ±0.0 sums
+    that :func:`sum_terms` drops, and keep NaN.
+    """
+    return list(compress(range(len(acc)), acc)), list(filter(None, acc))
 
 
 def zero() -> Multivector:

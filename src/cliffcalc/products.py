@@ -33,12 +33,21 @@ loop, so there is one filter rule and one sign rule.
 
 Both paths read each operand's terms from its two stored lists, blade keys
 and coefficients, and return the result's in that form.  They sum
-coefficients per result key in pair order and drop exact zeros once, at the
-end: the per-pair path lists each pair's (key, value) and passes the list to
-:func:`~cliffcalc.multivector.sum_terms`, the finisher of every builder of
-terms, which appends each key and its sum to the two lists; the kernel does
-the same at array level, its keys coming out ascending, and each array
-becomes a list with one ``tolist()``.
+coefficients per result key in pair order from 0.0 and drop exact zeros
+once, at the end.  Every result key of operands whose indices are at most
+``width`` is below ``1 << width``, so where
+:func:`~cliffcalc.multivector.dense_slots` finds those keys few next to the
+pairs (a wedge's or contraction's pair counting half, since their filters
+drop most), the per-pair path adds each pair's value into a list of
+``1 << width`` slots indexed by key, and
+:func:`~cliffcalc.multivector.slot_terms` reads the nonzero slots back in
+key order: a pair then costs one addition.  Otherwise it lists each pair's
+(key, value) and passes the list to
+:func:`~cliffcalc.multivector.sum_terms`, which sorts it by key and appends
+each key and its sum to the two lists, and holds no slot per possible key:
+every product with an index above 64 sums so.  Both give the same bits.  The
+kernel does the same at array level, its keys coming out ascending, and each
+array becomes a list with one ``tolist()``.
 
 Each product passes its own cutoff to ``_binary``, because the per-pair
 path's cost follows the pairs that pass the product's filter while the
@@ -65,7 +74,7 @@ from . import kernels
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, grassmann, signature_masks
-from .multivector import Multivector, from_scalar, sum_terms
+from .multivector import Multivector, dense_slots, from_scalar, slot_terms, sum_terms
 
 # Products of at most this many term pairs take the per-pair path.  Each was
 # the largest pair count at which the median per-pair over packed time of the
@@ -93,13 +102,16 @@ _TABLE_WIDTH = 6
 _TABLES_HELD = 16
 
 # Pairs that _pairs lists before it folds them into one per key (~1 MiB of
-# wide keys).  The list holds every pair, not only the result's keys, so
-# without the fold a 512x512 product at dimension 10 under the python
-# backend (262,144 pairs, at most 1,024 keys) held ~30 MiB.  high_index
-# products (at most 72x72 pairs) never fold.
+# wide keys), when it sorts rather than sums into slots.  The list holds
+# every pair, not only the result's keys, so without the fold a 512x512
+# product onto 1,024 keys spread over indices up to 20 or 200 (too wide for
+# slots) held 29-36 MiB at its peak, against 1.2-1.4 MiB, and took 1.4x the
+# time at indices up to 20.  high_index products (at most 72x72 pairs)
+# never fold.
 _PAIRS_HELD = 1 << 13
 
-# The wedge's signature: every generator squares to 0
+# The wedge's signature: every generator squares to 0, so _per_pair takes
+# its masks as (0, 0) without reading them
 _GRASSMANN = grassmann()
 
 
@@ -171,7 +183,7 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
     for ka, _ in units:
         row = [0] * len(units)
         # kb -> ka ^ kb is one to one, so each sum is one pair's sign
-        for key, sign in zip(*_pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign)):
+        for key, sign in zip(*_pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign, 0)):
             row[ka ^ key] = int(sign)
         rows.append(tuple(row))
     # tuples: every caller of the cache shares the one table
@@ -180,30 +192,51 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
 
 def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
               width: int) -> Multivector:
-    # the wider of the two; a max() call took ~0.1 us, a few percent of a 1x1 product
-    pos, neg = signature_masks(sig, width if width > _TABLE_WIDTH else _TABLE_WIDTH)
+    # the wider of the two; a max() call took ~0.1 us, a few percent of a 1x1
+    # product; the wedge's masks are the null ones at every width
+    pos, neg = (0, 0) if sig is _GRASSMANN else signature_masks(sig, width if width > _TABLE_WIDTH else _TABLE_WIDTH)
+    pairs = len(a._keys) * len(b._keys)
+    # the wedge and the contractions drop most pairs before the sum, so a
+    # pair of theirs counts as half a term (see multivector._SLOTS_PER_TERM)
+    slots = dense_slots(width, (pairs + 1) >> 1 if filter_mode or not pos | neg else pairs)
     # the right operand's terms as (key, coefficient) pairs, which the inner
-    # loops run over faster than over one zip per left key
-    right = list(zip(b._keys, b._coeffs))
+    # loops run over faster than over one zip per left key; a lone left key
+    # runs over its one zip
+    right = list(zip(b._keys, b._coeffs)) if len(a._keys) > 1 else zip(b._keys, b._coeffs)
     if width > _TABLE_WIDTH:
         sign_of = blade_product if pos | neg else blade_wedge
-        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode, sign_of))
+        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode, sign_of, slots))
     rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
-    return Multivector._wrap(*sum_terms([
-        (ka ^ kb, ca * cb * sign)
-        for ka, ca in zip(a._keys, a._coeffs) for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
-    ]))
+    if not slots:
+        return Multivector._wrap(*sum_terms([
+            (ka ^ kb, ca * cb * sign)
+            for ka, ca in zip(a._keys, a._coeffs) for row in (rows[ka],) for kb, cb in right if (sign := row[kb])
+        ]))
+    acc = [0.0] * slots
+    for ka, ca in zip(a._keys, a._coeffs):
+        row = rows[ka]
+        for kb, cb in right:
+            if sign := row[kb]:
+                acc[ka ^ kb] += ca * cb * sign
+    return Multivector._wrap(*slot_terms(acc))
 
 
-def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> tuple[list[int], list[float]]:
+def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of,
+           slots: int) -> tuple[list[int], list[float]]:
     """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
-    pairs of the (key, coefficient) terms ``left`` and ``right`` (a list) that
-    the product's filter keeps and ``sign_of`` gives a nonzero sign, as
-    :func:`~cliffcalc.multivector.sum_terms` returns it."""
+    pairs of the (key, coefficient) terms ``left`` and ``right`` (a list,
+    when ``left`` has more than one term) that the product's filter keeps and
+    ``sign_of`` gives a nonzero sign, as
+    :func:`~cliffcalc.multivector.sum_terms` returns it: added into
+    ``slots`` slots when that is not 0 (see
+    :func:`~cliffcalc.multivector.dense_slots`), else listed, folded past
+    ``_PAIRS_HELD`` pairs, and sorted."""
+    acc = [0.0] * slots if slots else None
     pairs: list[tuple[int, float]] = []
     add = pairs.append
     held = _PAIRS_HELD
     null = not (pos | neg)
+    left_filter = filter_mode == kernels.FILTER_LEFT
     for ka, ca in left:
         if len(pairs) > held:
             # fold the list into one pair per key: each key's run goes on
@@ -217,7 +250,7 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> tuple[
         # |a| - |b|; under the null metric (the wedge) the product keeps the
         # pairs that share no generator, whose sign alone can be nonzero, and
         # under any other (mask = want = 0) every pair
-        if filter_mode == kernels.FILTER_LEFT:
+        if left_filter:
             mask = want = ka
         elif filter_mode:
             mask, want = ~ka, 0
@@ -233,5 +266,8 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of) -> tuple[
                 parity, dead = sign_factors(ka, pos, neg, ka.bit_length())
             sign = sign_of(parity, dead, kb)
             if sign:
-                add((ka ^ kb, ca * cb * sign))
-    return sum_terms(pairs)
+                if slots:
+                    acc[ka ^ kb] += ca * cb * sign
+                else:
+                    add((ka ^ kb, ca * cb * sign))
+    return slot_terms(acc) if slots else sum_terms(pairs)

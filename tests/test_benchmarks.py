@@ -2,6 +2,7 @@
 
 The scripts reach into names of the library that are private or that the
 package does not export (``products._per_pair``, the ``_SMALL_*`` cutoffs,
+the slots rule's ``multivector._SLOTS_PER_TERM`` and ``_FEW_TERMS``,
 ``kernels.packed_product``, ``kernels._operands``, ``kernels.pair_table``,
 ``kernels.region_masks``, ``kernels.FILTER_*``, ``Multivector._wrap``, the
 stored lists ``Multivector._keys`` and ``_coeffs``, ``exprparse.tokenize``),
@@ -51,7 +52,10 @@ SWEEP_COLUMNS = ["python", "numpy", "kernel", "lc python", "lc numpy", "wedge py
     (("benchmarks/bench_products.py", "--cutoffs", "--repeats", "1"),
      ("median per-pair/packed over signatures and dimensions",
       "_SMALL_PAIRS (now", "_SMALL_WEDGE_PAIRS (now", "_SMALL_CONTRACTION_PAIRS (now")),
-], ids=["sweep", "cutoffs"])
+    (("benchmarks/bench_products.py", "--slots", "--repeats", "1"),
+     ("slots ahead through this many slots per term", "geometric", "sum",
+      "multivector._SLOTS_PER_TERM (now", "_FEW_TERMS (now")),
+], ids=["sweep", "cutoffs", "slots"])
 def test_benchmark_script_runs(args, header, tmp_path):
     trajectory = tmp_path / TRAJECTORY
     if TRAJECTORY in args:
@@ -94,8 +98,9 @@ def test_interleaved_rounds_runs_every_row_once_a_round_in_a_varying_order():
 #: calculator's layers, ``run_command`` by line kind and on the README's
 #: first line, and start-up.
 AB_OPS = ["1x1 Cl(3,1)", "4x4 Cl(3,1)", "9x9 Cl(3,1)", "4x4 Cl(6,4) dim 12", "4x4 wedge dim 12",
-          "criterion 7", "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
-          "81-pair kernel", "512x512 dim 10", "1024x1024 dim 12",
+          "criterion 7", "9x9 wedge dim 6", "9x9 _| dim 6",
+          "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
+          "81-pair kernel", "512x512 dim 10", "1024x1024 dim 12", "python 512x512 dim 10",
           "4+4 dim 6", "high_index 45+45", "512+512 dim 10", "parse 6 terms",
           "tokenize", "parse_expr", "eval_expr", "render",
           "literal", "binary", "power", "grades", "command", "star literal",

@@ -140,6 +140,63 @@ def test_additive_identity_and_inverse():
     assert (x + (-x)).is_zero()
 
 
+#: Stored coefficients whose sums cancel to ±0.0, overflow to ±inf or, from
+#: infinities that products can store, give NaN.
+SUMMANDS = (1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300, 1.7e308, -1.7e308, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("width", [3, 6, 8, 10])
+def test_sums_on_each_side_of_the_slots_rule_match_the_sort_bit_for_bit(monkeypatch, width):
+    """``+`` sums more than 8 terms into slots when ``2 * terms >= 1 <<
+    width``, and sorts the rest; either way its keys, order and bits are
+    each key's values added from 0.0, left operand first, with exact zeros
+    dropped, as :func:`~cliffcalc.multivector.sum_terms` gives them."""
+    import random
+    import struct
+
+    from cliffcalc import multivector
+
+    def bits(keys, coeffs):
+        return [(key, struct.pack("<d", c)) for key, c in zip(keys, coeffs)]
+
+    chosen = []
+    rule = multivector.dense_slots
+
+    def recording(width, terms):
+        chosen.append(rule(width, terms))
+        return chosen[-1]
+
+    monkeypatch.setattr(multivector, "dense_slots", recording)
+    rng = random.Random(width)
+    top = 1 << (width - 1)
+    # the fewest terms that take slots: more than 8, and 2 * terms >= 1 << width
+    first = max(9, top)
+    seen = set()
+    for terms, slots in ((first, 1 << width), (first - 1, 0)):
+        na = terms // 2
+        for _ in range(12):
+            # the left operand holds e_width; the right one shares half its
+            # keys with it
+            keys_a = sorted([top] + rng.sample(range(top), na - 1))
+            shared = rng.sample(keys_a, (terms - na) // 2)
+            others = sorted(set(range(1 << width)) - set(keys_a))
+            keys_b = sorted(shared + rng.sample(others, terms - na - len(shared)))
+            a, b = (Multivector._wrap(keys, [rng.choice(SUMMANDS) for _ in keys]) for keys in (keys_a, keys_b))
+            del chosen[:]
+            got = a + b
+            assert chosen == ([slots] if terms > 8 else [])
+            sums = {}
+            for key, value in (*zip(a._keys, a._coeffs), *zip(b._keys, b._coeffs)):
+                sums[key] = sums.get(key, 0.0) + value
+            expected = bits(*zip(*[(key, c) for key, c in sorted(sums.items()) if c]))
+            assert bits(got._keys, got._coeffs) == expected
+            assert bits(*multivector.sum_terms(zip(a._keys + b._keys, a._coeffs + b._coeffs))) == expected
+            seen |= {"zero" for c in sums.values() if c == 0.0}
+            seen |= {"inf" for c in got._coeffs if c in (math.inf, -math.inf)}
+            seen |= {"nan" for c in got._coeffs if c != c}
+    assert seen == {"zero", "inf", "nan"}
+
+
 def test_scalar_multiplication():
     x = sample_x()
     assert (0 * x).is_zero()

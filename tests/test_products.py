@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from cliffcalc import (
     wedge,
     zero,
 )
-from tests.oracle import contraction_by_definition, product_by_rewriting
+from tests.oracle import contraction_by_definition, contraction_by_rewriting, product_by_rewriting
 from tests.strategies import corpus_triples, multivectors
 
 SIGNATURES = [euclidean(), Signature(3, 1), Signature(1, 1), grassmann(), Signature(7)]
@@ -573,10 +574,202 @@ def test_per_pair_sums_run_in_pair_order(monkeypatch, bin_name, product):
                 # fold the pair list before every left term
                 folding.setattr(products, "_PAIRS_HELD", 0)
                 assert terms_bits(run(a, b)) == expected
+            with monkeypatch.context() as path:
+                # every sum through sum_terms and, where the keys' range is
+                # small enough to allocate, every sum into slots
+                for rule in (lambda width, terms: 0, lambda width, terms: 1 << width):
+                    path.setattr(products, "dense_slots", rule)
+                    if rule(0, 0) == 0 or bin_name == "narrow":
+                        assert terms_bits(run(a, b)) == expected
     finally:
         kernels.set_backend(previous)
     assert seen["order"] and seen["zero"]
     assert bin_name != "wide" or seen["collision"]
+
+
+# --- slots: sums into a list indexed by blade key -------------------------
+
+#: Coefficients whose pair products overflow to ±inf, and whose sums of
+#: opposite infinities are NaN.
+OVERFLOWING = (1e300, -1e300, 1e200, 1.0, -0.5)
+
+
+def operands_of(rng, width, na, nb, coeffs):
+    """Two operands of exactly ``na`` and ``nb`` distinct blades over the
+    indices 1..width, the left one holding e_width, with coefficients drawn
+    from ``coeffs``."""
+    from cliffcalc.blade import key_blade
+
+    top = 1 << (width - 1)
+    keys_a = [top] + rng.sample([key for key in range(1 << width) if key != top], na - 1)
+    keys_b = rng.sample(range(1 << width), nb)
+    return tuple(Multivector({key_blade(key): rng.choice(coeffs) for key in keys}) for keys in (keys_a, keys_b))
+
+
+def rewritten_runs(a, b, sig, keep):
+    """Per blade key, in pair order, the values of the rewriting oracle's
+    pairs of ``a`` and ``b`` that ``keep`` keeps; :func:`summed_bits` sums
+    them, which unlike the oracle's products takes sums that overflow."""
+    from cliffcalc.blade import blade_key
+    from tests.oracle import rewrite_blade_product
+
+    pairs = []
+    for blade_a, ca in a.terms():
+        for blade_b, cb in b.terms():
+            sign, blade = rewrite_blade_product(blade_a, blade_b, sig)
+            if sign and keep(blade_a, blade_b):
+                pairs.append((blade_key(blade), ca * cb * sign))
+    return runs_of(pairs)
+
+
+def sum_events_of(runs):
+    """Which of these the sums of ``runs`` go through: a pair value of ±0.0
+    (an underflow), a sum that reaches exactly 0.0 and is then added to
+    nonzero ("revived"), and a NaN sum."""
+    events = set()
+    for values in runs.values():
+        total = values[0]
+        for value in values[1:]:
+            if total == 0.0 and value:
+                events.add("revived")
+            total += value
+        if 0.0 in values:
+            events.add("underflow")
+        if total != total:
+            events.add("nan")
+    return events
+
+
+def same_but_nan_signs(got, expected):
+    """``got`` equals ``expected`` (both as :func:`terms_bits` reads them) in
+    keys, order and bits, but for the sign bit of a NaN, which the kernel may
+    set otherwise than the Python paths."""
+    import struct
+
+    def loose(bits):
+        return [(blade, "nan" if math.isnan(c := struct.unpack("<d", packed)[0]) else packed)
+                for blade, packed in bits]
+
+    return loose(got) == loose(expected)
+
+
+#: (product, filter mode, takes the signature, pairs kept) of each product.
+SLOT_PRODUCTS = {
+    "geometric": (geometric_product, 0, True, lambda x, y: True),
+    "wedge": (lambda a, b, sig: wedge(a, b), 0, False, lambda x, y: True),
+    "left": (left_contraction, 1, True, lambda x, y: set(x) <= set(y)),
+    "right": (right_contraction, 2, True, lambda x, y: set(y) <= set(x)),
+}
+
+
+def takes_slots(product, width, pairs):
+    """The slots rule for a per-pair product, written apart from the
+    library: more than 8 terms, at least one per 2 slots, where a wedge's or
+    a contraction's pair counts half."""
+    terms = pairs if product == "geometric" else (pairs + 1) // 2
+    return terms > 8 and 2 * terms >= 1 << width
+
+
+def shape_of(pairs, width):
+    """Term counts ``(na, nb)`` of two operands at ``width`` with ``pairs``
+    pairs, ``na`` the largest divisor up to the square root, or None."""
+    na = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+    return (na, pairs // na) if pairs // na <= 1 << width else None
+
+
+@pytest.mark.parametrize("product", SLOT_PRODUCTS)
+def test_products_on_each_side_of_the_slots_rule_match_the_sort_the_oracle_and_the_kernel(monkeypatch, product):
+    """The per-pair products sum into slots from the fewest pairs that
+    :func:`takes_slots` on, and sort below.  At widths 3, 6, 8 and 10, on
+    both sides and under both backends, with sums that cancel to ±0.0 and
+    revive, pairs that underflow and products that overflow to inf and NaN,
+    each result equals the sort path, the rewriting oracle and the kernel in
+    terms, order and bits."""
+    import random
+
+    from cliffcalc import kernels, products
+    from tests.test_kernels import CANCELLING, packed
+
+    run, filter_mode, signed, keep = SLOT_PRODUCTS[product]
+    chosen = []
+    rule = products.dense_slots
+
+    def recording(width, terms):
+        chosen.append(rule(width, terms))
+        return chosen[-1]
+
+    monkeypatch.setattr(products, "dense_slots", recording)
+    previous = kernels.active_backend()
+    events = set()
+    try:
+        for width in (3, 6, 8, 10):
+            # a generator of each kind, e_width squaring to 0
+            sig = Signature(width - 2, 1)
+            pair_sig = sig if signed else grassmann()
+            first = next(n for n in itertools.count(1) if takes_slots(product, width, n))
+            # the pair counts nearest the rule's boundary on each side that
+            # two operands at this width can make
+            dense = next(shape_of(n, width) for n in itertools.count(first) if shape_of(n, width))
+            sort = next(shape_of(n, width) for n in range(first - 1, 0, -1) if shape_of(n, width))
+            for backend in ("python", "numpy"):
+                kernels.set_backend(backend)
+                rng = random.Random(f"{product}:{width}")
+                for (na, nb), slots in ((dense, 1 << width), (sort, 0)):
+                    for coeffs in (CANCELLING, OVERFLOWING, (1.0, -1.0)) * 4:
+                        a, b = operands_of(rng, width, na, nb, coeffs)
+                        del chosen[:]
+                        got = terms_bits(run(a, b, sig))
+                        if backend == "python":
+                            assert chosen == [slots]
+                        runs = rewritten_runs(a, b, pair_sig, keep)
+                        events |= sum_events_of(runs)
+                        expected = summed_bits(runs)
+                        with monkeypatch.context() as sort_path:
+                            sort_path.setattr(products, "dense_slots", lambda width, terms: 0)
+                            assert terms_bits(products._per_pair(a, b, sig if signed else products._GRASSMANN,
+                                                                 filter_mode, width)) == expected
+                        assert got == expected
+                        assert same_but_nan_signs(terms_bits(packed(a, b, pair_sig, filter_mode)), expected)
+    finally:
+        kernels.set_backend(previous)
+    assert events == {"revived", "underflow", "nan"}
+
+
+def test_a_seven_index_product_in_slots_takes_one_sign_call_per_surviving_pair(monkeypatch):
+    """Past the table width a product in slots still makes one
+    ``products.blade_product`` (``blade_wedge`` under the null metric) call
+    per pair that its filter keeps, as perfbench counts them."""
+    import random
+
+    from cliffcalc import kernels, products
+
+    calls = {"blade_product": 0, "blade_wedge": 0}
+
+    def counting(name):
+        original = getattr(products, name)
+
+        def sign(*args):
+            calls[name] += 1
+            return original(*args)
+        return sign
+
+    for name in calls:
+        monkeypatch.setattr(products, name, counting(name))
+    rng = random.Random(7)
+    a, b = operands_of(rng, 7, 12, 12, (1.0, -2.0, 0.5, 3.0))
+    keys_a, keys_b = list(a._keys), list(b._keys)
+    assert takes_slots("left", 7, len(keys_a) * len(keys_b))
+    sig = Signature(3, 2)
+    previous = kernels.set_backend("python")
+    try:
+        got = [geometric_product(a, b, sig), left_contraction(a, b, sig), wedge(a, b)]
+    finally:
+        kernels.set_backend(previous)
+    kept = sum(ka & kb == ka for ka in keys_a for kb in keys_b)
+    disjoint = sum(not ka & kb for ka in keys_a for kb in keys_b)
+    assert calls == {"blade_product": len(keys_a) * len(keys_b) + kept, "blade_wedge": disjoint}
+    assert got == [product_by_rewriting(a, b, sig), contraction_by_rewriting(a, b, sig, "left"),
+                   product_by_rewriting(a, b, grassmann())]
 
 
 def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
@@ -596,6 +789,8 @@ def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
 
     monkeypatch.setattr(products, "sum_terms", recording)
     monkeypatch.setattr(products, "_PAIRS_HELD", 64)
+    # the sort path, the one that lists pairs (these keys fit in slots)
+    monkeypatch.setattr(products, "dense_slots", lambda width, terms: 0)
     rng = random.Random(20)
     a, b = (cancelling_multivector(rng, 8, 40) for _ in range(2))
     sig = Signature(5, 2)
@@ -607,6 +802,33 @@ def test_a_long_per_pair_product_folds_its_pairs(monkeypatch):
     assert terms_bits(got) == terms_bits(product_by_rewriting(a, b, sig))
     assert a.num_terms() * b.num_terms() > 10 * 64 and len(sizes) > 3
     assert max(sizes) <= max(64, 2 * got.num_terms()) + b.num_terms()
+
+
+def test_a_python_backend_product_of_many_pairs_onto_few_keys_holds_no_pair_list():
+    """A 512x512 product at dimension 10 under the python backend lists none
+    of its 262,144 pairs (~30 MiB as tuples, 1 MiB when folded every
+    ``_PAIRS_HELD`` pairs): it adds each into one of 1,024 slots."""
+    import tracemalloc
+
+    from cliffcalc import kernels
+    from cliffcalc.rand import RandomSpec, random_multivector
+    from tests.test_kernels import packed
+
+    a, b = (random_multivector(RandomSpec(dimension=10, max_grade=5, num_terms=512, include_fewer=True,
+                                          seed=seed)) for seed in (400, 401))
+    assert a.num_terms() == b.num_terms() == 512
+    sig = Signature(6, 4)
+    previous = kernels.set_backend("python")
+    tracemalloc.start()
+    try:
+        got = geometric_product(a, b, sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        kernels.set_backend(previous)
+    # slots and the operands' pairing: ~0.07 MiB; the folded sort: ~1.2 MiB
+    assert peak < 1 << 18
+    assert got == packed(a, b, sig)
 
 
 def drawn_terms(spec):
