@@ -6,8 +6,11 @@
 ``cliffcalc_parent``, beside the working tree's ``cliffcalc``, and times
 named ops on both, in interleaved rounds through
 :func:`interleaved_rounds`, the timer ``bench_products.py`` imports too:
-each round times one pass of every op under each tree, in a seeded shuffled
-order, so a slow spell of the machine reaches both trees alike.
+each round times every op, in a seeded shuffled order, the two trees'
+passes over its items taking turns until each tree has run them for
+:data:`MIN_PASS_S` (20 ms), so that a slow spell of the machine reaches
+both trees alike and an op of a few microseconds is timed over thousands
+of calls.
 
 The products: 1x1, 4x4 and 9x9 geometric products in Cl(3,1) at dimension
 6, a 4x4 left contraction in Cl(6,4) and a 4x4 wedge at dimension 12, one
@@ -35,7 +38,9 @@ each tree then runs in a ``Session`` of its own under Cl(6,4): six lines
 bind ``v0``..``v5`` to dimension-12 literals, then 200 expression lines,
 about a quarter literals (2-6 terms, grade <= 3), the rest binary products,
 powers and ``grades`` calls of the bound names.  Its layers one at a time,
-per line: ``tokenize``, ``parse_expr`` (which includes ``tokenize``),
+per line: ``tokenize``, ``tokenize cold`` (the same, every cache of the
+tree's ``exprparse`` cleared before each pass over the script, outside the
+time), ``parse_expr`` (which includes ``tokenize``),
 ``eval_expr`` on the parsed trees, and ``render`` of the values; then
 whole lines through ``run_command`` by kind: ``literal`` assignments,
 printed ``binary`` products, ``power``s, ``grades`` calls,
@@ -52,11 +57,21 @@ For each op it prints the median time per item under each tree, the median
 over the rounds of change/parent time (below 1 the working tree is faster)
 and in how many rounds the working tree was faster.  An op that the parent
 revision lacks, ``81-pair kernel`` before ``kernels.packed_product``, is
-skipped with a note.  Run from the repository
-root:
+skipped with a note.
+
+``--diff N`` times nothing and instead runs the lexer differential: ``N``
+seeded strings from :func:`diff_line` (literal lines, the comma form at
+depth 0 and inside parentheses, brackets with whitespace, the indices 0,
+65535 and 65536, over-long digit strings, stray ``)``, non-ASCII digits and
+random text) through both trees' ``tokenize``, ``parse_expr`` and
+``parse_multivector``.  Per string it compares the tokens, tree or value,
+or else the error's class, message, ``position`` and ``expected``, prints
+the count of strings that differ and the first few, and exits 1 if any
+does.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/ab.py --parent HEAD
     PYTHONPATH=src python benchmarks/ab.py --parent HEAD~3 --repeats 31
+    PYTHONPATH=src python benchmarks/ab.py --parent HEAD --diff 400000
 """
 
 import argparse
@@ -81,31 +96,52 @@ OPERATORS = ("*", "^", "_|", "|_")
 KINDS = ("literal", "binary", "power", "grades")
 #: The README's first calculator line, products written out with ``*``.
 STAR_LITERAL = "x = 1 + 2*e_1 + 3*e_2 + 4*e_23"
+#: The least time a row's passes take in one round (see :func:`interleaved_rounds`).
+MIN_PASS_S = 0.02
 COMMANDS = (":signature 3 1", ":basissep ,", ":signature inf", ":basissep",
             ":signature 6 4", ":signature 4")
 
 
-def interleaved_rounds(rows: dict, repeats: int, before=lambda name: None) -> dict:
+def interleaved_rounds(rows: dict, repeats: int, before=lambda name: None,
+                       min_seconds: float = 0.0, group=None) -> dict:
     """Seconds per item of each row in each of ``repeats`` rounds, after a
     warm-up round that is dropped; a row is (call, items).
 
-    Each round times one pass of every row over its items, so a slow spell
+    Each round times passes of every row over its items, so a slow spell
     of the machine reaches all the rows alike, in a seeded shuffled order,
     so that no row always follows the same one (the call before leaves the
-    caches warm or cold).  ``before(name)`` runs ahead of each pass of that
-    row, outside its time.
+    caches warm or cold).  A row makes passes until they have taken
+    ``min_seconds`` in all, at least one, so that a row of a few
+    microseconds is timed over many calls and one scheduler hiccup moves
+    its round by little.  Rows with the same ``group(name)`` are timed
+    together, their passes taking turns in a shuffled order until each has
+    taken ``min_seconds``, so that rows to be compared with each other run
+    within milliseconds of each other, and a drift of the machine's speed
+    over the round reaches them alike.  ``before(name)`` runs ahead of each
+    pass of that row, outside its time.
     """
     times = {name: [] for name in rows}
-    order = list(rows.items())
+    groups: dict = {}
+    for name, row in rows.items():
+        groups.setdefault(name if group is None else group(name), []).append((name, row))
+    order = list(groups.values())
     shuffle = random.Random(0).shuffle
     for _ in range(repeats + 1):
         shuffle(order)
-        for name, (call, items) in order:
-            before(name)
-            start = time.perf_counter()
-            for item in items:
-                call(item)
-            times[name].append((time.perf_counter() - start) / len(items))
+        for members in order:
+            shuffle(members)
+            spent = dict.fromkeys((name for name, _ in members), 0.0)
+            passes = dict.fromkeys(spent, 0)
+            while min(passes.values()) == 0 or min(spent.values()) < min_seconds:
+                for name, (call, items) in members:
+                    before(name)
+                    start = time.perf_counter()
+                    for item in items:
+                        call(item)
+                    spent[name] += time.perf_counter() - start
+                    passes[name] += 1
+            for name, (_, items) in members:
+                times[name].append(spent[name] / (passes[name] * len(items)))
     return {name: t[1:] for name, t in times.items()}
 
 
@@ -276,6 +312,9 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
         "512+512 dim 10": (add, large),
         "parse 6 terms": (cc.parse_multivector, ["+ 1 + 2e_1 - 3e[2, 11] + 0.5e[1, 3, 12] - 4e_2 + e[7, 12]"]),
         "tokenize": (cc.exprparse.tokenize, lines),
+        # the same lines, every cache of the lexer cleared before each pass
+        # (see compare_times)
+        "tokenize cold": (cc.exprparse.tokenize, lines),
         "parse_expr": (cc.parse_expr, lines),
         "eval_expr": (lambda tree: cc.eval_expr(tree, session), trees),
         "render": (cc.render, values),
@@ -290,10 +329,21 @@ def micro_ops(cc, script: tuple, startup_script: str) -> dict:
 
 def compare_times(parent, repeats: int, startup_script: str) -> None:
     script = calculator_script()
-    ops = {tree: micro_ops(cc, script, startup_script) for tree, cc in (("parent", parent), ("change", cliffcalc))}
+    trees = {"parent": parent, "change": cliffcalc}
+    ops = {tree: micro_ops(cc, script, startup_script) for tree, cc in trees.items()}
     # an op that the parent lacks is skipped; every other is timed under both trees
     timed = [name for name in ops["change"] if name in ops["parent"]]
-    rounds = interleaved_rounds({(tree, name): ops[tree][name] for tree in ops for name in timed}, repeats)
+
+    def clear_cold(key):  # every lru_cache of the tree's exprparse
+        tree, name = key
+        if name == "tokenize cold":
+            for value in vars(trees[tree].exprparse).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    # an op's two trees are timed together, their passes taking turns
+    rounds = interleaved_rounds({(tree, name): ops[tree][name] for tree in ops for name in timed}, repeats,
+                                clear_cold, MIN_PASS_S, group=lambda key: key[1])
     print(f"median of {repeats} interleaved rounds, microseconds per item")
     header = f"{'op':<22}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'faster':>9}"
     print(header)
@@ -309,14 +359,112 @@ def compare_times(parent, repeats: int, startup_script: str) -> None:
               f"{ratio:>15.3f}{f'{faster}/{repeats}':>9}")
 
 
+#: Pieces of the differential's strings of fragments (see :func:`diff_line`).
+FRAGMENTS = ("+", "-", "*", "^", "_|", "|_", "**", "(", ")", ",", ".", "2", ".5", "1e+16", "1e999",
+             "0", "x", "v0", "x_", "grade", "e", "e_", "e[", "]", "the zero clifford element (0)",
+             "scalar ( -1e-05 )", "\u0663", "\u00b2", "\u00e9", "#", "\t", "\u00a0")
+#: The characters of the differential's random text.
+TEXT_CHARS = "e_[](),.*^|+-0123456789 \teEax\u0663\u00b2\u00a0"
+
+
+def diff_index(rng: random.Random) -> str:
+    """An index's digits: mostly 1-14, sometimes 0, 65535, 65536, leading
+    zeros, a non-ASCII digit or an over-long digit string."""
+    pick = rng.random()
+    if pick < 0.1:
+        return rng.choice(("0", "65535", "65536", "007", "0" * 30 + "12", "9" * 30, "1\u0663"))
+    if pick < 0.102:
+        return "1" * 5000  # more digits than int() converts
+    return str(rng.randint(1, 14))
+
+
+def diff_blade(rng: random.Random) -> str:
+    """A blade literal in one of its forms, each index from :func:`diff_index`,
+    usually ascending, brackets with any whitespace and now and then broken."""
+    indices = [diff_index(rng) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.8:
+        indices.sort(key=lambda i: int(i) if i.isascii() and i.isdigit() and len(i) < 40 else 0)
+    form = rng.randrange(3)
+    if form == 0:
+        return "e_" + "".join(i[-1] for i in indices)
+    if form == 1:
+        return "e_" + ",".join(indices)
+    space = lambda: rng.choice(("", "", " ", "  ", "\t"))
+    text = f"e{space()}[{space()}" + f"{space()},{space()}".join(indices) + space()
+    return text + rng.choice(("]", "]", "]", "", ",", ", ]"))
+
+
+def diff_line(rng: random.Random) -> str:
+    """One string of the lexer differential: a literal line, fragments and
+    blade literals inside and outside parentheses, or random text."""
+    kind = rng.randrange(4)
+    if kind == 0:  # a literal line, as rendered or typed
+        return " ".join(f"{rng.choice('+-')} {rng.choice(('', '2', '0.5', '3e2'))}{diff_blade(rng)}"
+                        for _ in range(rng.randint(1, 6)))
+    if kind == 1:  # the comma form at depth 0 and inside parentheses
+        blades = [diff_blade(rng) for _ in range(rng.randint(1, 3))]
+        return rng.choice(("{} + {}", "grade({}, 2)", "({}) * {}", "f({},{})", ") {} ( {}")).format(
+            *blades, *blades)
+    if kind == 2:  # fragments
+        parts = [rng.choice(FRAGMENTS) if rng.random() < 0.7 else diff_blade(rng)
+                 for _ in range(rng.randint(1, 10))]
+        return "".join(p + rng.choice(("", " ", "")) for p in parts)
+    return "".join(rng.choices(TEXT_CHARS, k=rng.randint(0, 20)))
+
+
+def shape(value):
+    """``value`` as plain data that compares across trees: node and token
+    types by name, floats by their bits, a multivector by its terms."""
+    if hasattr(value, "terms"):
+        value = list(value.terms())
+    if isinstance(value, tuple):
+        return (type(value).__name__, *map(shape, value))
+    if isinstance(value, list):
+        return list(map(shape, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def outcome(call, text: str) -> tuple:
+    """What ``call(text)`` gives: its value's :func:`shape`, or its error's
+    class, message, ``position`` and ``expected``."""
+    try:
+        return ("value", shape(call(text)))
+    except Exception as error:  # any error is compared
+        return ("error", type(error).__name__, str(error), getattr(error, "base_message", None),
+                getattr(error, "position", None), getattr(error, "expected", None))
+
+
+def compare_lexers(parent, count: int) -> int:
+    """Run ``count`` seeded strings from :func:`diff_line` through both trees'
+    ``tokenize``, ``parse_expr`` and ``parse_multivector``; print the number
+    of strings on which some outcome differs, and the first few, and return it."""
+    rng = random.Random(0)
+    calls = [(cc.exprparse.tokenize, cc.parse_expr, cc.parse_multivector) for cc in (parent, cliffcalc)]
+    differences = 0
+    for _ in range(count):
+        text = diff_line(rng)
+        before, after = ([outcome(call, text) for call in tree] for tree in calls)
+        if before != after:
+            differences += 1
+            if differences <= 5:
+                print(f"differs on {text[:200]!r}:\n  parent {before}\n  change {after}")
+    print(f"lexer differential: {count} strings, {differences} differences")
+    return differences
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, metavar="REV", help="git revision to compare against")
     parser.add_argument("--repeats", type=int, default=15, help="timed rounds")
+    parser.add_argument("--diff", type=int, metavar="N",
+                        help="instead of timing, compare the lexers on N seeded strings")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         parent = import_revision(args.parent, tmp)
+        if args.diff is not None:
+            print(f"parent {args.parent} against the working tree")
+            return 1 if compare_lexers(parent, args.diff) else 0
         startup_script = os.path.join(tmp, "two_lines.cliff")
         with open(startup_script, "w") as f:
             f.write("x = e_1 * e_2\nx * x\n")

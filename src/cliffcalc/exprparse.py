@@ -15,10 +15,9 @@ getting the surprising grouping requires explicit parentheses.
 
 :func:`tokenize` is the one lexer for number and blade literals; the
 multivector parser :func:`cliffcalc.textio.parse_multivector` reads its
-tokens too.  It is one loop over one token table, a regex with a named
+tokens too.  It reads the line through one token table, a regex with a named
 alternative per token kind, tried in this order after any whitespace:
 
-* ``end``: the end of input;
 * ``op``: ``**``, ``_|``, ``|_`` and ``- + * ^ ( ) ,``;
 * ``number``: decimal with an optional exponent (``2.5``, ``.5``,
   ``1e+16``); one that overflows a double is an error at its position, and
@@ -32,6 +31,10 @@ alternative per token kind, tried in this order after any whitespace:
   ``|``, so ``x_|y`` reads as ``x _| y``;
 * ``char``: any other character, which is an error.
 
+The ``end`` token stands at the end of input, where only whitespace is
+left and the table finds no more tokens; an alternative for it, the only
+empty one, made the table's matches ~15% slower.
+
 Numbers and indices take the ASCII digits ``0-9`` only, as names take ASCII
 letters, so a digit of another script (``\u0663``) is an unexpected
 character; whitespace between tokens is any Unicode whitespace.  A blade
@@ -41,7 +44,28 @@ which states the rule, and an error stands at its first bad index.
 The table is compiled with and without the comma form, chosen by
 ``depth != 0``: no expression has a comma outside parentheses, so
 ``grade(e_12,2)`` is still a two-argument call, and after a stray ``)`` the
-depth is negative and the comma form stays off.
+depth is negative and the comma form stays off.  One ``finditer`` of the
+table reads the tokens while the table stays; a ``(`` or ``)`` that leaves
+the depth within -1..1, where it may have moved to or from 0, ends it, and
+the next one starts after that token.  After any whitespace, ``char``
+matches where nothing else does, so ``finditer`` finds each token where the
+last one ended, as a ``match`` there would, and stops only where nothing
+but whitespace is left.  Tokens are built by ``tuple.__new__``, in C, not
+through the NamedTuple's Python-level ``__new__``, which took about twice
+as long a token.
+
+A blade literal's text (``e_12``, ``e_1,10``, ``e[4, 6, 12]``) is read into
+its checked index tuple by :func:`_literal_indices`, a cache of the last
+:data:`_LITERALS_HELD` (1024) texts that read without error, so a script
+that writes the same blades over and over converts and checks each text
+once; a bad literal raises at its offset in the text, to which
+:func:`tokenize` adds the token's start.  Only texts of at most
+:data:`_CACHED_TEXT` (64) characters go in, so an entry stays under
+~0.5 KiB and a full cache under ~0.5 MiB (tracemalloc: ~0.45 KiB an
+entry of 62 characters, ~0.15 KiB one of ``e_12`` or ``e[1, 2, 3]``).
+Nothing is cached by whole line or tree: a calculator's lines are seldom
+typed twice, and such a cache would time a replayed script's repeats, not
+the parse.
 
 Since a blade literal always starts ``e_`` or ``e[``, ``2e1`` is the number
 20 and ``2e_1`` is 2 times e_1.  The exponent of ``**`` must be a
@@ -74,6 +98,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .blade import Blade, first_bad_index, index_value
@@ -159,8 +184,7 @@ _DIGITS_RE = re.compile(r"[0-9]+")
 def _token_table(run: str) -> re.Pattern[str]:
     """The token table: one alternative per token kind, tried in order."""
     return re.compile(rf"""\s*(?:
-        (?P<end>\Z)
-      | (?P<op>\*\*|_\||\|_|[-+*^(),])
+        (?P<op>\*\*|_\||\|_|[-+*^(),])
       | (?P<number>{NUMBER})
       | (?P<dot>\.)                                          # malformed number
       | (?P<run>{run})
@@ -176,6 +200,29 @@ def _token_table(run: str) -> re.Pattern[str]:
 _TOKEN_TABLES = (_token_table(r"e_[0-9]+(?:,[0-9]+)*"), _token_table(r"e_[0-9]+"))
 
 
+#: Blade-literal texts whose checked index tuples are held at once, least
+#: recently used dropped first; only texts of at most _CACHED_TEXT
+#: characters go in (see the module docstring).  The ~300 blades up to
+#: grade 3 at dimension 12 in each of a script's three forms fit.
+_LITERALS_HELD = 1024
+_CACHED_TEXT = 64
+
+
+@lru_cache(maxsize=_LITERALS_HELD)
+def _literal_indices(text: str) -> Blade:
+    """The canonical index tuple of the blade literal ``text``, checked by
+    :func:`~cliffcalc.blade.first_bad_index`; a bad index is an error at the
+    offset of its digits in ``text``."""
+    # a run without commas has one index per digit
+    digits = _DIGIT_RE if text[1] == "_" and "," not in text else _DIGITS_RE
+    indices = tuple(map(index_value, digits.findall(text)))
+    bad = first_bad_index(indices)
+    if bad:
+        at, error = bad
+        raise ExpressionSyntaxError(error, [*digits.finditer(text)][at].start())
+    return indices
+
+
 def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens, ending with an ``end`` token.
 
@@ -183,50 +230,45 @@ def tokenize(source: str) -> list[Token]:
     index tuple, checked by :func:`~cliffcalc.blade.first_bad_index`.
     """
     tokens: list[Token] = []
-    pos = 0
-    depth = 0  # parenthesis depth; negative after a stray ')'
-    match = _TOKEN_TABLES[0].match
+    add = tokens.append
+    new = tuple.__new__  # a Token without its Python-level __new__
+    pos = depth = 0  # depth: parenthesis depth; negative after a stray ')'
     while True:
-        m = match(source, pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        text = m[kind]
-        if kind == "op":
-            if text in "()":
-                depth += 1 if text == "(" else -1
-                match = _TOKEN_TABLES[depth != 0].match
-            tokens.append(Token("op", text, start))
-        elif kind == "number":
-            value = float(text)
-            if math.isinf(value):
-                raise ExpressionSyntaxError(f"number {text} is out of range", start)
-            tokens.append(Token("number", value, start, text))
-        elif kind == "ident":
-            tokens.append(Token("ident", text, start))
-        elif kind == "run" or kind == "bracket":
-            if kind == "run" and "," not in text:  # one index per digit
-                digits, indices = _DIGIT_RE, tuple(map(int, text[2:]))
+        # one finditer while the table stays, which only a '(' or ')' that
+        # moves the depth to or from 0 changes
+        for m in _TOKEN_TABLES[depth != 0].finditer(source, pos):
+            kind = m.lastgroup
+            start, text = m.start(kind), m[kind]
+            if kind == "op" or kind == "ident":
+                add(new(Token, (kind, text, start, "")))
+                if text in "()":
+                    depth += 1 if text == "(" else -1
+                    if -1 <= depth <= 1:  # the table may change: restart after it
+                        pos = m.end()
+                        break
+            elif kind == "number" or kind == "zero":  # the zero form is the number 0
+                value = float(text) if kind == "number" else 0.0
+                if math.isinf(value):
+                    raise ExpressionSyntaxError(f"number {text} is out of range", start)
+                add(new(Token, ("number", value, start, text)))
+            elif kind == "run" or kind == "bracket":
+                try:
+                    indices = (_literal_indices if len(text) <= _CACHED_TEXT else _literal_indices.__wrapped__)(text)
+                except ExpressionSyntaxError as error:  # raised at its offset in the text
+                    raise ExpressionSyntaxError(error.base_message, start + error.position) from None
+                add(new(Token, ("blade", indices, start, text)))
+            elif kind == "open":
+                pos = m.end()
+                what = f"'{source[pos]}'" if pos < len(source) else "end of input"
+                expected = ("an integer index",) if text.rstrip()[-1] in "[," else ("','", "']'")
+                raise ExpressionSyntaxError(f"unexpected {what}", pos, expected)
+            elif kind == "dot":
+                raise ExpressionSyntaxError("malformed number", start)
             else:
-                digits = _DIGITS_RE
-                indices = tuple(map(index_value, digits.findall(source, start, pos)))
-            bad = first_bad_index(indices)
-            if bad:  # raised at the digits of the bad index
-                at, error = bad
-                raise ExpressionSyntaxError(error, [*digits.finditer(source, start, pos)][at].start())
-            tokens.append(Token("blade", indices, start, text))
-        elif kind == "zero":
-            tokens.append(Token("number", 0.0, start, text))
-        elif kind == "end":
-            tokens.append(Token("end", None, start))
+                raise ExpressionSyntaxError(f"unexpected character {text!r}", start)
+        else:  # nothing but whitespace is left
+            add(new(Token, ("end", None, len(source), "")))
             return tokens
-        elif kind == "open":
-            what = f"'{source[pos]}'" if pos < len(source) else "end of input"
-            expected = ("an integer index",) if text.rstrip()[-1] in "[," else ("','", "']'")
-            raise ExpressionSyntaxError(f"unexpected {what}", pos, expected)
-        elif kind == "dot":
-            raise ExpressionSyntaxError("malformed number", start)
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {text!r}", start)
 
 
 _ATOM_EXPECTED = ("a number", "a blade literal", "a name", "'('", "'-'")
@@ -324,12 +366,6 @@ def parse_expr(source: str) -> Expr:
 
 
 def _describe(tok: Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    if tok.kind == "op":
-        return f"'{tok.value}'"
-    if tok.kind == "number":
-        return f"number {tok.text}"
-    if tok.kind == "blade":
-        return f"blade {tok.text}"
-    return f"name '{tok.value}'"
+    kind, value, _, text = tok
+    return {"end": "end of input", "op": f"'{value}'", "number": f"number {text}",
+            "blade": f"blade {text}"}.get(kind, f"name '{value}'")

@@ -74,7 +74,7 @@ from . import kernels
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
 from .metric import Signature, grassmann, signature_masks
-from .multivector import Multivector, dense_slots, from_scalar, slot_terms, sum_terms
+from .multivector import _SLOTS_PER_TERM, Multivector, dense_slots, from_scalar, slot_terms, sum_terms
 
 # Products of at most this many term pairs take the per-pair path.  Each was
 # the largest pair count at which the median per-pair over packed time of the
@@ -198,15 +198,20 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
     pairs = len(a._keys) * len(b._keys)
     # the wedge and the contractions drop most pairs before the sum, so a
     # pair of theirs counts as half a term (see multivector._SLOTS_PER_TERM)
-    slots = dense_slots(width, (pairs + 1) >> 1 if filter_mode or not pos | neg else pairs)
+    half = filter_mode or not pos | neg
     # the right operand's terms as (key, coefficient) pairs, which the inner
     # loops run over faster than over one zip per left key; a lone left key
     # runs over its one zip
     right = list(zip(b._keys, b._coeffs)) if len(a._keys) > 1 else zip(b._keys, b._coeffs)
     if width > _TABLE_WIDTH:
-        sign_of = blade_product if pos | neg else blade_wedge
-        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode, sign_of, slots))
+        # slots need at least (1 << width) / _SLOTS_PER_TERM terms, so a
+        # product with fewer pairs, as every small one this wide is, skips
+        # the call (~0.1 us)
+        slots = pairs * _SLOTS_PER_TERM >> width and dense_slots(width, (pairs + 1) >> 1 if half else pairs)
+        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode,
+                                         blade_product if pos | neg else blade_wedge, slots))
     rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
+    slots = dense_slots(width, (pairs + 1) >> 1 if half else pairs)
     if not slots:
         return Multivector._wrap(*sum_terms([
             (ka ^ kb, ca * cb * sign)

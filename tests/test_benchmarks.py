@@ -12,8 +12,10 @@ compares the working tree with ``HEAD``, which it exports with
 ``git archive``, so that run needs the repository's history.  The sweep
 also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
 which must keep the file's other keys.  ``ab.interleaved_rounds``, the timer
-behind every speed claim of both scripts, is driven with counting fake calls,
-and so is ``ab.compare_times`` with a parent that lacks an op.
+behind every speed claim of both scripts, is driven with counting fake calls
+and a fake clock, and so is ``ab.compare_times`` with a parent that lacks an
+op.  ``ab.py --diff`` runs the lexer differential against ``HEAD`` on a few
+hundred strings, and must find the working tree's lexer unchanged.
 """
 
 import collections
@@ -72,10 +74,44 @@ def test_benchmark_script_runs(args, header, tmp_path):
             assert written[key] == committed[key]
 
 
-def test_interleaved_rounds_runs_every_row_once_a_round_in_a_varying_order():
+def load_ab():
     spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    return ab
+
+
+def test_interleaved_rounds_repeats_a_pass_until_its_minimum_time(monkeypatch):
+    ab = load_ab()
+    clock = iter(range(10**6))  # one second passes at every reading
+    monkeypatch.setattr(ab.time, "perf_counter", lambda: next(clock))
+    log = []
+    rows = {name: (lambda item, name=name: log.append((name, item)), ["a", "b"]) for name in "pq"}
+    rounds = ab.interleaved_rounds(rows, 2, before=lambda name: log.append((name, None)), min_seconds=2.5)
+    # three passes of one second each reach 2.5 s: 3 s over 6 items a round
+    assert rounds == {"p": [0.5, 0.5], "q": [0.5, 0.5]}
+    assert collections.Counter(log) == {(name, item): 3 * 3 for name in rows for item in (None, "a", "b")}
+
+
+def test_interleaved_rounds_times_the_rows_of_a_group_in_turns(monkeypatch):
+    ab = load_ab()
+    clock = iter(range(10**6))  # one second passes at every reading
+    monkeypatch.setattr(ab.time, "perf_counter", lambda: next(clock))
+    log = []
+    rows = {name: (lambda item, name=name: log.append(name), ["a"]) for name in ("p1", "q1", "p2")}
+    rounds = ab.interleaved_rounds(rows, 3, min_seconds=2.5, group=lambda name: name[1])
+    assert rounds == {name: [1.0] * 3 for name in rows}
+    # each round: p2's three passes in a row, and p1's and q1's taking turns
+    for r in range(4):
+        passes = log[9 * r:9 * r + 9]
+        grouped = [name for name in passes if name != "p2"]
+        assert "p2" * 3 in "".join(passes)
+        assert sorted(grouped) == ["p1"] * 3 + ["q1"] * 3
+        assert all(a != b for a, b in zip(grouped, grouped[1:]))
+
+
+def test_interleaved_rounds_runs_every_row_once_a_round_in_a_varying_order():
+    ab = load_ab()
     repeats = 4
     log = []
     rows = {name: (lambda item, name=name: log.append((name, item)), ["a", "b"]) for name in "pqrst"}
@@ -102,7 +138,7 @@ AB_OPS = ["1x1 Cl(3,1)", "4x4 Cl(3,1)", "9x9 Cl(3,1)", "4x4 Cl(6,4) dim 12", "4x
           "high_index 45x45", "high_index 45x45 _|", "high_index 45x45 ^",
           "81-pair kernel", "512x512 dim 10", "1024x1024 dim 12", "python 512x512 dim 10",
           "4+4 dim 6", "high_index 45+45", "512+512 dim 10", "parse 6 terms",
-          "tokenize", "parse_expr", "eval_expr", "render",
+          "tokenize", "tokenize cold", "parse_expr", "eval_expr", "render",
           "literal", "binary", "power", "grades", "command", "star literal",
           "python -c pass", "import cliffcalc", "cliffcalc --script"]
 
@@ -128,12 +164,16 @@ def test_ab_times_the_working_tree_against_a_revision():
     assert [row.rsplit(None, 4)[0] for row in rows] == AB_OPS
 
 
+@pytest.mark.skipif(not has_history(), reason="needs a git checkout to export HEAD from")
+def test_ab_diff_runs_the_lexer_differential():
+    out = run_script("benchmarks/ab.py", "--parent", "HEAD", "--diff", "300")
+    assert "lexer differential: 300 strings, 0 differences" in out
+
+
 def test_ab_skips_an_op_that_the_parent_lacks(monkeypatch, capsys):
     """An op missing from the parent's rows is reported as skipped and timed
     under neither tree; the kernel row's operands take each tree's stored form."""
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = load_ab()
     calls = collections.Counter()
 
     def fake_ops(cc, script, startup_script):
@@ -142,6 +182,7 @@ def test_ab_skips_an_op_that_the_parent_lacks(monkeypatch, capsys):
         return {name: (lambda item, key=(tree, name): calls.update([key]), [None]) for name in names}
 
     monkeypatch.setattr(ab, "micro_ops", fake_ops)
+    monkeypatch.setattr(ab, "MIN_PASS_S", 0.0)  # one pass a round
     monkeypatch.setattr(ab, "calculator_script", lambda: None)
     ab.compare_times(object(), 2, "unused")
     lines = capsys.readouterr().out.splitlines()

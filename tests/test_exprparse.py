@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cliffcalc import exprparse
 from cliffcalc.exprparse import (
     BinOp,
     Call,
@@ -453,3 +456,63 @@ def test_lexer_never_crashes(text):
         run_command(line, Session())
     except ValueError:
         pass
+
+
+def _blade_literal(rng: random.Random) -> str:
+    """A blade literal in any form, valid or not: indices ascending, shuffled
+    or repeated, with 0, 65535, 65536 and leading zeros among them."""
+    indices = [str(rng.choice((rng.randint(1, 14), rng.randint(1, 14), 0, 65535, 65536)))
+               for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.6:
+        indices.sort(key=int)
+    if rng.random() < 0.1:
+        indices[0] = "000" + indices[0]
+    form = rng.randrange(3)
+    if form == 0:
+        return "e_" + "".join(i[-1] for i in indices)
+    if form == 1:
+        return "e_" + ",".join(indices)
+    space = lambda: rng.choice(("", " ", "  "))
+    return f"e{space()}[{space()}" + f"{space()},{space()}".join(indices) + f"{space()}]"
+
+
+def _lexed(line: str):
+    try:
+        return tokenize(line)
+    except ExpressionSyntaxError as err:
+        return err.base_message, err.position, err.expected
+
+
+def test_blade_literals_lex_the_same_with_the_literal_cache_cold_and_warm():
+    """Each literal's text is read once into its checked index tuple: a warm
+    cache gives the same tokens, and a bad literal the same error at the same
+    position (its offset in the text plus the token's start), as a cold one."""
+    rng = random.Random(7)
+    lines = [rng.choice(("", "x + ", "2", "(3) ^ ", "grade(")) + _blade_literal(rng)
+             + rng.choice(("", " * y", ", 2)")) for _ in range(600)]
+    cold = []
+    for line in lines:
+        exprparse._literal_indices.cache_clear()
+        cold.append(_lexed(line))
+    warm = [_lexed(line) for line in lines]
+    assert warm == cold
+    errors = [result for result in cold if type(result) is tuple]
+    assert 100 < len(errors) < 500  # the corpus holds both kinds
+    for line, result in zip(lines, cold):
+        if type(result) is list:
+            blade = next(tok for tok in result if tok.kind == "blade")
+            assert line[blade.pos:].startswith(blade.text)
+
+
+def test_the_literal_cache_holds_at_most_its_bound_and_no_long_text():
+    cache = exprparse._literal_indices
+    cache.cache_clear()
+    assert cache.cache_info().maxsize == exprparse._LITERALS_HELD
+    for k in range(2, exprparse._LITERALS_HELD + 200):
+        tokenize(f"e[1, {k}]")
+        assert cache.cache_info().currsize <= exprparse._LITERALS_HELD
+    assert cache.cache_info().currsize == exprparse._LITERALS_HELD
+    cache.cache_clear()
+    long_text = "e[" + "0" * exprparse._CACHED_TEXT + "3]"
+    assert tokenize(long_text)[0].value == (3,)
+    assert cache.cache_info().currsize == 0

@@ -720,7 +720,9 @@ def test_products_on_each_side_of_the_slots_rule_match_the_sort_the_oracle_and_t
                         del chosen[:]
                         got = terms_bits(run(a, b, sig))
                         if backend == "python":
-                            assert chosen == [slots]
+                            # a product too small for the slots takes the
+                            # sort path without asking the rule
+                            assert chosen == [slots] or not (slots or chosen)
                         runs = rewritten_runs(a, b, pair_sig, keep)
                         events |= sum_events_of(runs)
                         expected = summed_bits(runs)
