@@ -54,10 +54,11 @@ cliffcalc"`` and a two-line ``cliffcalc --script`` (``x = e_1 * e_2``, then
 ``x * x``) written to the temporary directory.
 
 For each op it prints the median time per item under each tree, the median
-over the rounds of change/parent time (below 1 the working tree is faster)
-and in how many rounds the working tree was faster.  An op that the parent
-revision lacks, ``81-pair kernel`` before ``kernels.packed_product``, is
-skipped with a note.
+over the rounds of change/parent time (below 1 the working tree is faster),
+the first and third quartiles of that ratio over the rounds (``q1-q3``, the
+one ratio twice for a single round) and in how many rounds the working tree
+was faster.  An op that the parent revision lacks, ``81-pair kernel``
+before ``kernels.packed_product``, is skipped with a note.
 
 ``--diff N`` times nothing and instead runs the lexer differential: ``N``
 seeded strings from :func:`diff_line` (literal lines, the comma form at
@@ -345,7 +346,7 @@ def compare_times(parent, repeats: int, startup_script: str) -> None:
     rounds = interleaved_rounds({(tree, name): ops[tree][name] for tree in ops for name in timed}, repeats,
                                 clear_cold, MIN_PASS_S, group=lambda key: key[1])
     print(f"median of {repeats} interleaved rounds, microseconds per item")
-    header = f"{'op':<22}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'faster':>9}"
+    header = f"{'op':<22}{'parent us':>11}{'change us':>11}{'change/parent':>15}{'q1-q3':>13}{'faster':>9}"
     print(header)
     print("-" * len(header))
     for name in ops["change"]:
@@ -353,10 +354,20 @@ def compare_times(parent, repeats: int, startup_script: str) -> None:
             print(f"{name:<22}skipped: the parent has no such op")
             continue
         before, after = rounds[("parent", name)], rounds[("change", name)]
-        ratio = statistics.median(b / a for a, b in zip(before, after))
+        ratios = [b / a for a, b in zip(before, after)]
+        low, high = quartiles(ratios)
         faster = sum(b < a for a, b in zip(before, after))
         print(f"{name:<22}{statistics.median(before) * 1e6:>11.2f}{statistics.median(after) * 1e6:>11.2f}"
-              f"{ratio:>15.3f}{f'{faster}/{repeats}':>9}")
+              f"{statistics.median(ratios):>15.3f}{f'{low:.3f}-{high:.3f}':>13}{f'{faster}/{repeats}':>9}")
+
+
+def quartiles(values: list) -> tuple:
+    """The first and third quartiles of ``values`` (``statistics.quantiles``'
+    default method); a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    low, _, high = statistics.quantiles(values, n=4)
+    return low, high
 
 
 #: Pieces of the differential's strings of fragments (see :func:`diff_line`).

@@ -14,8 +14,9 @@ readers, the calculator's ``+``/``-`` chains, the random generator, and
 ``+`` and the per-pair products while their keys' range is wide next to
 their terms.  Where it is narrow (:func:`dense_slots`), ``+`` and the
 per-pair products instead add each term into a list indexed by blade key,
-which :func:`slot_terms` reads back: a term then costs one addition, not a
-tuple and its place in a sort.  Everything here is metric-free:
+from which :func:`from_slots`, the one slot finisher they share, builds the
+value in place: a term then costs one addition, not a tuple and its place in
+a sort.  Everything here is metric-free:
 construction, addition, negation, scalar multiplication and the grade
 machinery.  The metric-dependent products live in
 :mod:`cliffcalc.products`.
@@ -65,9 +66,9 @@ class Multivector:
         """Adopt blade keys and coefficients that are already in stored form.
 
         Every builder that sums terms passes :func:`sum_terms`'s result, or
-        :func:`slot_terms`'s.  Only builders that keep the order and cannot
-        make a zero skip both:
-        ``__neg__``, :func:`basis`, the packed path's terms from
+        has :func:`from_slots` build its value.  Only builders that keep the
+        order and cannot make a zero skip both: ``__neg__``, :func:`basis`,
+        the packed path's terms from
         :func:`cliffcalc.kernels.packed_product`, which ``products._binary``
         wraps, and the calculator's literal terms, one
         :class:`cliffcalc.exprparse.Term` each, in
@@ -141,7 +142,7 @@ class Multivector:
                 acc = [0.0] * slots
                 for key, value in zip(keys, self._coeffs + other._coeffs):
                     acc[key] += value
-                return Multivector._wrap(*slot_terms(acc))
+                return from_slots(acc)
         return Multivector._wrap(*sum_terms(zip(keys, self._coeffs + other._coeffs)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
@@ -216,7 +217,7 @@ def sum_terms(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float
     sum from 0.0, so dropping zeros only at the end gives the same
     coefficients as dropping them along the way.  Builders whose keys fit in
     few slots sum into them instead (:func:`dense_slots`,
-    :func:`slot_terms`), to the same bits.
+    :func:`from_slots`), to the same bits.
     """
     keys, coeffs = [], []
     last, total = None, 0.0
@@ -253,7 +254,7 @@ _FEW_TERMS = 8
 
 def dense_slots(width: int, terms: int) -> int:
     """``1 << width`` when ``terms`` terms whose keys are all below it sum
-    faster into a list indexed by key (see :func:`slot_terms`) than through
+    faster into a list indexed by key (see :func:`from_slots`) than through
     :func:`sum_terms`, else 0.
 
     The list costs a slot per possible key, allocated and scanned once, and
@@ -266,18 +267,28 @@ def dense_slots(width: int, terms: int) -> int:
     return 1 << width if terms > _FEW_TERMS and width < (terms * _SLOTS_PER_TERM).bit_length() else 0
 
 
-def slot_terms(acc: list[float]) -> tuple[list[int], list[float]]:
-    """The terms of ``acc``, a list of sums indexed by blade key, as
-    :func:`sum_terms` returns them: the keys of the nonzero sums, ascending,
-    and those sums.
+def from_slots(acc: list[float]) -> Multivector:
+    """The multivector of ``acc``, a list of sums indexed by blade key: the
+    keys of the nonzero sums, ascending, and those sums, as
+    :func:`sum_terms` would give them.
 
     A builder that adds each term's value to its key's slot, all slots
     starting at 0.0, in the order :func:`sum_terms` would take them, gets
     the same sums bit for bit: each slot's is the same ``total + value``
-    chain from 0.0.  ``compress`` and ``filter`` drop exactly the ±0.0 sums
-    that :func:`sum_terms` drops, and keep NaN.
+    chain from 0.0.  ``compress`` drops exactly the ±0.0 sums that
+    :func:`sum_terms` drops, and keeps NaN.  One scan of the slots finds the
+    keys; the sums are then read at those keys, or, when they fill half the
+    slots or more, taken by ``filter``, which keeps the same ones.  The
+    value is built here, with no ``_wrap`` call: this is the one finisher of
+    every sum in slots, ``+``'s and the per-pair products'.
     """
-    return list(compress(range(len(acc)), acc)), list(filter(None, acc))
+    keys = list(compress(range(len(acc)), acc))
+    mv = _new(Multivector)
+    mv._keys = keys
+    # reading the sums at their keys beats a filter over every slot while
+    # the keys are under half the slots
+    mv._coeffs = [acc[key] for key in keys] if 2 * len(keys) < len(acc) else list(filter(None, acc))
+    return mv
 
 
 def zero() -> Multivector:

@@ -27,9 +27,13 @@ prefix parity from a table) only once a pair survives; a pair takes its key
 only for a nonzero sign.  When every index of both operands is at most
 ``_TABLE_WIDTH`` (6), which covers 3-D vectors, Cl(3,1) and calculator
 lines on such values, all four products instead read each pair's sign from
-``_sign_table``, 0 where the filter drops the pair, and make no call per
+``_sign_table``, 0.0 where the filter drops the pair, and make no call per
 pair.  The table is built once per signature masks and filter by that same
-loop, so there is one filter rule and one sign rule.
+loop, so there is one filter rule and one sign rule.  Such a product finds
+its table, and whether its pairs count half toward the slots rule below,
+in one lookup, ``_table_rows``, cached by the signature's two counts, the
+filter and ``_TABLE_WIDTH``; the counts, not the masks, so that it takes
+no masks call, and signatures whose masks agree still share one table.
 
 Both paths read each operand's terms from its two stored lists, blade keys
 and coefficients, and return the result's in that form.  They sum
@@ -40,8 +44,9 @@ once, at the end.  Every result key of operands whose indices are at most
 pairs (a wedge's or contraction's pair counting half, since their filters
 drop most), the per-pair path adds each pair's value into a list of
 ``1 << width`` slots indexed by key, and
-:func:`~cliffcalc.multivector.slot_terms` reads the nonzero slots back in
-key order: a pair then costs one addition.  Otherwise it lists each pair's
+:func:`~cliffcalc.multivector.from_slots`, the one slot finisher, which
+``+`` shares, builds the result from the nonzero slots in key order: a
+pair then costs one addition.  Otherwise it lists each pair's
 (key, value) and passes the list to
 :func:`~cliffcalc.multivector.sum_terms`, which sorts it by key and appends
 each key and its sum to the two lists, and holds no slot per possible key:
@@ -73,8 +78,8 @@ from . import kernels
 # sign table is built through pair_sign itself, so they count the pairs of
 # the products wider than the table alone
 from .blade import pair_sign, pair_sign as blade_product, pair_sign as blade_wedge, sign_factors
-from .metric import Signature, grassmann, signature_masks
-from .multivector import _SLOTS_PER_TERM, Multivector, dense_slots, from_scalar, slot_terms, sum_terms
+from .metric import Count, Signature, grassmann, signature_masks
+from .multivector import _SLOTS_PER_TERM, Multivector, dense_slots, from_scalar, from_slots, sum_terms
 
 # Products of at most this many term pairs take the per-pair path.  Each was
 # the largest pair count at which the median per-pair over packed time of the
@@ -96,9 +101,11 @@ _SMALL_WEDGE_PAIRS = 256
 # each faster in at least 17 of them).  At 8 a table would hold ~0.55 MiB
 # and take 13-25 ms to build.
 _TABLE_WIDTH = 6
-# Tables held at once, least recently used dropped first (~0.6 MiB): each is
-# one (pos, neg) at width 6 and one filter, and 16 cover five signatures'
-# three filters, the wedge sharing the Grassmann geometric product's.
+# Tables _sign_table holds, least recently used dropped first (~0.6 MiB):
+# each is one (pos, neg) at width 6 and one filter, and 16 cover five
+# signatures' three filters, the wedge sharing the Grassmann geometric
+# product's.  _table_rows holds as many lookups, each keeping its table
+# alive, so up to 32 tables (~1.1 MiB) can be held at once.
 _TABLES_HELD = 16
 
 # Pairs that _pairs lists before it folds them into one per key (~1 MiB of
@@ -169,9 +176,9 @@ def _binary(
 
 
 @lru_cache(maxsize=_TABLES_HELD)
-def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple[int, ...], ...]:
+def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple[float, ...], ...]:
     """``rows[ka][kb]``: the sign of every pair of keys below ``1 << width``
-    under the masks ``pos``/``neg`` (at that width), 0 where the product's
+    under the masks ``pos``/``neg`` (at that width), 0.0 where the product's
     filter drops the pair.  Row ``ka`` is what :func:`_pairs` makes of ``ka``
     and every key, all coefficients 1, so the table holds that loop's filter
     and sign rule.  The wedge is the product under the null masks (0, 0),
@@ -181,36 +188,53 @@ def _sign_table(pos: int, neg: int, filter_mode: int, width: int) -> tuple[tuple
     units = [(kb, 1.0) for kb in range(1 << width)]
     rows = []
     for ka, _ in units:
-        row = [0] * len(units)
-        # kb -> ka ^ kb is one to one, so each sum is one pair's sign
-        for key, sign in zip(*_pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign, 0)):
-            row[ka ^ key] = int(sign)
+        row = [0.0] * len(units)
+        # kb -> ka ^ kb is one to one, so each sum is one pair's sign.  A
+        # float sign keeps ca * cb * sign a float product, which the pair
+        # loop runs ~7% faster than one by an int, to the same bits; the
+        # two constants are shared by every row
+        terms = _pairs([(ka, 1.0)], units, pos, neg, filter_mode, pair_sign, 0)
+        for key, sign in zip(terms._keys, terms._coeffs):
+            row[ka ^ key] = 1.0 if sign > 0 else -1.0
         rows.append(tuple(row))
     # tuples: every caller of the cache shares the one table
     return tuple(rows)
 
 
-def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
-              width: int) -> Multivector:
-    # the wider of the two; a max() call took ~0.1 us, a few percent of a 1x1
-    # product; the wedge's masks are the null ones at every width
-    pos, neg = (0, 0) if sig is _GRASSMANN else signature_masks(sig, width if width > _TABLE_WIDTH else _TABLE_WIDTH)
-    pairs = len(a._keys) * len(b._keys)
+@lru_cache(maxsize=_TABLES_HELD)
+def _table_rows(p: Count, q: Count, filter_mode: int, width: int) -> tuple[tuple[tuple[float, ...], ...], bool]:
+    """The sign table of ``Signature(p, q)`` and ``filter_mode`` at ``width``
+    (see :func:`_sign_table`), and whether a pair of the product counts as
+    half a term for :func:`~cliffcalc.multivector.dense_slots`: one lookup
+    per narrow product in place of a masks call and a table lookup.  Keyed
+    by the counts, not the :class:`Signature`, whose dataclass hash runs in
+    Python; signatures with the same masks share ``_sign_table``'s table."""
+    pos, neg = signature_masks(Signature(p, q), width)
     # the wedge and the contractions drop most pairs before the sum, so a
     # pair of theirs counts as half a term (see multivector._SLOTS_PER_TERM)
-    half = filter_mode or not pos | neg
+    return _sign_table(pos, neg, filter_mode, width), bool(filter_mode or not pos | neg)
+
+
+def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
+              width: int) -> Multivector:
+    pairs = len(a._keys) * len(b._keys)
     # the right operand's terms as (key, coefficient) pairs, which the inner
     # loops run over faster than over one zip per left key; a lone left key
     # runs over its one zip
     right = list(zip(b._keys, b._coeffs)) if len(a._keys) > 1 else zip(b._keys, b._coeffs)
     if width > _TABLE_WIDTH:
+        # the wedge's masks are the null ones at every width
+        pos, neg = (0, 0) if sig is _GRASSMANN else signature_masks(sig, width)
         # slots need at least (1 << width) / _SLOTS_PER_TERM terms, so a
         # product with fewer pairs, as every small one this wide is, skips
         # the call (~0.1 us)
-        slots = pairs * _SLOTS_PER_TERM >> width and dense_slots(width, (pairs + 1) >> 1 if half else pairs)
-        return Multivector._wrap(*_pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode,
-                                         blade_product if pos | neg else blade_wedge, slots))
-    rows = _sign_table(pos, neg, filter_mode, _TABLE_WIDTH)
+        slots = pairs * _SLOTS_PER_TERM >> width and dense_slots(
+            width, (pairs + 1) >> 1 if filter_mode or not pos | neg else pairs)
+        return _pairs(zip(a._keys, a._coeffs), right, pos, neg, filter_mode,
+                      blade_product if pos | neg else blade_wedge, slots)
+    # _TABLE_WIDTH is read here, not bound, so that a table of one width is
+    # never served for another
+    rows, half = _table_rows(sig.p, sig.q, filter_mode, _TABLE_WIDTH)
     slots = dense_slots(width, (pairs + 1) >> 1 if half else pairs)
     if not slots:
         return Multivector._wrap(*sum_terms([
@@ -223,19 +247,20 @@ def _per_pair(a: Multivector, b: Multivector, sig: Signature, filter_mode: int,
         for kb, cb in right:
             if sign := row[kb]:
                 acc[ka ^ kb] += ca * cb * sign
-    return Multivector._wrap(*slot_terms(acc))
+    return from_slots(acc)
 
 
 def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of,
-           slots: int) -> tuple[list[int], list[float]]:
-    """Per key ``ka ^ kb``, the sum in pair order of ``ca * cb * sign`` over the
-    pairs of the (key, coefficient) terms ``left`` and ``right`` (a list,
-    when ``left`` has more than one term) that the product's filter keeps and
-    ``sign_of`` gives a nonzero sign, as
-    :func:`~cliffcalc.multivector.sum_terms` returns it: added into
-    ``slots`` slots when that is not 0 (see
-    :func:`~cliffcalc.multivector.dense_slots`), else listed, folded past
-    ``_PAIRS_HELD`` pairs, and sorted."""
+           slots: int) -> Multivector:
+    """The multivector whose term at key ``ka ^ kb`` is the sum in pair
+    order of ``ca * cb * sign`` over the pairs of the (key, coefficient)
+    terms ``left`` and ``right`` (a list, when ``left`` has more than one
+    term) that the product's filter keeps and ``sign_of`` gives a nonzero
+    sign: added into ``slots`` slots when that is not 0 (see
+    :func:`~cliffcalc.multivector.dense_slots`) and read back by
+    :func:`~cliffcalc.multivector.from_slots`, else listed, folded past
+    ``_PAIRS_HELD`` pairs, and sorted by
+    :func:`~cliffcalc.multivector.sum_terms`."""
     acc = [0.0] * slots if slots else None
     pairs: list[tuple[int, float]] = []
     add = pairs.append
@@ -275,4 +300,4 @@ def _pairs(left, right, pos: int, neg: int, filter_mode: int, sign_of,
                     acc[ka ^ kb] += ca * cb * sign
                 else:
                     add((ka ^ kb, ca * cb * sign))
-    return slot_terms(acc) if slots else sum_terms(pairs)
+    return from_slots(acc) if slots else Multivector._wrap(*sum_terms(pairs))

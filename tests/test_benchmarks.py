@@ -14,8 +14,9 @@ also writes its rows into a copy of ``BENCH_products.json`` with ``--json``,
 which must keep the file's other keys.  ``ab.interleaved_rounds``, the timer
 behind every speed claim of both scripts, is driven with counting fake calls
 and a fake clock, and so is ``ab.compare_times`` with a parent that lacks an
-op.  ``ab.py --diff`` runs the lexer differential against ``HEAD`` on a few
-hundred strings, and must find the working tree's lexer unchanged.
+op; its quartile column is read off fake round times.  ``ab.py --diff``
+runs the lexer differential against ``HEAD`` on a few hundred strings, and
+must find the working tree's lexer unchanged.
 """
 
 import collections
@@ -158,10 +159,12 @@ def test_ab_times_the_working_tree_against_a_revision():
     out = run_script("benchmarks/ab.py", "--parent", "HEAD", "--repeats", "1")
     assert src_files() == before
     assert "parent HEAD against the working tree" in out
-    assert "change/parent" in out
+    assert "change/parent" in out and "q1-q3" in out
     # one row per op, each ending in its rounds won of the one timed
     rows = [line for line in out.splitlines() if line.endswith(("0/1", "1/1"))]
-    assert [row.rsplit(None, 4)[0] for row in rows] == AB_OPS
+    assert [row.rsplit(None, 5)[0] for row in rows] == AB_OPS
+    # the quartiles of one round's ratio are that ratio
+    assert all(row.split()[-2] == f"{row.split()[-3]}-{row.split()[-3]}" for row in rows)
 
 
 @pytest.mark.skipif(not has_history(), reason="needs a git checkout to export HEAD from")
@@ -200,3 +203,25 @@ def test_ab_skips_an_op_that_the_parent_lacks(monkeypatch, capsys):
         _terms = {0b1: 2.0}
 
     assert ab.stored_terms(DictStored()) == ({0b1: 2.0},)
+
+
+def test_ab_prints_the_quartiles_of_the_per_round_ratio(monkeypatch, capsys):
+    """Beside each op's median change/parent ratio, ``compare_times`` prints
+    the first and third quartiles of the ratios of its rounds."""
+    import statistics
+
+    ab = load_ab()
+    parent = [1.0, 2.0, 4.0, 1.0, 5.0]
+    change = [0.9, 2.0, 2.0, 1.2, 4.0]
+    ratios = [c / p for p, c in zip(parent, change)]
+    monkeypatch.setattr(ab, "micro_ops", lambda cc, script, startup_script: {"op": (None, [None])})
+    monkeypatch.setattr(ab, "calculator_script", lambda: None)
+    monkeypatch.setattr(ab, "interleaved_rounds", lambda rows, *args, **kwargs: {
+        ("parent", "op"): [t * 1e-6 for t in parent], ("change", "op"): [t * 1e-6 for t in change]})
+    ab.compare_times(object(), len(parent), "unused")
+    header, _, row = capsys.readouterr().out.splitlines()[1:]
+    low, _, high = statistics.quantiles(ratios, n=4)
+    assert header.split()[-2:] == ["q1-q3", "faster"]
+    assert row.split()[-3:] == [f"{statistics.median(ratios):.3f}", f"{low:.3f}-{high:.3f}", "3/5"]
+    assert low < statistics.median(ratios) < high
+    assert ab.quartiles([0.97]) == (0.97, 0.97)

@@ -230,6 +230,65 @@ def test_product_associates(a, b, c):
         assert left == right
 
 
+def lattice_multivector(rng, num_terms, width):
+    """``num_terms`` distinct blades over the indices 1..width, with
+    coefficients ``±m * 2**k``, ``m`` in 1..15 and one ``k`` for the whole
+    operand.  ``k`` stays within ±300, so that a product of three such
+    operands and its sums of at most a few thousand terms stay exact, far
+    from overflow (2**1024) and from the subnormals: such values that
+    overflow are not yet rejected (ROADMAP item 6)."""
+    from cliffcalc.blade import key_blade
+
+    k = rng.randint(-300, 300)
+    keys = rng.sample(range(1 << width), num_terms)
+    return Multivector({key_blade(key): rng.choice((-1, 1)) * rng.randint(1, 15) * 2.0 ** k for key in keys})
+
+
+#: Operand sizes on the narrow routes at width 6: pairs that sort, from a
+#: lone pair up, and pairs that sum into slots (32 pairs and up for the
+#: geometric product, 63 for the others, whose pairs count half).
+LATTICE_SIZES = ((1, 1, 1), (1, 4, 2), (4, 4, 4), (3, 6, 5), (6, 6, 6), (9, 9, 9), (12, 9, 7))
+
+
+@pytest.mark.parametrize("sig", [euclidean(), Signature(3, 1), Signature(2, 3), grassmann()], ids=str)
+def test_laws_hold_bit_for_bit_on_exact_lattices_on_the_narrow_routes(monkeypatch, sig):
+    """Associativity of ``*`` and ``^``, ``(a∧b)⌋c = a⌋(b⌋c)`` and
+    ``a⌊(b∧c) = (a⌊b)⌊c`` on operands whose every product and sum is exact
+    (:func:`lattice_multivector`), so both sides agree in keys, order and
+    bits.  Under the python backend, with indices up to 6, every product
+    reads the sign table, on both sides of the slots rule."""
+    import random
+
+    from cliffcalc import kernels, products
+
+    rule = products.dense_slots
+    chosen = set()
+
+    def recording(width, terms):
+        chosen.add(bool(rule(width, terms)))
+        return rule(width, terms)
+
+    monkeypatch.setattr(products, "dense_slots", recording)
+    rng = random.Random(f"lattice:{sig}")
+    previous = kernels.set_backend("python")
+    try:
+        for sizes in LATTICE_SIZES * 10:
+            a, b, c = (lattice_multivector(rng, n, 6) for n in sizes)
+            assert max(a.max_index(), b.max_index(), c.max_index()) <= products._TABLE_WIDTH
+            laws = (
+                (geometric_product(geometric_product(a, b, sig), c, sig),
+                 geometric_product(a, geometric_product(b, c, sig), sig)),
+                (wedge(wedge(a, b), c), wedge(a, wedge(b, c))),
+                (left_contraction(wedge(a, b), c, sig), left_contraction(a, left_contraction(b, c, sig), sig)),
+                (right_contraction(a, wedge(b, c), sig), right_contraction(right_contraction(a, b, sig), c, sig)),
+            )
+            for left, right in laws:
+                assert terms_bits(left) == terms_bits(right)
+    finally:
+        kernels.set_backend(previous)
+    assert chosen == {True, False}
+
+
 def test_generator_relations():
     for sig in SIGNATURES:
         for i in range(1, 7):
@@ -466,6 +525,39 @@ def test_the_sign_table_cache_holds_each_width_apart(monkeypatch):
     b = Multivector({(): 0.5, (4,): 3.0, (1, 6): -2.0})
     assert wedge(a, b) == product_by_rewriting(a, b, grassmann())
     assert geometric_product(a, b, grassmann()) == product_by_rewriting(a, b, grassmann())
+
+
+def test_the_row_cache_holds_each_width_apart_from_a_cold_start(monkeypatch):
+    """The check above, with every table cache of the library cleared
+    first, so that no earlier test has filled the entries it reads: a row
+    lookup keyed without the width served the width-0 rows to a 6-index
+    product only from a cold start.  Signatures whose masks agree at width 6
+    share one table, each filter has rows of its own, and the row cache
+    holds at most its bound."""
+    from cliffcalc import kernels, products
+
+    products._table_rows.cache_clear()
+    products._sign_table.cache_clear()
+    with monkeypatch.context() as narrow:
+        narrow.setattr(products, "_TABLE_WIDTH", 0)
+        assert wedge(from_scalar(2.0), from_scalar(3.0)) == from_scalar(6.0)
+    assert products._table_rows.cache_info().currsize == 1
+    a = Multivector({(1,): 1.0, (2, 6): 2.0, (3, 4, 5): -1.5})
+    b = Multivector({(): 0.5, (4,): 3.0, (1, 6): -2.0})
+    assert wedge(a, b) == product_by_rewriting(a, b, grassmann())
+    assert geometric_product(a, b, grassmann()) == product_by_rewriting(a, b, grassmann())
+
+    def rows(sig, filter_mode):
+        return products._table_rows(sig.p, sig.q, filter_mode, products._TABLE_WIDTH)[0]
+
+    assert len(rows(grassmann(), kernels.FILTER_NONE)) == 1 << products._TABLE_WIDTH
+    assert rows(Signature(6, 4), kernels.FILTER_NONE) is rows(euclidean(), kernels.FILTER_NONE)
+    by_filter = [rows(Signature(3, 1), f) for f in (kernels.FILTER_NONE, kernels.FILTER_LEFT, kernels.FILTER_RIGHT)]
+    assert len({id(table) for table in by_filter}) == len(set(by_filter)) == 3
+    for p in range(2 * products._TABLES_HELD):
+        geometric_product(a, b, Signature(p, 1))
+        assert products._table_rows.cache_info().currsize <= products._TABLES_HELD
+    assert products._table_rows.cache_info().maxsize == products._TABLES_HELD
 
 
 # --- sums in pair order -----------------------------------------------------

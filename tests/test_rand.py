@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cliffcalc.blade import MAX_INDEX
 from cliffcalc.rand import RandomSpec, SplitMix64, _available_blades, random_multivector
 
 
@@ -118,6 +119,21 @@ def test_saturated_spec_generates_all_blades():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
         RandomSpec(**kwargs)
+
+
+def test_both_draw_loops_give_the_same_blades(monkeypatch):
+    """Narrow specs set each index's bit in the key as it is drawn, wider ones
+    collect a set of indices and key it once; both follow the one draw
+    sequence, so each spec gives the same value either way."""
+    from cliffcalc import rand
+
+    specs = [RandomSpec(dimension=d, max_grade=g, num_terms=12, include_fewer=f, seed=d * g)
+             for d in (3, 16, 17, 40) for g in sorted({1, 3, d}) for f in (False, True)]
+    values = {}
+    for limit in (0, MAX_INDEX):
+        monkeypatch.setattr(rand, "_KEY_DRAWS", limit)
+        values[limit] = [list(random_multivector(spec).terms()) for spec in specs]
+    assert values[0] == values[MAX_INDEX]
 
 
 def test_dimension_may_reach_max_index():
